@@ -30,7 +30,7 @@ from .adaptive import (
     derivative_jump,
     wrap_loss_fn,
 )
-from .losses import LOSS_NAMES, finite_difference_grad, make_loss
+from .losses import LOSS_NAMES, LOSSES, finite_difference_grad, make_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,11 +104,10 @@ def _coerce(raw: str, default, key: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {key!r}: expected boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    try:
+        return type(default)(raw)
+    except ValueError as exc:
+        raise UsageError(f"config key {key!r}: expected {type(default).__name__}, got {raw!r}") from exc
 
 
 def _csv_floats(raw: str) -> list[float]:
@@ -137,13 +136,7 @@ LOSS_DEFAULTS = {
     "gamma": 0.1,
     "omega": 10.0,
     "epsilon": 0.5,
-    "smooth": 1e-6,
-    "tversky_alpha": 0.7,
-    "tversky_beta": 0.3,
-    "focal_alpha": 1.0,
-    "focal_gamma": 2.0,
-    "mix": 0.5,
-    "ft_gamma": 4.0 / 3.0,
+    **{k: v for spec in LOSSES.values() for k, v in spec.options.items()},
 }
 
 TRAIN_DEFAULTS = {"lr": 1e-4, "batch_size": 16, "epochs": 30, "split_ratio": 0.8}
@@ -173,21 +166,6 @@ def _dataset_spec(o: dict) -> synthdata.SynthSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _loss_kwargs(o: dict, name: str) -> dict:
-    kw = {"smooth": o["smooth"]}
-    if name == "tversky":
-        kw.update(alpha=o["tversky_alpha"], beta=o["tversky_beta"])
-    elif name == "focal":
-        kw.update(alpha_balance=o["focal_alpha"], gamma_focus=o["focal_gamma"])
-    elif name == "combo":
-        kw.update(mix=o["mix"])
-    elif name == "focal-tversky":
-        kw.update(alpha=o["tversky_alpha"], beta=o["tversky_beta"], ft_gamma=o["ft_gamma"])
-    elif name == "bce":
-        kw = {}
-    return kw
-
-
 def _adaptive_params(o: dict) -> AdaptiveLogParams:
     try:
         return AdaptiveLogParams(gamma=o["gamma"], omega=o["omega"], epsilon=o["epsilon"])
@@ -196,13 +174,14 @@ def _adaptive_params(o: dict) -> AdaptiveLogParams:
 
 
 def _train_config(o: dict, loss: str, wrapped: bool, seed: int) -> model.TrainConfig:
+    options = LOSSES[loss].options if loss in LOSSES else ()  # TrainConfig rejects an unknown loss
     try:
         return model.TrainConfig(
             lr=o["lr"],
             batch_size=o["batch_size"],
             max_epochs=o["epochs"],
             loss=loss,
-            loss_params=_loss_kwargs(o, loss),
+            loss_params={k: o[k] for k in options},
             adaptive_wrap=wrapped,
             adaptive_params=_adaptive_params(o),
             seed=seed,
@@ -219,6 +198,14 @@ def _require_out(o: dict) -> str:
 
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
+
+
+def _map_runs(worker, tasks: list, jobs: int) -> list:
+    """``[worker(t) for t in tasks]``, in a pool of ``jobs`` processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, tasks))
+    return [worker(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +244,14 @@ def cmd_gendata(o: dict) -> int:
 
 
 def _run_training(o: dict, loss: str, wrapped: bool, seed: int) -> model.RunRecord:
+    config = _train_config(o, loss, wrapped, seed)
     spec = _dataset_spec(o)
     try:
         samples = synthdata.generate(spec)
     except synthdata.GenerationFailure as exc:
         raise DataError(str(exc)) from exc
     train_set, val_set = synthdata.train_val_split(samples, o["split_ratio"], seed=spec.seed)
-    return model.train(_train_config(o, loss, wrapped, seed), train_set, val_set)
+    return model.train(config, train_set, val_set)
 
 
 def cmd_train(o: dict) -> int:
@@ -276,7 +264,7 @@ def cmd_train(o: dict) -> int:
 
 
 def _grid_cell_worker(args):
-    o, gamma, omega, epsilon, cell_idx, run_idx = args
+    o, gamma, omega, epsilon, run_idx = args
     o = dict(o, gamma=gamma, omega=omega, epsilon=epsilon)
     # run seed depends on the run index only, so cells are seed-paired and a
     # swept parameter with no effective influence reproduces bit-identical runs
@@ -284,9 +272,9 @@ def _grid_cell_worker(args):
     try:
         rec = _run_training(o, o["loss"], True, seed)
         last = rec.epochs[-1]
-        return (cell_idx, run_idx, "ok", last.val_jaccard, last.val_dice, len(rec.epochs))
+        return ("ok", last.val_jaccard, last.val_dice, len(rec.epochs))
     except model.TrainingDiverged:
-        return (cell_idx, run_idx, "diverged", float("nan"), float("nan"), 0)
+        return ("diverged", float("nan"), float("nan"), 0)
 
 
 def run_grid(o: dict) -> list[dict]:
@@ -302,23 +290,13 @@ def run_grid(o: dict) -> list[dict]:
     if not gammas or not omegas or not epsilons or n_seeds < 1:
         raise UsageError("grid needs at least one cell and seeds >= 1")
     cells = [(g, w, e) for g in gammas for w in omegas for e in epsilons]
-    tasks = [
-        (o, g, w, e, ci, ri)
-        for ci, (g, w, e) in enumerate(cells)
-        for ri in range(n_seeds)
-    ]
-    if o["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=o["jobs"]) as pool:
-            results = list(pool.map(_grid_cell_worker, tasks))
-    else:
-        results = [_grid_cell_worker(t) for t in tasks]
-    by_key = {(r[0], r[1]): r for r in results}
+    results = _map_runs(_grid_cell_worker, [(o, *cell, ri) for cell in cells for ri in range(n_seeds)], o["jobs"])
 
     rows = []
     for ci, (g, w, e) in enumerate(cells):
         cell_rows = []
         for ri in range(n_seeds):
-            _, _, status, jac, dice, epochs = by_key[(ci, ri)]
+            status, jac, dice, epochs = results[ci * n_seeds + ri]
             row = {
                 "gamma": g, "omega": w, "epsilon": e, "seed": str(ri),
                 "status": status, "val_jaccard": jac, "val_dice": dice, "epochs_run": epochs,
@@ -362,13 +340,10 @@ def parse_loss_token(tok: str) -> tuple[str, bool]:
     tok = tok.strip()
     if tok == "all":
         return "dice", True
-    if tok.endswith("+all"):
-        base = tok[: -len("+all")]
-    else:
-        base = tok
-    if base not in LOSS_NAMES:
-        raise UsageError(f"unknown loss selector {tok!r} (known: {', '.join(LOSS_NAMES)}, 'all', '<base>+all')")
-    return base, tok.endswith("+all")
+    base = tok.removesuffix("+all")
+    if base not in LOSSES:
+        raise UsageError(f"unknown loss selector {tok!r} (known: {', '.join(LOSSES)}, 'all', '<base>+all')")
+    return base, base != tok
 
 
 def _compare_worker(args):
@@ -391,17 +366,12 @@ SUMMARY_COLS = ("recall", "specificity", "jaccard", "dice", "f1", "auc")
 
 def run_compare(o: dict) -> list[dict]:
     toks = [t for t in o["losses"].split(",") if t.strip()]
-    if not toks:
-        raise UsageError("--losses must name at least one loss")
-    for t in toks:
-        parse_loss_token(t)
-    tasks = [(o, tok, ri) for tok in toks for ri in range(o["seeds"])]
-    if o["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=o["jobs"]) as pool:
-            results = list(pool.map(_compare_worker, tasks))
-    else:
-        results = [_compare_worker(t) for t in tasks]
     n_seeds = o["seeds"]
+    if not toks or n_seeds < 1:
+        raise UsageError("compare needs at least one loss in --losses and seeds >= 1")
+    for t in toks:
+        _train_config(o, *parse_loss_token(t), o["seed"])  # reject bad loss options before any run
+    results = _map_runs(_compare_worker, [(o, tok, ri) for tok in toks for ri in range(n_seeds)], o["jobs"])
     rows = []
     for ti, tok in enumerate(toks):
         runs = results[ti * n_seeds : (ti + 1) * n_seeds]
@@ -437,12 +407,8 @@ def cmd_compare(o: dict) -> int:
 def cmd_roc(o: dict) -> int:
     out = _require_out(o)
     rec = _run_training(o, o["loss"], o["all_wrap"], o["seed"])
-    spec = _dataset_spec(o)
-    samples = synthdata.generate(spec)
-    _, val_set = synthdata.train_val_split(samples, o["split_ratio"], seed=spec.seed)
-    preds = [model.forward(rec.net, s.image) for s in val_set]
     try:
-        curve = metrics.roc_auc(preds, [s.mask for s in val_set], n_thresholds=o["n_thresholds"])
+        curve = metrics.roc_auc(rec.val_preds, rec.val_masks, n_thresholds=o["n_thresholds"])
     except metrics.UndefinedAUC as exc:
         raise DataError(str(exc)) from exc
     with open(out, "w", newline="") as f:
@@ -454,10 +420,11 @@ def cmd_roc(o: dict) -> int:
     return EXIT_OK
 
 
-def run_gradcheck(trials: int, tolerance: float, net_tolerance: float, seed: int,
-                  corrupt: float = 0.0, losses=LOSS_NAMES, report=print) -> bool:
+def run_gradcheck(trials: int, tolerance: float, net_tolerance: float, seed: int, corrupt: float = 0.0,
+                  losses=tuple(n for n in LOSS_NAMES if n != "bce"), report=print) -> bool:
     """Finite-difference validation of every analytic gradient path.
 
+    ``losses`` leaves out bce by default: combo's suite already checks its gradient.
     ``corrupt`` adds a uniform offset to analytic gradients (negative-control
     hook for tests).  Returns True when every check passes.
     """

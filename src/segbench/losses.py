@@ -12,6 +12,8 @@ masks.
 
 from __future__ import annotations
 
+import inspect
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,43 +227,69 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     return out.reshape(p.shape)
 
 
-def make_loss(name: str, **kwargs):
-    """Build a ``loss_fn(p, g) -> LossEval`` closure from a selector name.
+# Builders take every option their selector reads and return loss_fn(p, g), which looks
+# its kernel up by module-level name at call time, so rebinding a kernel takes effect.
 
-    Known names: jaccard, dice, tversky, focal, combo, focal-tversky, bce.
-    Extra keyword arguments feed the matching parameter dataclass.
+
+def _tversky(smooth, tversky_alpha, tversky_beta):
+    tp = TverskyParams(tversky_alpha, tversky_beta)
+    return lambda p, g: tversky_loss(p, g, tp, smooth)
+
+
+def _focal(focal_alpha, focal_gamma):
+    fp = FocalParams(focal_alpha, focal_gamma)
+    return lambda p, g: focal_loss(p, g, fp)
+
+
+def _combo(smooth, mix):
+    cp = ComboParams(mix)
+    return lambda p, g: combo_loss(p, g, cp, smooth)
+
+
+def _focal_tversky(smooth, tversky_alpha, tversky_beta, ft_gamma):
+    tp = TverskyParams(tversky_alpha, tversky_beta)
+    if ft_gamma <= 0:
+        raise ValueError(f"ft_gamma must be > 0, got {ft_gamma}")
+    return lambda p, g: focal_tversky_loss(p, g, tp, ft_gamma, smooth)
+
+
+# options: the option names a selector reads -> default; build(**options) -> loss_fn
+LossSpec = namedtuple("LossSpec", ["options", "build"])
+
+_SMOOTH = {"smooth": DEFAULT_SMOOTH}
+_TVERSKY = {**_SMOOTH, "tversky_alpha": TverskyParams.alpha, "tversky_beta": TverskyParams.beta}
+_FOCAL = {"focal_alpha": FocalParams.alpha_balance, "focal_gamma": FocalParams.gamma_focus}
+_FT_GAMMA = inspect.signature(focal_tversky_loss).parameters["ft_gamma"].default
+
+# The loss set.  Option names double as CLI flags, config keys and
+# TrainConfig.loss_params keys.
+LOSSES = {
+    "jaccard": LossSpec(_SMOOTH, lambda smooth: lambda p, g: soft_jaccard_loss(p, g, smooth)),
+    "dice": LossSpec(_SMOOTH, lambda smooth: lambda p, g: soft_dice_loss(p, g, smooth)),
+    "tversky": LossSpec(_TVERSKY, _tversky),
+    "focal": LossSpec(_FOCAL, _focal),
+    "combo": LossSpec({**_SMOOTH, "mix": ComboParams.mix}, _combo),
+    "focal-tversky": LossSpec({**_TVERSKY, "ft_gamma": _FT_GAMMA}, _focal_tversky),
+    "bce": LossSpec({}, lambda: lambda p, g: bce_loss(p, g)),
+}
+
+LOSS_NAMES = tuple(LOSSES)
+
+
+def make_loss(name: str, **options):
+    """Build a ``loss_fn(p, g) -> LossEval`` for a selector of :data:`LOSSES`.
+
+    Keyword arguments override the selector's option defaults.  An unknown
+    selector, an option the selector does not read, or an invalid option
+    value raises ValueError here, not at the first call.
     """
-    smooth = kwargs.pop("smooth", DEFAULT_SMOOTH)
-    if name == "dice":
-        return lambda p, g: soft_dice_loss(p, g, smooth)
-    if name == "jaccard":
-        return lambda p, g: soft_jaccard_loss(p, g, smooth)
-    if name == "tversky":
-        tp = TverskyParams(kwargs.pop("alpha", 0.7), kwargs.pop("beta", 0.3))
-        _reject_extras(name, kwargs)
-        return lambda p, g: tversky_loss(p, g, tp, smooth)
-    if name == "focal":
-        fpar = FocalParams(kwargs.pop("alpha_balance", 1.0), kwargs.pop("gamma_focus", 2.0))
-        _reject_extras(name, kwargs)
-        return lambda p, g: focal_loss(p, g, fpar)
-    if name == "combo":
-        cp = ComboParams(kwargs.pop("mix", 0.5))
-        _reject_extras(name, kwargs)
-        return lambda p, g: combo_loss(p, g, cp, smooth)
-    if name == "focal-tversky":
-        tp = TverskyParams(kwargs.pop("alpha", 0.7), kwargs.pop("beta", 0.3))
-        ftg = kwargs.pop("ft_gamma", 4.0 / 3.0)
-        _reject_extras(name, kwargs)
-        return lambda p, g: focal_tversky_loss(p, g, tp, ftg, smooth)
-    if name == "bce":
-        _reject_extras(name, kwargs)
-        return bce_loss
-    raise ValueError(f"unknown loss selector: {name!r}")
-
-
-def _reject_extras(name, kwargs):
-    if kwargs:
-        raise ValueError(f"unexpected parameters for loss {name!r}: {sorted(kwargs)}")
-
-
-LOSS_NAMES = ("jaccard", "dice", "tversky", "focal", "combo", "focal-tversky")
+    if name not in LOSSES:
+        raise ValueError(f"unknown loss selector {name!r} (known: {', '.join(LOSSES)})")
+    spec = LOSSES[name]
+    extra = sorted(set(options) - set(spec.options))
+    if extra:
+        raise ValueError(f"unexpected parameters for loss {name!r}: {extra}")
+    options = {**spec.options, **options}
+    if options.get("smooth", 0.0) < 0:
+        raise ValueError(f"smooth must be >= 0, got {options['smooth']}")
+    return spec.build(**options)

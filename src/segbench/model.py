@@ -169,6 +169,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (1 <= self.max_epochs <= 50):
             raise ValueError("max_epochs must be in [1, 50]")
+        self.loss_fn()  # a bad loss selector or option fails here, not mid-training
 
     def loss_fn(self):
         fn = make_loss(self.loss, **self.loss_params)
@@ -193,6 +194,8 @@ class RunRecord:
     epochs: list[EpochRow]
     final_auc: float
     net: TinyNet | None = None
+    val_preds: list[np.ndarray] = field(default_factory=list)  # from the final epoch
+    val_masks: list[np.ndarray] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -252,7 +255,7 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
                 raise TrainingDiverged(epoch, b_idx, batch_loss)
             adam_step(opt, net.params, grads)
             epoch_losses.append(batch_loss)
-        means, _ = evaluate(net, val_set)
+        means, preds = evaluate(net, val_set)
         rows.append(
             EpochRow(
                 epoch=epoch,
@@ -264,9 +267,9 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
                 val_f1=means["f1"],
             )
         )
-    _, preds = evaluate(net, val_set)
+    masks = [s.mask for s in val_set]
     try:
-        auc = metrics.roc_auc(preds, [s.mask for s in val_set]).auc
+        auc = metrics.roc_auc(preds, masks).auc
     except metrics.UndefinedAUC:
         auc = float("nan")
-    return RunRecord(epochs=rows, final_auc=auc, net=net)
+    return RunRecord(epochs=rows, final_auc=auc, net=net, val_preds=preds, val_masks=masks)

@@ -88,6 +88,25 @@ class TestGendata:
         assert rc == EXIT_DATA
 
 
+class TestBadLossIsUsageError:
+    @pytest.mark.parametrize("command", ["train", "roc", "grid", "compare"])
+    @pytest.mark.parametrize("loss_flags", [
+        ["hinge"],
+        ["tversky", "--tversky-alpha", "-1"],
+        ["tversky", "--smooth", "-1"],
+        ["focal", "--focal-alpha", "2"],
+    ])
+    def test_exit_1(self, tmp_path, capsys, command, loss_flags):
+        selector = ["--losses" if command == "compare" else "--loss", *loss_flags]
+        assert main([command, *FAST, *selector, "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_compare_accepts_bce(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", *FAST, "--losses", "bce", "--seeds", "1", "--out", str(out)]) == EXIT_OK
+        assert [r["loss"] for r in read_rows(out)] == ["bce", "bce"]
+
+
 class TestTrain:
     def test_writes_record(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -149,7 +168,26 @@ class TestGrid:
         assert rows[0]["val_jaccard"] == rows[1]["val_jaccard"]
 
 
+class TestJobs:
+    @pytest.mark.parametrize("args", [
+        ["compare", "--losses", "dice,all", "--seeds", "2"],
+        ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2"],
+    ])
+    def test_jobs_do_not_change_results(self, tmp_path, args):
+        outputs = []
+        for jobs in ("1", "2"):
+            d = tmp_path / jobs
+            d.mkdir()
+            assert main([*args, *FAST, "--jobs", jobs, "--out", str(d / "out.csv")]) == EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+        assert outputs[0] == outputs[1]
+
+
 class TestCompare:
+    def test_zero_seeds_usage_error(self, tmp_path):
+        assert main(["compare", *FAST, "--losses", "dice", "--seeds", "0",
+                     "--out", str(tmp_path / "cmp.csv")]) == EXIT_USAGE
+
     def test_schema_and_determinism(self, tmp_path):
         out = tmp_path / "cmp.csv"
         rc = main(["compare", *FAST, "--out", str(out), "--losses", "dice,all", "--seeds", "2"])
@@ -174,6 +212,7 @@ class TestCompare:
         assert parse_loss_token("all") == ("dice", True)
         assert parse_loss_token("tversky+all") == ("tversky", True)
         assert parse_loss_token("focal") == ("focal", False)
+        assert parse_loss_token("bce+all") == ("bce", True)
         from segbench.cli import UsageError
 
         with pytest.raises(UsageError):
@@ -191,6 +230,13 @@ class TestRoc:
         aucs = {r["auc"] for r in rows}
         assert len(aucs) == 1
         assert 0.0 <= float(aucs.pop()) <= 1.0
+
+    def test_auc_matches_train(self, tmp_path, capsys):
+        flags = [*FAST, "--loss", "tversky", "--all-wrap"]
+        assert main(["train", *flags, "--out", str(tmp_path / "run.csv")]) == EXIT_OK
+        train_auc = capsys.readouterr().out.split("auc ")[-1].strip()
+        assert main(["roc", *flags, "--n-thresholds", "256", "--out", str(tmp_path / "roc.csv")]) == EXIT_OK
+        assert capsys.readouterr().out.split()[1] == train_auc
 
 
 class TestGradcheckCommand:
@@ -238,6 +284,12 @@ class TestFlagsAndConfig:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("bogus=1\n")
         assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["lr=abc", "epochs=2.5", "noise-sigma=1e"])
+    def test_bad_config_value(self, tmp_path, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run.csv")]) == EXIT_USAGE
 
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert main(["curve", "--config", str(tmp_path / "nope.txt"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segbench.losses import (
+    LOSS_NAMES,
     ComboParams,
     DegenerateDenominator,
     FocalParams,
@@ -223,8 +224,39 @@ class TestMakeLoss:
             make_loss("hinge")
 
     def test_extra_params_rejected(self):
+        cases = [
+            ("jaccard", {"tversky_alpha": 0.5}),
+            ("dice", {"mix": 0.5}),
+            ("tversky", {"focal_gamma": 2.0}),
+            ("focal", {"mix": 0.5}),
+            ("focal", {"smooth": 1e-6}),
+            ("combo", {"ft_gamma": 1.0}),
+            ("focal-tversky", {"mix": 0.5}),
+            ("bce", {"smooth": 1e-6}),
+        ]
+        assert {name for name, _ in cases} == set(LOSS_NAMES)
+        for name, options in cases:
+            with pytest.raises(ValueError, match="unexpected parameters"):
+                make_loss(name, **options)
+        with pytest.raises(ValueError, match="smooth"):
+            make_loss("tversky", smooth=-1.0)
+
+    @pytest.mark.parametrize("name, options", [
+        ("dice", {"smooth": -1.0}),
+        ("tversky", {"tversky_alpha": -1.0}),
+        ("focal", {"focal_alpha": 2.0}),
+        ("combo", {"mix": 1.5}),
+        ("focal-tversky", {"ft_gamma": 0.0}),
+    ])
+    def test_bad_option_rejected_at_build(self, name, options):
         with pytest.raises(ValueError):
-            make_loss("focal", mix=0.5)
+            make_loss(name, **options)
+
+    def test_options_reach_the_kernel(self):
+        ev = make_loss("focal-tversky", tversky_alpha=0.4, tversky_beta=0.6, ft_gamma=2.0, smooth=0.0)(P4, G4)
+        ref = focal_tversky_loss(P4, G4, TverskyParams(0.4, 0.6), ft_gamma=2.0, smooth=0.0)
+        assert ev.value == ref.value
+        np.testing.assert_array_equal(ev.grad, ref.grad)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
