@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -130,14 +131,9 @@ DATASET_DEFAULTS = {
     "data_seed": 0,
 }
 
-LOSS_DEFAULTS = {
-    "loss": "dice",
-    "all_wrap": False,
-    "gamma": 0.1,
-    "omega": 10.0,
-    "epsilon": 0.5,
-    **{k: v for spec in LOSSES.values() for k, v in spec.options.items()},
-}
+WRAP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(AdaptiveLogParams)}
+LOSS_OPTION_DEFAULTS = {k: v for spec in LOSSES.values() for k, v in spec.options.items()}
+LOSS_DEFAULTS = {"loss": "dice", "all_wrap": False, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS}
 
 TRAIN_DEFAULTS = {"lr": 1e-4, "batch_size": 16, "epochs": 30, "split_ratio": 0.8}
 
@@ -467,9 +463,9 @@ def run_gradcheck(trials: int, tolerance: float, net_tolerance: float, seed: int
     img = rng.uniform(0.0, 1.0, size=(8, 8))
     g = (rng.uniform(size=(8, 8)) < 0.3).astype(np.int64)
     for label, loss_fn in (("dice", make_loss("dice")), ("dice+wrap", wrap_loss_fn(make_loss("dice"), params))):
-        p, acts = model.forward(net, img, keep_activations=True)
+        p = model.forward(net, img)
         ev = loss_fn(p, g)
-        analytic = model.backward(net, img, ev.grad, acts=acts)
+        analytic = model.backward(net, img, ev.grad, p=p)
         analytic = {k: v + corrupt for k, v in analytic.items()}
         worst = 0.0
         for _ in range(20):
@@ -477,26 +473,18 @@ def run_gradcheck(trials: int, tolerance: float, net_tolerance: float, seed: int
             arr = net.params[key]
             idx = tuple(int(rng.integers(s)) for s in arr.shape)
             step = 1e-5
-            orig = arr[idx] if arr.shape else float(arr)
-            _set(arr, idx, orig + step)
+            orig = arr[idx]  # idx is () for the scalar b2
+            arr[idx] = orig + step
             f_hi = loss_fn(model.forward(net, img), g).value
-            _set(arr, idx, orig - step)
+            arr[idx] = orig - step
             f_lo = loss_fn(model.forward(net, img), g).value
-            _set(arr, idx, orig)
+            arr[idx] = orig
             fd = (f_hi - f_lo) / (2 * step)
-            a = analytic[key][idx] if arr.shape else float(analytic[key])
-            worst = max(worst, _max_rel_err(np.array([a]), np.array([fd])))
+            worst = max(worst, _max_rel_err(np.array([analytic[key][idx]]), np.array([fd])))
         passed = worst < net_tolerance
         ok &= passed
         report(f"{'PASS' if passed else 'FAIL'} net/{label}: max rel err {worst:.3e} over 20 weights")
     return ok
-
-
-def _set(arr, idx, value):
-    if arr.shape:
-        arr[idx] = value
-    else:
-        arr[...] = value
 
 
 def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -529,7 +517,8 @@ def build_parser():
     defaults = {}
 
     def new_cmd(name, help_text, extra):
-        sp = sub.add_parser(name, help=help_text)
+        # no prefix matching: grid's --omega must not quietly mean --omegas
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", default=argparse.SUPPRESS)
         d = dict(COMMON_DEFAULTS)
         d.update(extra)
@@ -537,17 +526,17 @@ def build_parser():
         defaults[name] = d
         return sp
 
-    new_cmd("curve", "emit the wrapper's value/derivative curve as CSV",
-            {"gamma": 0.1, "omega": 10.0, "epsilon": 0.5, "n_points": 101})
+    new_cmd("curve", "emit the wrapper's value/derivative curve as CSV", {**WRAP_DEFAULTS, "n_points": 101})
     new_cmd("gendata", "materialize a synthetic dataset as PGM files + manifest",
             {**DATASET_DEFAULTS, "out_dir": ""})
     new_cmd("train", "one training run, per-epoch metrics to CSV",
             {**DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS})
+    # grid cells set gamma/omega/epsilon and always wrap; compare's --losses tokens choose loss and wrapping
     new_cmd("grid", "hyperparameter sweep over gamma/omega/epsilon",
-            {**DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS,
+            {**DATASET_DEFAULTS, "loss": LOSS_DEFAULTS["loss"], **LOSS_OPTION_DEFAULTS, **TRAIN_DEFAULTS,
              "gammas": "0.1", "omegas": "6,8,10,12,14,16", "epsilons": "0.3,0.5,1.0,2.0", "seeds": 3})
     new_cmd("compare", "train one model per (loss, seed), emit summary + epoch traces",
-            {**DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS,
+            {**DATASET_DEFAULTS, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS, **TRAIN_DEFAULTS,
              "losses": "jaccard,dice,tversky,focal,combo,all", "seeds": 5})
     new_cmd("roc", "train then emit the pooled-pixel ROC of the validation set",
             {**DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256})

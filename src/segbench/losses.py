@@ -196,34 +196,20 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     Pixels too close to 0 or 1 for a symmetric perturbation to stay in [0, 1]
     fall back to a one-sided difference.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not (0 < step <= 0.5):
+        raise ValueError("step must be in (0, 0.5]")  # above 0.5 neither side may stay in [0, 1]
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel().copy()
     out = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        lo = orig - step
-        hi = orig + step
-        if lo >= 0.0 and hi <= 1.0:
-            flat[i] = hi
-            f_hi = loss_fn(flat.reshape(p.shape), g).value
-            flat[i] = lo
-            f_lo = loss_fn(flat.reshape(p.shape), g).value
-            out[i] = (f_hi - f_lo) / (2.0 * step)
-        elif lo < 0.0:
-            flat[i] = orig + step
-            f_hi = loss_fn(flat.reshape(p.shape), g).value
-            flat[i] = orig
-            f_0 = loss_fn(flat.reshape(p.shape), g).value
-            out[i] = (f_hi - f_0) / step
-        else:
-            flat[i] = orig - step
-            f_lo = loss_fn(flat.reshape(p.shape), g).value
-            flat[i] = orig
-            f_0 = loss_fn(flat.reshape(p.shape), g).value
-            out[i] = (f_0 - f_lo) / step
+        up, down = orig + step <= 1.0, orig - step >= 0.0
+        flat[i] = orig + step if up else orig
+        f_hi = loss_fn(flat.reshape(p.shape), g).value
+        flat[i] = orig - step if down else orig
+        f_lo = loss_fn(flat.reshape(p.shape), g).value
         flat[i] = orig
+        out[i] = (f_hi - f_lo) / (2.0 * step if up and down else step)
     return out.reshape(p.shape)
 
 

@@ -51,30 +51,27 @@ class TinyNet:
             }
         )
 
-    def zero_like_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+
+def _shifts(x: np.ndarray) -> list[np.ndarray]:
+    """The nine 3x3 taps of zero-padded (..., H, W) maps, row-major: x shifted by (i - 1, j - 1)."""
+    h, w = x.shape[-2:]
+    xp = np.zeros(x.shape[:-2] + (h + 2, w + 2))  # np.pad costs more than the taps at these sizes
+    xp[..., 1:-1, 1:-1] = x
+    return [xp[..., i : i + h, j : j + w] for i in range(KSIZE) for j in range(KSIZE)]
 
 
 def _conv3x3_same(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Cross-correlate a 2-D map with a 3x3 kernel, zero-padded to same size."""
-    h, w = x.shape
-    xp = np.pad(x, 1)
-    out = np.zeros((h, w))
-    for i in range(KSIZE):
-        for j in range(KSIZE):
-            out += k[i, j] * xp[i : i + h, j : j + w]
+    """Cross-correlate (..., H, W) maps with a 3x3 kernel, zero-padded to same size."""
+    out = np.zeros(x.shape)
+    for kij, tap in zip(k.ravel(), _shifts(x)):
+        out += kij * tap
     return out
 
 
 def _conv3x3_weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Gradient of sum(dz * conv3x3_same(x, k)) w.r.t. the kernel k."""
-    h, w = x.shape
-    xp = np.pad(x, 1)
-    dk = np.zeros((KSIZE, KSIZE))
-    for i in range(KSIZE):
-        for j in range(KSIZE):
-            dk[i, j] = np.sum(dz * xp[i : i + h, j : j + w])
-    return dk
+    """Gradient of sum(dz * conv3x3_same(x, k)) w.r.t. the kernel k, one (3, 3) per leading index."""
+    dk = np.stack([np.sum(dz * tap, axis=(-2, -1)) for tap in _shifts(x)], axis=-1)
+    return dk.reshape(dk.shape[:-1] + (KSIZE, KSIZE))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -86,44 +83,63 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(net: TinyNet, image: np.ndarray, keep_activations: bool = False):
-    """Predicted probability map for one image; optionally returns activations."""
+def _as_batch(image) -> np.ndarray:
+    """A (B, H, W) float64 view of one (H, W) image or a (B, H, W) batch."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("image must be 2-D")
-    w1, b1, w2, b2 = net.params["w1"], net.params["b1"], net.params["w2"], net.params["b2"]
-    z1 = np.stack([_conv3x3_same(image, w1[c]) + b1[c] for c in range(HIDDEN_CHANNELS)])
-    a1 = np.maximum(z1, 0.0)
-    z2 = sum(_conv3x3_same(a1[c], w2[c]) for c in range(HIDDEN_CHANNELS)) + b2
-    p = _sigmoid(z2)
-    if keep_activations:
-        return p, {"z1": z1, "a1": a1, "z2": z2, "p": p}
-    return p
+    if image.ndim not in (2, 3):
+        raise ValueError("image must be 2-D (H, W) or 3-D (B, H, W)")
+    return image.reshape((-1,) + image.shape[-2:])
 
 
-def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, acts=None) -> dict[str, np.ndarray]:
-    """Weight gradients given d(loss)/d(p_i) per output pixel."""
-    image = np.asarray(image, dtype=np.float64)
-    if acts is None:
-        _, acts = forward(net, image, keep_activations=True)
-    up = np.asarray(upstream_grad, dtype=np.float64)
-    if up.shape != acts["p"].shape:
-        raise ValueError(f"upstream grad shape {up.shape} != output shape {acts['p'].shape}")
+def _hidden(net: TinyNet, x: np.ndarray, c: int) -> np.ndarray:
+    """ReLU map of hidden channel c; recomputed in backward rather than stored per channel."""
+    return np.maximum(_conv3x3_same(x, net.params["w1"][c]) + net.params["b1"][c], 0.0)
+
+
+def _sum_images(per_image: np.ndarray) -> np.ndarray:
+    """Sum over the leading image axis in image order (np.sum is pairwise over a 1-D axis)."""
+    return np.cumsum(per_image, axis=0)[-1]
+
+
+def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
+    """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
+    x = _as_batch(image)
     w2 = net.params["w2"]
-    p, z1, a1 = acts["p"], acts["z1"], acts["a1"]
+    z2 = sum(_conv3x3_same(_hidden(net, x, c), w2[c]) for c in range(HIDDEN_CHANNELS)) + net.params["b2"]
+    return _sigmoid(z2).reshape(np.shape(image))
 
-    dz2 = up * p * (1.0 - p)
-    grads = {
-        "w2": np.stack([_conv3x3_weight_grad(a1[c], dz2) for c in range(HIDDEN_CHANNELS)]),
-        "b2": np.array(np.sum(dz2)),
-    }
+
+def _channel_grads(net: TinyNet, x: np.ndarray, dz2: np.ndarray, c: int):
+    """Per-image (w1, b1, w2) gradients of hidden channel c, given d(loss)/d(z2)."""
+    a1 = _hidden(net, x, c)
+    gw2 = _conv3x3_weight_grad(a1, dz2)
+    active = a1 > 0
+    del a1  # only its mask is needed below; freeing it lowers peak memory
     # Backprop through "same" cross-correlation = cross-correlation with the
     # 180-degree-flipped kernel.
-    da1 = np.stack([_conv3x3_same(dz2, w2[c, ::-1, ::-1]) for c in range(HIDDEN_CHANNELS)])
-    dz1 = da1 * (z1 > 0)
-    grads["w1"] = np.stack([_conv3x3_weight_grad(image, dz1[c]) for c in range(HIDDEN_CHANNELS)])
-    grads["b1"] = dz1.sum(axis=(1, 2))
-    return grads
+    dz1 = _conv3x3_same(dz2, net.params["w2"][c, ::-1, ::-1]) * active
+    return _conv3x3_weight_grad(x, dz1), dz1.sum(axis=(-2, -1)), gw2
+
+
+def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None) -> dict[str, np.ndarray]:
+    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a batch.
+
+    ``p`` is ``forward(net, image)`` when the caller already has it.
+    """
+    if p is None:
+        p = forward(net, image)
+    up = np.asarray(upstream_grad, dtype=np.float64)
+    if up.shape != np.shape(p):
+        raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(p)}")
+    x, p, up = _as_batch(image), _as_batch(p), _as_batch(up)
+    dz2 = up * p * (1.0 - p)
+    gw1, gb1, gw2 = zip(*(_channel_grads(net, x, dz2, c) for c in range(HIDDEN_CHANNELS)))
+    return {
+        "w1": _sum_images(np.stack(gw1, axis=1)),
+        "b1": _sum_images(np.stack(gb1, axis=1)),
+        "w2": _sum_images(np.stack(gw2, axis=1)),
+        "b2": np.array(_sum_images(dz2.sum(axis=(-2, -1)))),
+    }
 
 
 @dataclass
@@ -212,6 +228,7 @@ class RunRecord:
 
 def evaluate(net: TinyNet, val_set, threshold: float = 0.5):
     """Macro-averaged threshold metrics plus pooled-pixel AUC inputs."""
+    # one image at a time: stacking 48 validation images of 128x128 would hold ~6 MB per live array
     preds = [forward(net, s.image) for s in val_set]
     per_image = {"jaccard": [], "dice": [], "recall": [], "specificity": [], "f1": []}
     for p, s in zip(preds, val_set):
@@ -241,19 +258,18 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
         epoch_losses = []
         for b_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            grads = net.zero_like_grads()
+            images = np.stack([s.image for s in batch])
+            p = forward(net, images)
+            upstream = np.empty_like(p)
             batch_loss = 0.0
-            for s in batch:
-                p, acts = forward(net, s.image, keep_activations=True)
-                ev = loss_fn(p, s.mask)
+            for k, s in enumerate(batch):
+                ev = loss_fn(p[k], s.mask)
                 batch_loss += ev.value
-                g = backward(net, s.image, ev.grad / len(batch), acts=acts)
-                for k in grads:
-                    grads[k] += g[k]
+                upstream[k] = ev.grad / len(batch)
             batch_loss /= len(batch)
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, b_idx, batch_loss)
-            adam_step(opt, net.params, grads)
+            adam_step(opt, net.params, backward(net, images, upstream, p=p))
             epoch_losses.append(batch_loss)
         means, preds = evaluate(net, val_set)
         rows.append(

@@ -291,6 +291,29 @@ class TestFlagsAndConfig:
         cfg.write_text(line + "\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command,flags", [
+        ("grid", ["--gamma", "5"]),
+        ("grid", ["--gamma", "0.2"]),
+        ("grid", ["--omega", "12"]),
+        ("grid", ["--epsilon", "1"]),
+        ("grid", ["--all-wrap"]),
+        ("compare", ["--loss", "hinge"]),
+        ("compare", ["--loss", "dice"]),
+        ("compare", ["--all-wrap"]),
+    ])
+    def test_flags_a_command_would_ignore_are_usage_errors(self, tmp_path, command, flags):
+        assert main([command, *FAST, *flags, "--seeds", "1", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command,line", [
+        ("grid", "gamma=0.2"), ("grid", "omega=12"), ("grid", "epsilon=1"), ("grid", "all-wrap=1"),
+        ("compare", "loss=dice"), ("compare", "all_wrap=yes"),
+    ])
+    def test_config_keys_a_command_would_ignore_are_usage_errors(self, tmp_path, command, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert main([command, *FAST, "--config", str(cfg), "--seeds", "1",
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert main(["curve", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "c.csv")]) == EXIT_DATA

@@ -208,8 +208,9 @@ class TestFiniteDifference:
         assert np.all(np.isfinite(fd))
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
-            finite_difference_grad(soft_dice_loss, P4, G4, step=0)
+        for step in (0, 0.6):  # above 0.5 neither side of a pixel at 0.5 stays in [0, 1]
+            with pytest.raises(ValueError):
+                finite_difference_grad(soft_dice_loss, P4, G4, step=step)
 
 
 class TestMakeLoss:

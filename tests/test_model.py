@@ -4,7 +4,7 @@ import pytest
 import segbench.model as model
 from segbench.adaptive import AdaptiveLogParams
 from segbench.losses import LossEval, make_loss
-from segbench.model import AdamState, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward, forward, train
+from segbench.model import AdamState, EpochRow, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward, forward, train
 from segbench.synthdata import SynthSpec, generate, train_val_split
 
 
@@ -42,9 +42,11 @@ class TestForward:
         assert float(p[3, 4]) == pytest.approx(0.482487175964123, abs=1e-15)
         assert float(p[11, 0]) == pytest.approx(0.6935847800762827, abs=1e-15)
 
-    def test_rejects_non_2d(self):
+    def test_rejects_non_2d_or_3d(self):
         with pytest.raises(ValueError):
-            forward(TinyNet.init(), np.zeros((3, 3, 3)))
+            forward(TinyNet.init(), np.zeros((2, 3, 3, 3)))
+        with pytest.raises(ValueError):
+            forward(TinyNet.init(), np.zeros(9))
 
 
 class TestBackward:
@@ -70,6 +72,26 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, np.zeros((8, 8)), np.zeros((4, 4)))
 
+    def test_batch_equals_per_image_sum(self):
+        # one (B, H, W) call gives each image's forward and the image-order sum of
+        # its per-image gradients, bit for bit
+        net = TinyNet.init(seed=7)
+        rng = np.random.default_rng(5)
+        imgs = rng.uniform(size=(16, 48, 48))
+        ups = rng.normal(size=(16, 48, 48))
+        p = forward(net, imgs)
+        for b in range(16):
+            np.testing.assert_array_equal(p[b], forward(net, imgs[b]))
+        total = {k: np.zeros_like(v) for k, v in net.params.items()}
+        for b in range(16):
+            for k, g in backward(net, imgs[b], ups[b]).items():
+                total[k] = total[k] + g
+        batched = backward(net, imgs, ups, p=p)
+        assert set(batched) == {"w1", "b1", "w2", "b2"}
+        for k in total:
+            assert batched[k].shape == net.params[k].shape
+            np.testing.assert_array_equal(batched[k], total[k])
+
     @pytest.mark.parametrize("loss_name", ["dice", "jaccard", "focal"])
     def test_full_network_gradient_vs_finite_differences(self, loss_name):
         net = TinyNet.init(seed=6)
@@ -77,8 +99,8 @@ class TestBackward:
         img = rng.uniform(size=(8, 8))
         g = (rng.uniform(size=(8, 8)) < 0.4).astype(np.int64)
         loss_fn = make_loss(loss_name)
-        p, acts = forward(net, img, keep_activations=True)
-        analytic = backward(net, img, loss_fn(p, g).grad, acts=acts)
+        p = forward(net, img)
+        analytic = backward(net, img, loss_fn(p, g).grad, p=p)
         step = 1e-5
         for _ in range(20):
             key = ("w1", "b1", "w2", "b2")[int(rng.integers(4))]
@@ -142,6 +164,20 @@ class TestTrain:
         cfg = TrainConfig(batch_size=16, max_epochs=1, seed=0)
         train(cfg, train_set, val_set)
         assert len(calls) == 2
+
+    def test_golden_epoch_rows(self):
+        # frozen from the per-image training loop; guards the batched loop's bit-stability
+        # (12 training images in batches of 5, so the last batch holds 2)
+        train_set, val_set = tiny_dataset(seed=2)
+        cfg = TrainConfig(lr=0.1, batch_size=5, max_epochs=2, loss="dice", seed=5)
+        rec = train(cfg, train_set, val_set)
+        assert rec.epochs == [
+            EpochRow(0, 0.5572122181715223, 0.2869561887254902, 0.44551993570369985, 1.0,
+                     0.004072187691835482, 0.44551993570369985),
+            EpochRow(1, 0.47037081988400425, 0.7630353169447519, 0.8651058670075416, 0.9831045462213226,
+                     0.8834444039218932, 0.8651058670075416),
+        ]
+        assert rec.final_auc == 0.9914605734348665
 
     def test_determinism(self):
         train_set, val_set = tiny_dataset(seed=2)
