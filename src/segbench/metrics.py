@@ -108,19 +108,21 @@ def roc_auc(preds, masks, n_thresholds: int = 256) -> RocCurve:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUC("need at least one positive and one negative pixel")
 
-    pos_scores = scores[labels == 1]
-    neg_scores = scores[labels == 0]
-    points = [(0.0, 0.0)]
-    for t in np.linspace(1.0, 0.0, n_thresholds):
-        tpr = float(np.sum(pos_scores >= t)) / n_pos
-        fpr = float(np.sum(neg_scores >= t)) / n_neg
-        points.append((fpr, tpr))
-    points.append((1.0, 1.0))
-    points = sorted(set(points))
+    thresholds = np.linspace(1.0, 0.0, n_thresholds)
+    tpr = _count_at_least(scores, labels == 1, thresholds) / n_pos
+    fpr = _count_at_least(scores, labels == 0, thresholds) / n_neg
+    points = sorted({(0.0, 0.0), (1.0, 1.0), *zip(fpr.tolist(), tpr.tolist())})
     xs = np.array([pt[0] for pt in points])
     ys = np.array([pt[1] for pt in points])
     auc = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
     return RocCurve(points=points, auc=auc)
+
+
+def _count_at_least(scores: np.ndarray, mask: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of ``scores[mask]`` are >= each threshold, from one sort; a NaN score counts for none."""
+    ordered = scores[mask]
+    ordered.sort()  # in place: the pooled scores can be the largest array of a run; NaNs go last
+    return np.searchsorted(ordered, np.nan) - np.searchsorted(ordered, thresholds, side="left")
 
 
 def pair_count_auc(preds, masks) -> float:

@@ -52,25 +52,35 @@ class TinyNet:
         )
 
 
-def _shifts(x: np.ndarray) -> list[np.ndarray]:
-    """The nine 3x3 taps of zero-padded (..., H, W) maps, row-major: x shifted by (i - 1, j - 1)."""
-    h, w = x.shape[-2:]
-    xp = np.zeros(x.shape[:-2] + (h + 2, w + 2))  # np.pad costs more than the taps at these sizes
-    xp[..., 1:-1, 1:-1] = x
+_CENTRE = KSIZE * KSIZE // 2  # index of the unshifted tap
+
+
+def _padded_taps(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The nine 3x3 taps, row-major, of one zeroed (..., H + 2, W + 2) buffer for (..., H, W) maps.
+
+    Tap (i, j) is the interior shifted by (i - 1, j - 1). The centre tap is the interior itself,
+    so maps written into ``taps[_CENTRE]`` are read zero-padded through all nine.
+    """
+    h, w = shape[-2:]
+    xp = np.zeros(shape[:-2] + (h + 2, w + 2))  # np.pad costs more than the taps at these sizes
     return [xp[..., i : i + h, j : j + w] for i in range(KSIZE) for j in range(KSIZE)]
 
 
-def _conv3x3_same(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Cross-correlate (..., H, W) maps with a 3x3 kernel, zero-padded to same size."""
-    out = np.zeros(x.shape)
-    for kij, tap in zip(k.ravel(), _shifts(x)):
-        out += kij * tap
+def _conv3x3_into(out: np.ndarray, taps: list[np.ndarray], k: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Cross-correlate the maps behind ``taps`` with a 3x3 kernel into ``out``; ``tmp`` is scratch."""
+    out.fill(0.0)
+    for kij, tap in zip(k.ravel(), taps):
+        np.multiply(tap, kij, out=tmp)
+        out += tmp
     return out
 
 
-def _conv3x3_weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Gradient of sum(dz * conv3x3_same(x, k)) w.r.t. the kernel k, one (3, 3) per leading index."""
-    dk = np.stack([np.sum(dz * tap, axis=(-2, -1)) for tap in _shifts(x)], axis=-1)
+def _conv3x3_weight_grad(taps: list[np.ndarray], dz: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the kernel k of sum(dz * conv3x3(x, k)), one (3, 3) per leading index.
+
+    ``taps`` are x's; ``tmp`` is scratch.
+    """
+    dk = np.stack([np.multiply(dz, tap, out=tmp).sum(axis=(-2, -1)) for tap in taps], axis=-1)
     return dk.reshape(dk.shape[:-1] + (KSIZE, KSIZE))
 
 
@@ -91,9 +101,11 @@ def _as_batch(image) -> np.ndarray:
     return image.reshape((-1,) + image.shape[-2:])
 
 
-def _hidden(net: TinyNet, x: np.ndarray, c: int) -> np.ndarray:
-    """ReLU map of hidden channel c; recomputed in backward rather than stored per channel."""
-    return np.maximum(_conv3x3_same(x, net.params["w1"][c]) + net.params["b1"][c], 0.0)
+def _hidden_into(out: np.ndarray, net: TinyNet, x_taps: list[np.ndarray], c: int, tmp: np.ndarray) -> np.ndarray:
+    """ReLU map of hidden channel c, written into the contiguous ``out``."""
+    _conv3x3_into(out, x_taps, net.params["w1"][c], tmp)
+    out += net.params["b1"][c]
+    return np.maximum(out, 0.0, out=out)
 
 
 def _sum_images(per_image: np.ndarray) -> np.ndarray:
@@ -104,21 +116,16 @@ def _sum_images(per_image: np.ndarray) -> np.ndarray:
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
     x = _as_batch(image)
-    w2 = net.params["w2"]
-    z2 = sum(_conv3x3_same(_hidden(net, x, c), w2[c]) for c in range(HIDDEN_CHANNELS)) + net.params["b2"]
+    x_taps, h_taps = _padded_taps(x.shape), _padded_taps(x.shape)
+    x_taps[_CENTRE][...] = x
+    # Each channel's hidden map and conv output go through one contiguous buffer; writing the
+    # conv straight into the strided padded interior is slower.
+    conv, tmp, z2 = np.empty(x.shape), np.empty(x.shape), np.zeros(x.shape)
+    for c in range(HIDDEN_CHANNELS):
+        h_taps[_CENTRE][...] = _hidden_into(conv, net, x_taps, c, tmp)
+        z2 += _conv3x3_into(conv, h_taps, net.params["w2"][c], tmp)
+    z2 += net.params["b2"]
     return _sigmoid(z2).reshape(np.shape(image))
-
-
-def _channel_grads(net: TinyNet, x: np.ndarray, dz2: np.ndarray, c: int):
-    """Per-image (w1, b1, w2) gradients of hidden channel c, given d(loss)/d(z2)."""
-    a1 = _hidden(net, x, c)
-    gw2 = _conv3x3_weight_grad(a1, dz2)
-    active = a1 > 0
-    del a1  # only its mask is needed below; freeing it lowers peak memory
-    # Backprop through "same" cross-correlation = cross-correlation with the
-    # 180-degree-flipped kernel.
-    dz1 = _conv3x3_same(dz2, net.params["w2"][c, ::-1, ::-1]) * active
-    return _conv3x3_weight_grad(x, dz1), dz1.sum(axis=(-2, -1)), gw2
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None) -> dict[str, np.ndarray]:
@@ -133,7 +140,24 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None)
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(p)}")
     x, p, up = _as_batch(image), _as_batch(p), _as_batch(up)
     dz2 = up * p * (1.0 - p)
-    gw1, gb1, gw2 = zip(*(_channel_grads(net, x, dz2, c) for c in range(HIDDEN_CHANNELS)))
+    x_taps, dz2_taps, h_taps = _padded_taps(x.shape), _padded_taps(x.shape), _padded_taps(x.shape)
+    x_taps[_CENTRE][...] = x
+    dz2_taps[_CENTRE][...] = dz2
+    conv, tmp, active = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool)
+    gw1, gb1, gw2 = [], [], []
+    for c in range(HIDDEN_CHANNELS):
+        # The hidden map is recomputed here rather than kept from forward: (B, 8, H, W) of them
+        # would raise peak memory more than the training run can afford.
+        a1 = _hidden_into(conv, net, x_taps, c, tmp)
+        h_taps[_CENTRE][...] = a1
+        np.greater(a1, 0.0, out=active)
+        gw2.append(_conv3x3_weight_grad(h_taps, dz2, tmp))
+        # Backprop through "same" cross-correlation = cross-correlation with the
+        # 180-degree-flipped kernel.
+        dz1 = _conv3x3_into(conv, dz2_taps, net.params["w2"][c, ::-1, ::-1], tmp)
+        dz1 *= active
+        gw1.append(_conv3x3_weight_grad(x_taps, dz1, tmp))
+        gb1.append(dz1.sum(axis=(-2, -1)))
     return {
         "w1": _sum_images(np.stack(gw1, axis=1)),
         "b1": _sum_images(np.stack(gb1, axis=1)),

@@ -67,6 +67,7 @@ def test_criterion_1_closed_form():
     report(1, all(checks), f"C={params.c:.12f}, branch gap at threshold < 1e-12")
 
 
+@pytest.mark.slow
 def test_criterion_2_gradient_oracle():
     t0 = time.time()
     lines = []
@@ -136,6 +137,7 @@ IMBALANCE_FLAGS = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_6_imbalance_experiment(tmp_path):
     # noise 0.15 keeps plain Dice off the ceiling so the paired ordering is
     # visible rather than a saturation tie
@@ -155,6 +157,7 @@ def test_criterion_6_imbalance_experiment(tmp_path):
     report(6, ok, f"mean Jaccard wrapped {mean_all:.4f} vs dice {mean_dice:.4f}, wins {wins}/5, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_convergence_trace(tmp_path):
     out = tmp_path / "convergence.csv"
     rc = main(["compare", *IMBALANCE_FLAGS, "--noise-sigma", "0.1", "--fg-fraction", "0.05",

@@ -1,9 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import segbench
 from segbench.cli import (
     EXIT_CHECK,
     EXIT_DATA,
@@ -254,6 +258,14 @@ class TestGradcheckCommand:
     def test_cli_exit_codes(self):
         assert main(["gradcheck", "--trials", "3"]) == EXIT_OK
         assert main(["gradcheck", "--trials", "3", "--corrupt", "0.001"]) == EXIT_CHECK
+
+    def test_runs_as_python_m_segbench(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(segbench.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "segbench", "gradcheck", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("usage: segbench gradcheck")
 
 
 class TestFlagsAndConfig:

@@ -139,6 +139,39 @@ class TestRocAuc:
         masks = [np.array([[1, 0]]), np.array([[1, 0]])]
         assert roc_auc(preds, masks).auc == pytest.approx(1.0)
 
+    def test_points_and_auc_equal_threshold_loop(self):
+        # reference: one full pass over the pooled scores per threshold
+        def loop_roc(scores, labels, n_thresholds):
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            n_pos = int(np.sum(labels == 1))
+            n_neg = labels.size - n_pos
+            points = [(0.0, 0.0)]
+            for t in np.linspace(1.0, 0.0, n_thresholds):
+                points.append((float(np.sum(neg >= t)) / n_neg, float(np.sum(pos >= t)) / n_pos))
+            points.append((1.0, 1.0))
+            points = sorted(set(points))
+            xs = np.array([pt[0] for pt in points])
+            ys = np.array([pt[1] for pt in points])
+            return points, float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
+
+        rng = np.random.default_rng(6)
+        on_thresholds = np.linspace(1.0, 0.0, 256)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(20, 400))
+            cases.append((rng.uniform(size=n), 256))  # random
+            cases.append((np.round(rng.uniform(size=n), 1), 256))  # tied
+            cases.append((rng.choice(on_thresholds, size=n), 256))  # exactly on a threshold
+            cases.append((rng.choice(np.linspace(0.0, 1.0, 7), size=n), int(rng.integers(2, 30))))  # few thresholds
+        scores = rng.uniform(size=200)
+        scores[::7] = np.nan  # a NaN score is below every threshold
+        cases.append((scores, 256))
+        for scores, n_thresholds in cases:
+            labels = (rng.uniform(size=scores.size) < 0.3).astype(int)
+            labels[:2] = (0, 1)
+            curve = roc_auc(scores, labels, n_thresholds=n_thresholds)
+            assert (curve.points, curve.auc) == loop_roc(scores, labels, n_thresholds)
+
     def test_bad_n_thresholds(self):
         with pytest.raises(ValueError):
             roc_auc(np.array([0.1, 0.9]), np.array([0, 1]), n_thresholds=1)

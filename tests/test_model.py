@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,46 @@ class TestBackward:
         for k in total:
             assert batched[k].shape == net.params[k].shape
             np.testing.assert_array_equal(batched[k], total[k])
+
+    def test_inputs_and_earlier_results_untouched(self):
+        # forward and backward write into per-call buffers: none of them may be an input,
+        # the net's weights or an array a previous call returned
+        net = TinyNet.init(seed=8)
+        rng = np.random.default_rng(6)
+        imgs = rng.uniform(size=(4, 12, 12))
+        ups = rng.normal(size=(4, 12, 12))
+        saved = {k: v.copy() for k, v in net.params.items()}
+        imgs_copy, ups_copy = imgs.copy(), ups.copy()
+        p = forward(net, imgs)
+        p_copy = p.copy()
+        g = backward(net, imgs, ups, p=p)
+        g_copy = {k: v.copy() for k, v in g.items()}
+        backward(net, imgs[::-1], ups[::-1])
+        for b in range(4):  # later forward calls, each checked against the batch's first result
+            np.testing.assert_array_equal(forward(net, imgs[b]), p_copy[b])
+        np.testing.assert_array_equal(imgs, imgs_copy)
+        np.testing.assert_array_equal(ups, ups_copy)
+        np.testing.assert_array_equal(p, p_copy)
+        for k in saved:
+            np.testing.assert_array_equal(net.params[k], saved[k])
+            np.testing.assert_array_equal(g[k], g_copy[k])
+
+    def test_peak_memory_bounded_by_batch_size(self):
+        # guards against keeping (B, 8, H, W) hidden activations, which breaks the
+        # training run's memory budget; a few batch-sized buffers per call are fine
+        net = TinyNet.init(seed=9)
+        rng = np.random.default_rng(7)
+        imgs = rng.uniform(size=(16, 48, 48))
+        ups = rng.normal(size=(16, 48, 48))
+        p = forward(net, imgs)
+        for call in (lambda: forward(net, imgs), lambda: backward(net, imgs, ups, p=p)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * imgs.nbytes
 
     @pytest.mark.parametrize("loss_name", ["dice", "jaccard", "focal"])
     def test_full_network_gradient_vs_finite_differences(self, loss_name):
