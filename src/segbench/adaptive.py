@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossEval
+from .losses import LossEval, copy_axes, per_copy
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,18 @@ def adaptive_log_wrap(base: LossEval, params: AdaptiveLogParams = DEFAULT_PARAMS
 
 
 def wrap_loss_fn(loss_fn, params: AdaptiveLogParams = DEFAULT_PARAMS):
-    """Lift a ``loss_fn(p, g) -> LossEval`` into its wrapped form."""
+    """Lift a ``loss_fn(p, g) -> LossEval`` into its wrapped form.
+
+    A ``p`` with leading copy axes gives one base value per copy, and each is
+    wrapped on its own; :func:`adaptive_log_wrap` takes only a float value.
+    """
 
     def wrapped(p, g):
-        return adaptive_log_wrap(loss_fn(p, g), params)
+        base = loss_fn(p, g)
+        if np.ndim(base.value) == 0:
+            return adaptive_log_wrap(base, params)
+        value = per_copy(lambda x: adaptive_log_forward(x, params), base.value)
+        scale = per_copy(lambda x: adaptive_log_derivative(x, params), base.value)
+        return LossEval(value, copy_axes(scale, base.grad) * base.grad)
 
     return wrapped

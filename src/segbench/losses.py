@@ -1,9 +1,12 @@
 """Differentiable binary-segmentation losses with analytic gradients.
 
 Every loss takes a predicted probability map ``p`` (floats in [0, 1]) and a
-ground-truth mask ``g`` (values in {0, 1}) of the same shape, and returns a
-:class:`LossEval` carrying the scalar loss and d(loss)/d(p_i) for every pixel.
-Inputs are per-image; batch averaging is the caller's job.
+ground-truth mask ``g`` (values in {0, 1}), and returns a :class:`LossEval`
+carrying the loss and d(loss)/d(p_i) for every pixel.  ``p`` may carry leading
+copy axes, ``p.shape == (*copies, *g.shape)``: each copy is scored against the
+same ``g`` over ``g``'s axes, and the value is an array of shape ``copies``,
+one per copy.  Without copy axes the value is a Python float.  Averaging over
+a batch of images is the caller's job.
 
 Set cardinalities are soft-relaxed (|G ∩ P| -> sum g_i * p_i) so gradients
 exist, and overlap losses take a smoothing constant to avoid 0/0 on empty
@@ -23,6 +26,10 @@ PROB_CLIP = 1e-7
 
 DEFAULT_SMOOTH = 1e-6
 
+# Pixels per perturbed-copy array in one finite_difference_grad call: sets how
+# many copies share a loss call, and so the size of each loss temporary.
+FD_BLOCK = 4096
+
 
 class DegenerateDenominator(ValueError):
     """Overlap loss denominator is zero (empty masks with smooth=0)."""
@@ -30,9 +37,9 @@ class DegenerateDenominator(ValueError):
 
 @dataclass
 class LossEval:
-    """Scalar loss value plus its gradient w.r.t. every predicted pixel."""
+    """Loss value (a float, or one per copy) plus its gradient w.r.t. every predicted pixel."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
 
 
@@ -71,10 +78,12 @@ class ComboParams:
             raise ValueError(f"mix must be in [0, 1], got {self.mix}")
 
 
-def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Validate once per call; return ``p`` as ``(*copies, g.size)`` rows, ``g`` flat, ``p.shape``."""
     p = np.asarray(p, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if p.shape != g.shape:
+    lead = p.ndim - g.ndim
+    if lead < 0 or p.shape[lead:] != g.shape:
         raise ValueError(f"shape mismatch: prediction {p.shape} vs mask {g.shape}")
     if p.size == 0:
         raise ValueError("empty input")
@@ -82,66 +91,92 @@ def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("predicted probabilities must lie in [0, 1]")
     if not np.all((g == 0) | (g == 1)):
         raise ValueError("mask values must be exactly 0 or 1")
-    return p, g
+    return p.reshape(*p.shape[:lead], g.size), g.ravel(), p.shape
+
+
+def _check_overlap(p, g, smooth: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """:func:`_check_pair` plus the smoothing rules every overlap loss shares."""
+    p, g, shape = _check_pair(p, g)
+    if smooth < 0:
+        raise ValueError(f"smooth must be >= 0, got {smooth}")
+    if smooth == 0 and np.sum(g) == 0:
+        raise DegenerateDenominator("empty ground-truth mask with smooth=0")
+    return p, g, shape
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1, keepdims=True)  # np.sum's reduction, without its dispatch
+
+
+def per_copy(fn, value):
+    """``fn`` applied to each copy's value in Python floats; a float stays a float.
+
+    numpy's array power and log can differ from Python's in the last bit, so
+    the scalar steps of a loss go through here to give the per-image result.
+    """
+    if np.ndim(value) == 0:
+        return fn(float(value))
+    return np.array([fn(v) for v in value.ravel().tolist()]).reshape(np.shape(value))
+
+
+def copy_axes(x, grad: np.ndarray) -> np.ndarray:
+    """A per-copy ``x`` (a float, or one value per copy) shaped to broadcast against ``grad``."""
+    return np.reshape(x, np.shape(x) + (1,) * (grad.ndim - np.ndim(x)))
+
+
+def _eval(value: np.ndarray, grad: np.ndarray, shape: tuple) -> LossEval:
+    # value rows are (*copies, 1); without copies the value is a Python float
+    value = value[..., 0]
+    return LossEval(float(value) if value.ndim == 0 else value, grad.reshape(shape))
 
 
 def soft_dice_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (2 sum(g*p) + s) / (sum(g) + sum(p) + s)."""
-    p, g = _check_pair(p, g)
-    if smooth < 0:
-        raise ValueError("smooth must be >= 0")
-    inter = float(np.sum(g * p))
-    denom = float(np.sum(g) + np.sum(p)) + smooth
-    if smooth == 0 and np.sum(g) == 0:
-        raise DegenerateDenominator("empty ground-truth mask with smooth=0")
+    p, g, shape = _check_overlap(p, g, smooth)
+    inter = _row_sum(g * p)
+    denom = np.sum(g) + _row_sum(p) + smooth
     num = 2.0 * inter + smooth
     value = 1.0 - num / denom
     # d/dp_i of num/denom via quotient rule; d num = 2 g_i, d denom = 1.
-    grad = -(2.0 * g * denom - num) / denom**2
-    return LossEval(value, grad)
+    grad = -(2.0 * g * denom - num) / per_copy(lambda d: d**2, denom)
+    return _eval(value, grad, shape)
 
 
 def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (sum(g*p) + s) / (sum(g) + sum(p) - sum(g*p) + s)."""
-    p, g = _check_pair(p, g)
-    if smooth < 0:
-        raise ValueError("smooth must be >= 0")
-    inter = float(np.sum(g * p))
+    p, g, shape = _check_overlap(p, g, smooth)
+    inter = _row_sum(g * p)
     num = inter + smooth
-    denom = float(np.sum(g) + np.sum(p)) - inter + smooth
-    if smooth == 0 and np.sum(g) == 0:
-        raise DegenerateDenominator("empty ground-truth mask with smooth=0")
+    denom = np.sum(g) + _row_sum(p) - inter + smooth
     value = 1.0 - num / denom
-    grad = -(g * denom - num * (1.0 - g)) / denom**2
-    return LossEval(value, grad)
+    grad = -(g * denom - num * (1.0 - g)) / per_copy(lambda d: d**2, denom)
+    return _eval(value, grad, shape)
 
 
 def tversky_loss(p, g, tp: TverskyParams = TverskyParams(), smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (TP + s) / (TP + alpha*FN + beta*FP + s) with soft TP/FN/FP."""
-    p, g = _check_pair(p, g)
-    inter = float(np.sum(g * p))
-    fn = float(np.sum(g * (1.0 - p)))
-    fp = float(np.sum((1.0 - g) * p))
+    p, g, shape = _check_overlap(p, g, smooth)
+    inter = _row_sum(g * p)
+    fn = _row_sum(g * (1.0 - p))
+    fp = _row_sum((1.0 - g) * p)
     num = inter + smooth
     denom = inter + tp.alpha * fn + tp.beta * fp + smooth
-    if smooth == 0 and np.sum(g) == 0:
-        raise DegenerateDenominator("empty ground-truth mask with smooth=0")
     value = 1.0 - num / denom
     d_denom = g - tp.alpha * g + tp.beta * (1.0 - g)
-    grad = -(g * denom - num * d_denom) / denom**2
-    return LossEval(value, grad)
+    grad = -(g * denom - num * d_denom) / per_copy(lambda d: d**2, denom)
+    return _eval(value, grad, shape)
 
 
 def focal_loss(p, g, fp: FocalParams = FocalParams()) -> LossEval:
     """Mean of -alpha * (1 - p_t)^gamma_focus * ln(p_t), p_t = p where g=1 else 1-p."""
-    p, g = _check_pair(p, g)
+    p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     clamped = pc != p
     pt = np.where(g == 1, pc, 1.0 - pc)
     a, gf = fp.alpha_balance, fp.gamma_focus
-    n = p.size
+    n = g.size
     one_minus = 1.0 - pt
-    value = float(np.mean(-a * one_minus**gf * np.log(pt)))
+    value = np.mean(-a * one_minus**gf * np.log(pt), axis=-1, keepdims=True)
     # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0.
     if gf == 0:
         d_pt = -a / pt
@@ -149,19 +184,19 @@ def focal_loss(p, g, fp: FocalParams = FocalParams()) -> LossEval:
         d_pt = a * gf * one_minus ** (gf - 1.0) * np.log(pt) - a * one_minus**gf / pt
     grad = np.where(g == 1, d_pt, -d_pt) / n
     grad = np.where(clamped, 0.0, grad)
-    return LossEval(value, grad)
+    return _eval(value, grad, shape)
 
 
 def bce_loss(p, g) -> LossEval:
     """Mean binary cross-entropy with probability clipping."""
-    p, g = _check_pair(p, g)
+    p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     clamped = pc != p
-    n = p.size
-    value = float(np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc))))
+    n = g.size
+    value = np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)), axis=-1, keepdims=True)
     grad = -(g / pc - (1.0 - g) / (1.0 - pc)) / n
     grad = np.where(clamped, 0.0, grad)
-    return LossEval(value, grad)
+    return _eval(value, grad, shape)
 
 
 def combo_loss(p, g, cp: ComboParams = ComboParams(), smooth: float = DEFAULT_SMOOTH) -> LossEval:
@@ -181,12 +216,12 @@ def focal_tversky_loss(
         raise ValueError(f"ft_gamma must be > 0, got {ft_gamma}")
     base = tversky_loss(p, g, tp, smooth)
     expo = 1.0 / ft_gamma
-    if base.value == 0.0:
-        # exact minimum; the exponent < 1 case has an unbounded one-sided
-        # derivative here, so report the subgradient 0
-        return LossEval(0.0, np.zeros_like(base.grad))
-    value = base.value**expo
-    grad = expo * base.value ** (expo - 1.0) * base.grad
+    value = per_copy(lambda v: v**expo, base.value)
+    # a copy at the exact minimum gets the subgradient 0: with the exponent
+    # < 1 its one-sided derivative is unbounded there
+    slope = per_copy(lambda v: expo * v ** (expo - 1.0) if v != 0.0 else 0.0, base.value)
+    at_min = copy_axes(np.equal(base.value, 0.0), base.grad)
+    grad = np.where(at_min, 0.0, copy_axes(slope, base.grad) * base.grad)
     return LossEval(value, grad)
 
 
@@ -195,21 +230,29 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
 
     Pixels too close to 0 or 1 for a symmetric perturbation to stay in [0, 1]
     fall back to a one-sided difference.
+
+    ``loss_fn`` is called once per block of pixels, with a ``(2, k, *p.shape)``
+    stack: the k up-perturbed copies of ``p`` then the k down-perturbed ones.
+    It returns one value per copy, shape ``(2, k)``, as every loss here does,
+    or a scalar, which stands for every copy.
     """
     if not (0 < step <= 0.5):
         raise ValueError("step must be in (0, 0.5]")  # above 0.5 neither side may stay in [0, 1]
     p = np.asarray(p, dtype=np.float64)
-    flat = p.ravel().copy()
+    flat = p.ravel()
+    n = flat.size
+    up, down = flat + step <= 1.0, flat - step >= 0.0
+    sides = np.stack([np.where(up, flat + step, flat), np.where(down, flat - step, flat)])
+    width = np.where(up & down, 2.0 * step, step)
     out = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        up, down = orig + step <= 1.0, orig - step >= 0.0
-        flat[i] = orig + step if up else orig
-        f_hi = loss_fn(flat.reshape(p.shape), g).value
-        flat[i] = orig - step if down else orig
-        f_lo = loss_fn(flat.reshape(p.shape), g).value
-        flat[i] = orig
-        out[i] = (f_hi - f_lo) / (2.0 * step if up and down else step)
+    k = max(1, FD_BLOCK // max(n, 1))
+    for i in range(0, n, k):
+        j = min(i + k, n)
+        copy = np.arange(j - i)
+        block = np.broadcast_to(flat, (2, j - i, n)).copy()
+        block[:, copy, i + copy] = sides[:, i:j]
+        f = np.broadcast_to(loss_fn(block.reshape(2, j - i, *p.shape), g).value, (2, j - i))
+        out[i:j] = (f[0] - f[1]) / width[i:j]
     return out.reshape(p.shape)
 
 

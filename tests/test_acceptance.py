@@ -67,7 +67,6 @@ def test_criterion_1_closed_form():
     report(1, all(checks), f"C={params.c:.12f}, branch gap at threshold < 1e-12")
 
 
-@pytest.mark.slow
 def test_criterion_2_gradient_oracle():
     t0 = time.time()
     lines = []

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from segbench.adaptive import wrap_loss_fn
 from segbench.losses import (
+    FD_BLOCK,
     LOSS_NAMES,
     ComboParams,
     DegenerateDenominator,
@@ -194,7 +197,83 @@ class TestFocalTversky:
             assert rel_err(ev.grad, fd) < 1e-6
 
 
+@pytest.mark.parametrize("kernel", [soft_dice_loss, soft_jaccard_loss, tversky_loss, focal_tversky_loss])
+def test_negative_smooth_rejected(kernel):
+    # tversky and focal-tversky used to divide by a zero denominator here
+    with pytest.raises(ValueError, match="smooth must be >= 0"):
+        kernel([0.5, 0.5], [1, 0], smooth=-1.0)
+
+
+def per_pixel_finite_difference(loss_fn, p, g, step=1e-6):
+    """Reference: the per-pixel loop, two unbatched loss calls per pixel."""
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel().copy()
+    out = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        up, down = orig + step <= 1.0, orig - step >= 0.0
+        flat[i] = orig + step if up else orig
+        f_hi = loss_fn(flat.reshape(p.shape), g).value
+        flat[i] = orig - step if down else orig
+        f_lo = loss_fn(flat.reshape(p.shape), g).value
+        flat[i] = orig
+        out[i] = (f_hi - f_lo) / (2.0 * step if up and down else step)
+    return out.reshape(p.shape)
+
+
+def oracle_case(shape, seed):
+    """Predictions near their mask (so every base value stays in [0, 1] for the
+    wrapper), with pixels at 0, 1 and 5e-7 where the size allows."""
+    rng = np.random.default_rng(seed)
+    g = (rng.uniform(size=shape) < 0.5).astype(np.int64)
+    p = np.where(g == 1, rng.uniform(0.5, 0.99, size=shape), rng.uniform(0.01, 0.5, size=shape))
+    flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+    for i, (pv, gv) in enumerate([(0.0, 0), (1.0, 1), (5e-7, 0)][: flat_p.size]):
+        flat_p[i], flat_g[i] = pv, gv
+    return p, g
+
+
 class TestFiniteDifference:
+    @pytest.mark.parametrize("shape", [(1,), (4,), (257,), (8, 8)])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_matches_per_pixel_loop_bit_for_bit(self, name, wrapped, shape):
+        assert 257 % max(1, FD_BLOCK // 257) != 0  # the last block is a short one
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        p, g = oracle_case(shape, seed=len(shape) * 1000 + shape[0])
+        fd = finite_difference_grad(fn, p, g, step=1e-6)
+        assert fd.shape == p.shape
+        assert fd.tobytes() == per_pixel_finite_difference(fn, p, g, step=1e-6).tobytes()
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_stacked_call_matches_per_copy_calls(self, name, wrapped):
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        p, g = oracle_case((3, 5), seed=11)
+        rng = np.random.default_rng(12)
+        stack = np.clip(p + rng.uniform(-0.05, 0.05, size=(2, 4, 3, 5)), 0.0, 1.0)
+        ev = fn(stack, g)
+        assert ev.value.shape == (2, 4) and ev.grad.shape == stack.shape
+        for idx in np.ndindex(2, 4):
+            one = fn(stack[idx], g)
+            assert type(one.value) is float
+            assert ev.value[idx] == one.value
+            assert ev.grad[idx].tobytes() == one.grad.tobytes()
+
+    def test_peak_memory_bounded_by_block(self):
+        # the block size caps the loss temporaries; one stack of all 2n
+        # copies peaks at 7.5 MB for this case
+        fn = wrap_loss_fn(make_loss("focal"))
+        p, g = oracle_case((256,), seed=3)
+        finite_difference_grad(fn, p, g)
+        tracemalloc.start()
+        try:
+            finite_difference_grad(fn, p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
     def test_constant_loss_zero_grad(self):
         from segbench.losses import LossEval
 
