@@ -9,7 +9,10 @@ Flags may also be supplied through ``--config FILE`` holding flat
 ``key=value`` lines (keys are the long option names with dashes or
 underscores); explicit command-line flags win over the config file.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
+Exit codes: 0 success (a diverged grid/compare run is a ``status=diverged`` row),
+1 usage error (a flag the command does not take, a bad value, or a degenerate input,
+all caught before any work), 2 data error, 3 check failure (a failed gradient check,
+a diverged train/roc run).
 """
 
 from __future__ import annotations
@@ -118,7 +121,12 @@ def _csv_floats(raw: str) -> list[float]:
         raise UsageError(f"bad numeric list {raw!r}") from exc
 
 
-COMMON_DEFAULTS = {"seed": 0, "out": "", "jobs": 1}
+RUN_DEFAULTS = {"seed": 0, "out": ""}
+CURVE_MAX_POINTS = 1_000_000
+
+RUN_COLS = ("recall", "specificity", "jaccard", "dice", "f1", "auc", "epochs_run")
+GRID_COLS = ("gamma", "omega", "epsilon", "seed", "status", "val_jaccard", "val_dice", "epochs_run")
+COMPARE_COLS = ("loss", "seed", "status", "recall", "specificity", "jaccard", "dice", "f1", "auc")
 
 DATASET_DEFAULTS = {
     "width": 48,
@@ -172,6 +180,7 @@ def _adaptive_params(o: dict) -> AdaptiveLogParams:
 def _train_config(o: dict, loss: str, wrapped: bool, seed: int) -> model.TrainConfig:
     options = LOSSES[loss].options if loss in LOSSES else ()  # TrainConfig rejects an unknown loss
     try:
+        synthdata.split_size(o["n_images"], o["split_ratio"])  # an empty half fails before data is made
         return model.TrainConfig(
             lr=o["lr"],
             batch_size=o["batch_size"],
@@ -196,12 +205,12 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _map_runs(worker, tasks: list, jobs: int) -> list:
-    """``[worker(t) for t in tasks]``, in a pool of ``jobs`` processes when jobs > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+def _write_csv(path, header, rows) -> None:
+    """``header`` then one line per row; numbers go through :func:`fmt`, strings as they are."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([v if isinstance(v, str) else fmt(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +221,11 @@ def cmd_curve(o: dict) -> int:
     out = _require_out(o)
     params = _adaptive_params(o)
     n = o["n_points"]
-    if n < 2:
-        raise UsageError("--n-points must be >= 2")
+    if not 2 <= n <= CURVE_MAX_POINTS:
+        raise UsageError(f"--n-points must be in [2, {CURVE_MAX_POINTS}]")
     xs = sorted(set(np.linspace(0.0, 1.0, n)) | {params.gamma})
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "loss", "derivative"])
-        for x in xs:
-            w.writerow([fmt(x), fmt(adaptive_log_forward(x, params)), fmt(adaptive_log_derivative(x, params))])
+    _write_csv(out, ("x", "loss", "derivative"),
+               ((x, adaptive_log_forward(x, params), adaptive_log_derivative(x, params)) for x in xs))
     print(f"wrote {len(xs)} points to {out}")
     print(f"derivative jump at threshold {fmt(params.gamma)}: {fmt(derivative_jump(params))}")
     return EXIT_OK
@@ -259,18 +265,54 @@ def cmd_train(o: dict) -> int:
     return EXIT_OK
 
 
-def _grid_cell_worker(args):
-    o, gamma, omega, epsilon, run_idx = args
-    o = dict(o, gamma=gamma, omega=omega, epsilon=epsilon)
-    # run seed depends on the run index only, so cells are seed-paired and a
+def _diverged(seed: str) -> dict:
+    return {"seed": seed, "status": "diverged", **dict.fromkeys(RUN_COLS, float("nan")), "epochs_run": 0, "trace": []}
+
+
+def _matrix_worker(args) -> dict:
+    o, (loss, wrapped, overrides), run_idx = args
+    # run seed depends on the run index only, so variants are seed-paired and a
     # swept parameter with no effective influence reproduces bit-identical runs
     seed = _derive_seed(o["seed"], run_idx)
     try:
-        rec = _run_training(o, o["loss"], True, seed)
-        last = rec.epochs[-1]
-        return ("ok", last.val_jaccard, last.val_dice, len(rec.epochs))
-    except model.TrainingDiverged:
-        return ("diverged", float("nan"), float("nan"), 0)
+        rec = _run_training(dict(o, **overrides), loss, wrapped, seed)
+    except model.TrainingDiverged:  # a record, not an exception: it must cross the process pool
+        return _diverged(str(run_idx))
+    last = rec.epochs[-1]
+    return {
+        "seed": str(run_idx), "status": "ok",
+        "recall": last.val_recall, "specificity": last.val_specificity,
+        "jaccard": last.val_jaccard, "dice": last.val_dice, "f1": last.val_f1,
+        "auc": rec.final_auc, "epochs_run": len(rec.epochs),
+        "trace": [(r.epoch, r.val_jaccard) for r in rec.epochs],
+    }
+
+
+def _run_matrix(o: dict, variants: list, n_seeds: int) -> list[list[dict]]:
+    """Train every (variant, seed index) pair; per variant, its run records then a mean record.
+
+    A variant is ``(loss, wrapped, overrides of o)``. A diverged run is recorded with
+    status "diverged" and nan metrics; the mean record averages the variant's "ok" runs.
+    """
+    if o["jobs"] < 1:
+        raise UsageError("--jobs must be >= 1")
+    for loss, wrapped, overrides in variants:
+        _train_config(dict(o, **overrides), loss, wrapped, o["seed"])  # reject bad options before any run
+    tasks = [(o, v, ri) for v in variants for ri in range(n_seeds)]
+    if o["jobs"] > 1:
+        with ProcessPoolExecutor(max_workers=o["jobs"]) as pool:
+            records = list(pool.map(_matrix_worker, tasks))
+    else:
+        records = [_matrix_worker(t) for t in tasks]
+    out = []
+    for vi in range(len(variants)):
+        runs = records[vi * n_seeds : (vi + 1) * n_seeds]
+        ok = [r for r in runs if r["status"] == "ok"]
+        mean = _diverged("mean")
+        if ok:
+            mean.update(status="ok", **{c: float(np.mean([r[c] for r in ok])) for c in RUN_COLS})
+        out.append(runs + [mean])
+    return out
 
 
 def run_grid(o: dict) -> list[dict]:
@@ -282,50 +324,21 @@ def run_grid(o: dict) -> list[dict]:
     gammas = o["gammas"] if isinstance(o["gammas"], list) else _csv_floats(o["gammas"])
     omegas = o["omegas"] if isinstance(o["omegas"], list) else _csv_floats(o["omegas"])
     epsilons = o["epsilons"] if isinstance(o["epsilons"], list) else _csv_floats(o["epsilons"])
-    n_seeds = o["seeds"]
-    if not gammas or not omegas or not epsilons or n_seeds < 1:
+    if not gammas or not omegas or not epsilons or o["seeds"] < 1:
         raise UsageError("grid needs at least one cell and seeds >= 1")
-    cells = [(g, w, e) for g in gammas for w in omegas for e in epsilons]
-    results = _map_runs(_grid_cell_worker, [(o, *cell, ri) for cell in cells for ri in range(n_seeds)], o["jobs"])
-
-    rows = []
-    for ci, (g, w, e) in enumerate(cells):
-        cell_rows = []
-        for ri in range(n_seeds):
-            status, jac, dice, epochs = results[ci * n_seeds + ri]
-            row = {
-                "gamma": g, "omega": w, "epsilon": e, "seed": str(ri),
-                "status": status, "val_jaccard": jac, "val_dice": dice, "epochs_run": epochs,
-            }
-            rows.append(row)
-            if status == "ok":
-                cell_rows.append(row)
-        if cell_rows:
-            rows.append({
-                "gamma": g, "omega": w, "epsilon": e, "seed": "mean", "status": "ok",
-                "val_jaccard": float(np.mean([r["val_jaccard"] for r in cell_rows])),
-                "val_dice": float(np.mean([r["val_dice"] for r in cell_rows])),
-                "epochs_run": float(np.mean([r["epochs_run"] for r in cell_rows])),
-            })
-        else:
-            rows.append({
-                "gamma": g, "omega": w, "epsilon": e, "seed": "mean", "status": "diverged",
-                "val_jaccard": float("nan"), "val_dice": float("nan"), "epochs_run": 0,
-            })
-    return rows
+    cells = [{"gamma": g, "omega": w, "epsilon": e} for g in gammas for w in omegas for e in epsilons]
+    results = _run_matrix(o, [(o["loss"], True, cell) for cell in cells], o["seeds"])
+    return [
+        {**cell, "seed": r["seed"], "status": r["status"],
+         "val_jaccard": r["jaccard"], "val_dice": r["dice"], "epochs_run": r["epochs_run"]}
+        for cell, runs in zip(cells, results) for r in runs
+    ]
 
 
 def cmd_grid(o: dict) -> int:
     out = _require_out(o)
     rows = run_grid(o)
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["gamma", "omega", "epsilon", "seed", "status", "val_jaccard", "val_dice", "epochs_run"])
-        for r in rows:
-            w.writerow([
-                fmt(r["gamma"]), fmt(r["omega"]), fmt(r["epsilon"]), r["seed"], r["status"],
-                fmt(r["val_jaccard"]), fmt(r["val_dice"]), fmt(r["epochs_run"]),
-            ])
+    _write_csv(out, GRID_COLS, ([r[c] for c in GRID_COLS] for r in rows))
     n_runs = sum(1 for r in rows if r["seed"] != "mean")
     print(f"wrote {n_runs} run rows + {len(rows) - n_runs} mean rows to {out}")
     return EXIT_OK
@@ -342,76 +355,35 @@ def parse_loss_token(tok: str) -> tuple[str, bool]:
     return base, base != tok
 
 
-def _compare_worker(args):
-    o, tok, run_idx = args
-    base, wrapped = parse_loss_token(tok)
-    seed = _derive_seed(o["seed"], run_idx)
-    rec = _run_training(o, base, wrapped, seed)
-    last = rec.epochs[-1]
-    return {
-        "loss": tok, "seed": str(run_idx),
-        "recall": last.val_recall, "specificity": last.val_specificity,
-        "jaccard": last.val_jaccard, "dice": last.val_dice, "f1": last.val_f1,
-        "auc": rec.final_auc,
-        "trace": [(r.epoch, r.val_jaccard) for r in rec.epochs],
-    }
-
-
-SUMMARY_COLS = ("recall", "specificity", "jaccard", "dice", "f1", "auc")
-
-
 def run_compare(o: dict) -> list[dict]:
     toks = [t for t in o["losses"].split(",") if t.strip()]
-    n_seeds = o["seeds"]
-    if not toks or n_seeds < 1:
+    if not toks or o["seeds"] < 1:
         raise UsageError("compare needs at least one loss in --losses and seeds >= 1")
-    for t in toks:
-        _train_config(o, *parse_loss_token(t), o["seed"])  # reject bad loss options before any run
-    results = _map_runs(_compare_worker, [(o, tok, ri) for tok in toks for ri in range(n_seeds)], o["jobs"])
-    rows = []
-    for ti, tok in enumerate(toks):
-        runs = results[ti * n_seeds : (ti + 1) * n_seeds]
-        rows.extend(runs)
-        mean = {"loss": tok, "seed": "mean", "trace": None}
-        for c in SUMMARY_COLS:
-            mean[c] = float(np.mean([r[c] for r in runs]))
-        rows.append(mean)
-    return rows
+    results = _run_matrix(o, [(*parse_loss_token(t), {}) for t in toks], o["seeds"])
+    return [{"loss": tok, **r} for tok, runs in zip(toks, results) for r in runs]
 
 
 def cmd_compare(o: dict) -> int:
     out = _require_out(o)
     rows = run_compare(o)
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["loss", "seed", *SUMMARY_COLS])
-        for r in rows:
-            w.writerow([r["loss"], r["seed"], *[fmt(r[c]) for c in SUMMARY_COLS]])
+    _write_csv(out, COMPARE_COLS, ([r[c] for c in COMPARE_COLS] for r in rows))
     trace_path = os.path.splitext(out)[0] + "_epochs.csv"
-    with open(trace_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["loss", "seed", "epoch", "val_jaccard"])
-        for r in rows:
-            if r["trace"] is None:
-                continue
-            for epoch, jac in r["trace"]:
-                w.writerow([r["loss"], r["seed"], epoch, fmt(jac)])
+    _write_csv(trace_path, ("loss", "seed", "epoch", "val_jaccard"),
+               ((r["loss"], r["seed"], epoch, jac) for r in rows for epoch, jac in r["trace"]))
     print(f"wrote {out} and {trace_path}")
     return EXIT_OK
 
 
 def cmd_roc(o: dict) -> int:
     out = _require_out(o)
+    if o["n_thresholds"] < 2:
+        raise UsageError("--n-thresholds must be >= 2")
     rec = _run_training(o, o["loss"], o["all_wrap"], o["seed"])
     try:
         curve = metrics.roc_auc(rec.val_preds, rec.val_masks, n_thresholds=o["n_thresholds"])
     except metrics.UndefinedAUC as exc:
         raise DataError(str(exc)) from exc
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["fpr", "tpr", "auc"])
-        for fpr, tpr in curve.points:
-            w.writerow([fmt(fpr), fmt(tpr), fmt(curve.auc)])
+    _write_csv(out, ("fpr", "tpr", "auc"), ((fpr, tpr, curve.auc) for fpr, tpr in curve.points))
     print(f"auc {fmt(curve.auc)} over {len(curve.points)} points -> {out}")
     return EXIT_OK
 
@@ -520,28 +492,28 @@ def build_parser():
         # no prefix matching: grid's --omega must not quietly mean --omegas
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", default=argparse.SUPPRESS)
-        d = dict(COMMON_DEFAULTS)
-        d.update(extra)
-        _add_opts(sp, d)
-        defaults[name] = d
+        _add_opts(sp, extra)  # only the flags the command reads: any other exits 1
+        defaults[name] = extra
         return sp
 
-    new_cmd("curve", "emit the wrapper's value/derivative curve as CSV", {**WRAP_DEFAULTS, "n_points": 101})
+    new_cmd("curve", "emit the wrapper's value/derivative curve as CSV",
+            {"out": "", **WRAP_DEFAULTS, "n_points": 101})
     new_cmd("gendata", "materialize a synthetic dataset as PGM files + manifest",
             {**DATASET_DEFAULTS, "out_dir": ""})
     new_cmd("train", "one training run, per-epoch metrics to CSV",
-            {**DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS})
+            {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS})
     # grid cells set gamma/omega/epsilon and always wrap; compare's --losses tokens choose loss and wrapping
     new_cmd("grid", "hyperparameter sweep over gamma/omega/epsilon",
-            {**DATASET_DEFAULTS, "loss": LOSS_DEFAULTS["loss"], **LOSS_OPTION_DEFAULTS, **TRAIN_DEFAULTS,
-             "gammas": "0.1", "omegas": "6,8,10,12,14,16", "epsilons": "0.3,0.5,1.0,2.0", "seeds": 3})
+            {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, "loss": LOSS_DEFAULTS["loss"], **LOSS_OPTION_DEFAULTS,
+             **TRAIN_DEFAULTS, "gammas": "0.1", "omegas": "6,8,10,12,14,16", "epsilons": "0.3,0.5,1.0,2.0",
+             "seeds": 3})
     new_cmd("compare", "train one model per (loss, seed), emit summary + epoch traces",
-            {**DATASET_DEFAULTS, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS, **TRAIN_DEFAULTS,
-             "losses": "jaccard,dice,tversky,focal,combo,all", "seeds": 5})
+            {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS,
+             **TRAIN_DEFAULTS, "losses": "jaccard,dice,tversky,focal,combo,all", "seeds": 5})
     new_cmd("roc", "train then emit the pooled-pixel ROC of the validation set",
-            {**DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256})
+            {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256})
     new_cmd("gradcheck", "finite-difference validation of analytic gradients",
-            {"trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4, "corrupt": 0.0})
+            {"seed": 0, "trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4, "corrupt": 0.0})
     return parser, defaults
 
 

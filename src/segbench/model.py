@@ -24,8 +24,8 @@ KSIZE = 3
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, batch: int, value: float):
-        super().__init__(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch: int, batch: int, what: str):
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -284,6 +284,9 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             images = np.stack([s.image for s in batch])
             p = forward(net, images)
+            # checked before the loss sees it, so plain and wrapped losses diverge the same way
+            if not np.isfinite(p).all():
+                raise TrainingDiverged(epoch, b_idx, "network output")
             upstream = np.empty_like(p)
             batch_loss = 0.0
             for k, s in enumerate(batch):
@@ -291,8 +294,8 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
                 batch_loss += ev.value
                 upstream[k] = ev.grad / len(batch)
             batch_loss /= len(batch)
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(epoch, b_idx, batch_loss)
+            if not np.isfinite(batch_loss):  # a finite p can still give 0/0 (Tversky at alpha=0, smooth=0)
+                raise TrainingDiverged(epoch, b_idx, f"loss {batch_loss}")
             adam_step(opt, net.params, backward(net, images, upstream, p=p))
             epoch_losses.append(batch_loss)
         means, preds = evaluate(net, val_set)

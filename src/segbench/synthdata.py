@@ -127,12 +127,18 @@ def generate(spec: SynthSpec) -> list[Sample]:
     return [generate_sample(spec, i) for i in range(spec.n_images)]
 
 
-def train_val_split(samples, ratio: float = 0.8, seed: int = 0):
-    """Deterministic shuffle then split; both halves must be non-empty."""
-    n = len(samples)
+def split_size(n: int, ratio: float) -> int:
+    """Training-set size of :func:`train_val_split` for n samples; ValueError if a half is empty."""
     n_train = int(n * ratio)
     if not (0 < ratio < 1) or n_train == 0 or n_train == n:
         raise ValueError(f"split ratio {ratio} leaves an empty partition for {n} samples")
+    return n_train
+
+
+def train_val_split(samples, ratio: float = 0.8, seed: int = 0):
+    """Deterministic shuffle then split; both halves must be non-empty."""
+    n = len(samples)
+    n_train = split_size(n, ratio)
     order = _sample_rng(seed, 2**32).permutation(n)
     train = [samples[i] for i in order[:n_train]]
     val = [samples[i] for i in order[n_train:]]

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 import segbench
+from segbench import model
 from segbench.cli import (
+    CURVE_MAX_POINTS,
     EXIT_CHECK,
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    _derive_seed,
+    build_parser,
     main,
     parse_loss_token,
     run_gradcheck,
@@ -24,6 +28,9 @@ FAST = [
     "--width", "16", "--height", "16", "--n-images", "12", "--fg-fraction", "0.2",
     "--noise-sigma", "0.05", "--epochs", "2", "--batch-size", "8", "--lr", "0.01",
 ]
+# at FAST's shape this step size sends the network output to nan in some runs and not in others:
+# train/roc at --seed 0 and grid/compare run 1 diverge, grid/compare run 0 does not
+DIVERGING_LR = ["--lr", "1e300"]
 
 
 def read_rows(path):
@@ -130,6 +137,14 @@ class TestTrain:
         out = tmp_path / "run.csv"
         assert main(["train", *FAST, "--all-wrap", "--out", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["train", "roc"])
+    @pytest.mark.parametrize("wrap", [[], ["--all-wrap"]])
+    def test_diverged_run_is_check_failure(self, tmp_path, capsys, command, wrap):
+        assert main([command, *FAST, *DIVERGING_LR, *wrap, "--out", str(tmp_path / "o.csv")]) == EXIT_CHECK
+        err = capsys.readouterr().err
+        assert "check failed: non-finite network output" in err
+        assert "Traceback" not in err
+
 
 class TestGrid:
     def test_single_cell_rows(self, tmp_path):
@@ -160,6 +175,40 @@ class TestGrid:
             mean = next(r for r in rows if r["omega"] == float(cell) and r["seed"] == "mean")
             assert mean["val_jaccard"] == pytest.approx(np.mean([r["val_jaccard"] for r in runs]), abs=1e-12)
 
+    def test_diverged_run_is_a_row(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", *FAST, *DIVERGING_LR, "--out", str(out),
+                     "--gammas", "0.1", "--omegas", "10", "--epsilons", "0.5", "--seeds", "2"]) == EXIT_OK
+        rows = read_rows(out)
+        assert [(r["seed"], r["status"]) for r in rows] == [("0", "ok"), ("1", "diverged"), ("mean", "ok")]
+        assert (rows[1]["val_jaccard"], rows[1]["val_dice"], rows[1]["epochs_run"]) == ("nan", "nan", "0")
+        assert rows[2]["val_jaccard"] == rows[0]["val_jaccard"]
+
+    def test_mean_row_averages_only_ok_runs(self, monkeypatch):
+        real_train = model.train
+
+        def train(config, *sets):
+            # omega 8: run 1 of 3 diverges; omega 12: every run diverges
+            omega = config.adaptive_params.omega
+            if omega == 12 or (omega == 8 and config.seed == _derive_seed(0, 1)):
+                raise model.TrainingDiverged(0, 0, "loss nan")
+            return real_train(config, *sets)
+
+        monkeypatch.setattr(model, "train", train)
+        o = dict(build_parser()[1]["grid"], width=16, height=16, fg_fraction=0.2, n_images=12, noise_sigma=0.05,
+                 epochs=2, batch_size=8, lr=0.01, omegas="8,10,12", epsilons="0.5", seeds=3)
+        rows = run_grid(o)
+        cells = {w: [r for r in rows if r["omega"] == w] for w in (8.0, 10.0, 12.0)}
+        assert [r["status"] for r in cells[8.0]] == ["ok", "diverged", "ok", "ok"]
+        assert [r["status"] for r in cells[10.0]] == ["ok"] * 4
+        assert [r["status"] for r in cells[12.0]] == ["diverged"] * 4
+        for w in (8.0, 10.0):
+            ok = [r for r in cells[w][:3] if r["status"] == "ok"]
+            for key in ("val_jaccard", "val_dice", "epochs_run"):
+                assert cells[w][3][key] == float(np.mean([r[key] for r in ok]))
+        assert math.isnan(cells[8.0][1]["val_jaccard"]) and cells[8.0][1]["epochs_run"] == 0
+        assert math.isnan(cells[12.0][3]["val_dice"]) and cells[12.0][3]["epochs_run"] == 0
+
     def test_branch_inactive_params_identical(self, tmp_path):
         # two gamma values both so large the linear branch never engages at
         # these loss scales differ only through the constant shift, which does
@@ -176,13 +225,15 @@ class TestJobs:
     @pytest.mark.parametrize("args", [
         ["compare", "--losses", "dice,all", "--seeds", "2"],
         ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2"],
+        ["compare", "--losses", "dice,all", "--seeds", "2", *DIVERGING_LR],
+        ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2", *DIVERGING_LR],
     ])
     def test_jobs_do_not_change_results(self, tmp_path, args):
         outputs = []
         for jobs in ("1", "2"):
             d = tmp_path / jobs
             d.mkdir()
-            assert main([*args, *FAST, "--jobs", jobs, "--out", str(d / "out.csv")]) == EXIT_OK
+            assert main([args[0], *FAST, *args[1:], "--jobs", jobs, "--out", str(d / "out.csv")]) == EXIT_OK
             outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
         assert outputs[0] == outputs[1]
 
@@ -199,7 +250,7 @@ class TestCompare:
         rows = read_rows(out)
         # 2 runs + 1 mean per loss
         assert len(rows) == 6
-        assert set(rows[0]) == {"loss", "seed", "recall", "specificity", "jaccard", "dice", "f1", "auc"}
+        assert set(rows[0]) == {"loss", "seed", "status", "recall", "specificity", "jaccard", "dice", "f1", "auc"}
         trace = read_rows(tmp_path / "cmp_epochs.csv")
         assert {r["loss"] for r in trace} == {"dice", "all"}
         assert set(trace[0]) == {"loss", "seed", "epoch", "val_jaccard"}
@@ -326,6 +377,54 @@ class TestFlagsAndConfig:
         assert main([command, *FAST, "--config", str(cfg), "--seeds", "1",
                      "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("gendata", "--out", "x.csv"), ("gendata", "--seed", "1"), ("gendata", "--jobs", "2"),
+        ("curve", "--seed", "1"), ("curve", "--jobs", "2"),
+        ("gradcheck", "--out", "x.csv"), ("gradcheck", "--jobs", "2"),
+        ("train", "--jobs", "2"), ("roc", "--jobs", "2"),
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, capsys, command, flag, value, via_config):
+        valid = {  # each command's arguments without the flag under test: all of them valid
+            "gendata": ["--out-dir", str(tmp_path / "ds"), "--n-images", "2", "--width", "16", "--height", "16"],
+            "curve": ["--out", str(tmp_path / "c.csv")],
+            "gradcheck": ["--trials", "1"],
+            "train": [*FAST, "--out", str(tmp_path / "o.csv")],
+            "roc": [*FAST, "--out", str(tmp_path / "o.csv")],
+        }[command]
+        if via_config:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{flag[2:]}={value}\n")
+            extra, message = ["--config", str(cfg)], f"unknown config key {flag[2:]!r}"
+        else:
+            extra, message = [flag, value], f"unrecognized arguments: {flag} {value}"
+        assert main([command, *valid, *extra]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists() and not (tmp_path / "o.csv").exists()
+
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert main(["curve", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "c.csv")]) == EXIT_DATA
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("argv", [
+        *[[command, *FAST, *flags]
+          for command in ("train", "roc", "grid", "compare")
+          for flags in (["--split-ratio", "1.0"], ["--split-ratio", "0"], ["--n-images", "1"])],
+        ["roc", *FAST, "--n-thresholds", "1"],
+        ["curve", "--n-points", str(CURVE_MAX_POINTS + 1)],
+        ["curve", "--n-points", "1"],
+        ["grid", *FAST, "--jobs", "0"],
+        ["compare", *FAST, "--jobs", "-3"],
+    ])
+    def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the input was checked")
+
+        monkeypatch.setattr(segbench.synthdata, "generate", no_work)
+        monkeypatch.setattr(model, "train", no_work)
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
