@@ -127,6 +127,7 @@ CURVE_MAX_POINTS = 1_000_000
 RUN_COLS = ("recall", "specificity", "jaccard", "dice", "f1", "auc", "epochs_run")
 GRID_COLS = ("gamma", "omega", "epsilon", "seed", "status", "val_jaccard", "val_dice", "epochs_run")
 COMPARE_COLS = ("loss", "seed", "status", "recall", "specificity", "jaccard", "dice", "f1", "auc")
+EPOCH_COLS = tuple(f.name for f in dataclasses.fields(model.EpochRow))
 
 DATASET_DEFAULTS = {
     "width": 48,
@@ -223,9 +224,9 @@ def cmd_curve(o: dict) -> int:
     n = o["n_points"]
     if not 2 <= n <= CURVE_MAX_POINTS:
         raise UsageError(f"--n-points must be in [2, {CURVE_MAX_POINTS}]")
-    xs = sorted(set(np.linspace(0.0, 1.0, n)) | {params.gamma})
+    xs = np.array(sorted(set(np.linspace(0.0, 1.0, n)) | {params.gamma}))
     _write_csv(out, ("x", "loss", "derivative"),
-               ((x, adaptive_log_forward(x, params), adaptive_log_derivative(x, params)) for x in xs))
+               zip(xs, adaptive_log_forward(xs, params), adaptive_log_derivative(xs, params)))
     print(f"wrote {len(xs)} points to {out}")
     print(f"derivative jump at threshold {fmt(params.gamma)}: {fmt(derivative_jump(params))}")
     return EXIT_OK
@@ -259,7 +260,7 @@ def _run_training(o: dict, loss: str, wrapped: bool, seed: int) -> model.RunReco
 def cmd_train(o: dict) -> int:
     out = _require_out(o)
     rec = _run_training(o, o["loss"], o["all_wrap"], o["seed"])
-    rec.write_csv(out)
+    _write_csv(out, EPOCH_COLS, (dataclasses.astuple(r) for r in rec.epochs))
     last = rec.epochs[-1]
     print(f"final val jaccard {fmt(last.val_jaccard)}, dice {fmt(last.val_dice)}, auc {fmt(rec.final_auc)}")
     return EXIT_OK
@@ -321,9 +322,7 @@ def run_grid(o: dict) -> list[dict]:
     Per-run rows carry seed_index; each cell is followed by a mean row
     (seed column "mean") averaging the cell's successful runs.
     """
-    gammas = o["gammas"] if isinstance(o["gammas"], list) else _csv_floats(o["gammas"])
-    omegas = o["omegas"] if isinstance(o["omegas"], list) else _csv_floats(o["omegas"])
-    epsilons = o["epsilons"] if isinstance(o["epsilons"], list) else _csv_floats(o["epsilons"])
+    gammas, omegas, epsilons = (_csv_floats(o[k]) for k in ("gammas", "omegas", "epsilons"))
     if not gammas or not omegas or not epsilons or o["seeds"] < 1:
         raise UsageError("grid needs at least one cell and seeds >= 1")
     cells = [{"gamma": g, "omega": w, "epsilon": e} for g in gammas for w in omegas for e in epsilons]
@@ -467,14 +466,7 @@ def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_gradcheck(o: dict) -> int:
-    ok = run_gradcheck(
-        trials=o["trials"],
-        tolerance=o["tolerance"],
-        net_tolerance=o["net_tolerance"],
-        seed=o["seed"],
-        corrupt=o["corrupt"],
-    )
-    if not ok:
+    if not run_gradcheck(trials=o["trials"], tolerance=o["tolerance"], net_tolerance=o["net_tolerance"], seed=o["seed"]):
         raise CheckFailure("gradient check failed")
     return EXIT_OK
 
@@ -513,7 +505,7 @@ def build_parser():
     new_cmd("roc", "train then emit the pooled-pixel ROC of the validation set",
             {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256})
     new_cmd("gradcheck", "finite-difference validation of analytic gradients",
-            {"seed": 0, "trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4, "corrupt": 0.0})
+            {"seed": 0, "trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4})
     return parser, defaults
 
 

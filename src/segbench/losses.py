@@ -5,8 +5,9 @@ ground-truth mask ``g`` (values in {0, 1}), and returns a :class:`LossEval`
 carrying the loss and d(loss)/d(p_i) for every pixel.  ``p`` may carry leading
 copy axes, ``p.shape == (*copies, *g.shape)``: each copy is scored against the
 same ``g`` over ``g``'s axes, and the value is an array of shape ``copies``,
-one per copy.  Without copy axes the value is a Python float.  Averaging over
-a batch of images is the caller's job.
+one per copy.  Without copy axes the value is a Python float.  A stacked call
+and one call per copy run the same numpy operations, so they agree bit for
+bit.  Averaging over a batch of images is the caller's job.
 
 Set cardinalities are soft-relaxed (|G ∩ P| -> sum g_i * p_i) so gradients
 exist, and overlap losses take a smoothing constant to avoid 0/0 on empty
@@ -108,17 +109,6 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1, keepdims=True)  # np.sum's reduction, without its dispatch
 
 
-def per_copy(fn, value):
-    """``fn`` applied to each copy's value in Python floats; a float stays a float.
-
-    numpy's array power and log can differ from Python's in the last bit, so
-    the scalar steps of a loss go through here to give the per-image result.
-    """
-    if np.ndim(value) == 0:
-        return fn(float(value))
-    return np.array([fn(v) for v in value.ravel().tolist()]).reshape(np.shape(value))
-
-
 def copy_axes(x, grad: np.ndarray) -> np.ndarray:
     """A per-copy ``x`` (a float, or one value per copy) shaped to broadcast against ``grad``."""
     return np.reshape(x, np.shape(x) + (1,) * (grad.ndim - np.ndim(x)))
@@ -130,27 +120,25 @@ def _eval(value: np.ndarray, grad: np.ndarray, shape: tuple) -> LossEval:
     return LossEval(float(value) if value.ndim == 0 else value, grad.reshape(shape))
 
 
+def _quotient_loss(num, denom, d_num, d_denom, shape: tuple) -> LossEval:
+    """1 - num/denom, with d/dp_i by the quotient rule from each pixel's d num and d denom."""
+    return _eval(1.0 - num / denom, -(d_num * denom - num * d_denom) / (denom * denom), shape)
+
+
 def soft_dice_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (2 sum(g*p) + s) / (sum(g) + sum(p) + s)."""
     p, g, shape = _check_overlap(p, g, smooth)
     inter = _row_sum(g * p)
     denom = np.sum(g) + _row_sum(p) + smooth
-    num = 2.0 * inter + smooth
-    value = 1.0 - num / denom
-    # d/dp_i of num/denom via quotient rule; d num = 2 g_i, d denom = 1.
-    grad = -(2.0 * g * denom - num) / per_copy(lambda d: d**2, denom)
-    return _eval(value, grad, shape)
+    return _quotient_loss(2.0 * inter + smooth, denom, 2.0 * g, 1.0, shape)
 
 
 def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (sum(g*p) + s) / (sum(g) + sum(p) - sum(g*p) + s)."""
     p, g, shape = _check_overlap(p, g, smooth)
     inter = _row_sum(g * p)
-    num = inter + smooth
     denom = np.sum(g) + _row_sum(p) - inter + smooth
-    value = 1.0 - num / denom
-    grad = -(g * denom - num * (1.0 - g)) / per_copy(lambda d: d**2, denom)
-    return _eval(value, grad, shape)
+    return _quotient_loss(inter + smooth, denom, g, 1.0 - g, shape)
 
 
 def tversky_loss(p, g, tp: TverskyParams = TverskyParams(), smooth: float = DEFAULT_SMOOTH) -> LossEval:
@@ -159,12 +147,8 @@ def tversky_loss(p, g, tp: TverskyParams = TverskyParams(), smooth: float = DEFA
     inter = _row_sum(g * p)
     fn = _row_sum(g * (1.0 - p))
     fp = _row_sum((1.0 - g) * p)
-    num = inter + smooth
     denom = inter + tp.alpha * fn + tp.beta * fp + smooth
-    value = 1.0 - num / denom
-    d_denom = g - tp.alpha * g + tp.beta * (1.0 - g)
-    grad = -(g * denom - num * d_denom) / per_copy(lambda d: d**2, denom)
-    return _eval(value, grad, shape)
+    return _quotient_loss(inter + smooth, denom, g, g - tp.alpha * g + tp.beta * (1.0 - g), shape)
 
 
 def focal_loss(p, g, fp: FocalParams = FocalParams()) -> LossEval:
@@ -174,15 +158,12 @@ def focal_loss(p, g, fp: FocalParams = FocalParams()) -> LossEval:
     clamped = pc != p
     pt = np.where(g == 1, pc, 1.0 - pc)
     a, gf = fp.alpha_balance, fp.gamma_focus
-    n = g.size
     one_minus = 1.0 - pt
     value = np.mean(-a * one_minus**gf * np.log(pt), axis=-1, keepdims=True)
-    # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0.
-    if gf == 0:
-        d_pt = -a / pt
-    else:
-        d_pt = a * gf * one_minus ** (gf - 1.0) * np.log(pt) - a * one_minus**gf / pt
-    grad = np.where(g == 1, d_pt, -d_pt) / n
+    # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0. At gf = 0 the
+    # first term is -0.0 (pt is clipped below 1), so d_pt is exactly -a / pt.
+    d_pt = a * gf * one_minus ** (gf - 1.0) * np.log(pt) - a * one_minus**gf / pt
+    grad = np.where(g == 1, d_pt, -d_pt) / g.size
     grad = np.where(clamped, 0.0, grad)
     return _eval(value, grad, shape)
 
@@ -192,9 +173,8 @@ def bce_loss(p, g) -> LossEval:
     p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     clamped = pc != p
-    n = g.size
     value = np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)), axis=-1, keepdims=True)
-    grad = -(g / pc - (1.0 - g) / (1.0 - pc)) / n
+    grad = -(g / pc - (1.0 - g) / (1.0 - pc)) / g.size
     grad = np.where(clamped, 0.0, grad)
     return _eval(value, grad, shape)
 
@@ -215,14 +195,14 @@ def focal_tversky_loss(
     if ft_gamma <= 0:
         raise ValueError(f"ft_gamma must be > 0, got {ft_gamma}")
     base = tversky_loss(p, g, tp, smooth)
+    v = np.asarray(base.value)
     expo = 1.0 / ft_gamma
-    value = per_copy(lambda v: v**expo, base.value)
-    # a copy at the exact minimum gets the subgradient 0: with the exponent
-    # < 1 its one-sided derivative is unbounded there
-    slope = per_copy(lambda v: expo * v ** (expo - 1.0) if v != 0.0 else 0.0, base.value)
-    at_min = copy_axes(np.equal(base.value, 0.0), base.grad)
-    grad = np.where(at_min, 0.0, copy_axes(slope, base.grad) * base.grad)
-    return LossEval(value, grad)
+    # at its exact minimum a copy's one-sided slope is unbounded (expo < 1): take the subgradient 0
+    at_min = v == 0.0
+    slope = expo * np.where(at_min, 1.0, v) ** (expo - 1.0)
+    grad = np.where(copy_axes(at_min, base.grad), 0.0, copy_axes(slope, base.grad) * base.grad)
+    value = v**expo
+    return LossEval(float(value) if value.ndim == 0 else value, grad)
 
 
 def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:

@@ -10,7 +10,6 @@ config seed (seeded init, seeded per-epoch shuffles, sequential reductions).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,10 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
+        self.what = what
+
+    def __reduce__(self):  # RuntimeError would pickle only the message, which __init__ does not take
+        return type(self), (self.epoch, self.batch, self.what)
 
 
 @dataclass
@@ -237,18 +240,6 @@ class RunRecord:
     val_preds: list[np.ndarray] = field(default_factory=list)  # from the final epoch
     val_masks: list[np.ndarray] = field(default_factory=list)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["epoch", "train_loss", "val_jaccard", "val_dice", "val_recall", "val_specificity", "val_f1"]
-            )
-            for r in self.epochs:
-                w.writerow(
-                    [r.epoch]
-                    + ["%.6g" % v for v in (r.train_loss, r.val_jaccard, r.val_dice, r.val_recall, r.val_specificity, r.val_f1)]
-                )
-
 
 def evaluate(net: TinyNet, val_set, threshold: float = 0.5):
     """Macro-averaged threshold metrics plus pooled-pixel AUC inputs."""
@@ -280,25 +271,29 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
             np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch]))
         ).permutation(n)
         epoch_losses = []
-        for b_idx, start in enumerate(range(0, n, config.batch_size)):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            images = np.stack([s.image for s in batch])
-            p = forward(net, images)
-            # checked before the loss sees it, so plain and wrapped losses diverge the same way
-            if not np.isfinite(p).all():
-                raise TrainingDiverged(epoch, b_idx, "network output")
-            upstream = np.empty_like(p)
-            batch_loss = 0.0
-            for k, s in enumerate(batch):
-                ev = loss_fn(p[k], s.mask)
-                batch_loss += ev.value
-                upstream[k] = ev.grad / len(batch)
-            batch_loss /= len(batch)
-            if not np.isfinite(batch_loss):  # a finite p can still give 0/0 (Tversky at alpha=0, smooth=0)
-                raise TrainingDiverged(epoch, b_idx, f"loss {batch_loss}")
-            adam_step(opt, net.params, backward(net, images, upstream, p=p))
-            epoch_losses.append(batch_loss)
-        means, preds = evaluate(net, val_set)
+        # a divergence is reported by the isfinite checks, not by numpy's overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b_idx, start in enumerate(range(0, n, config.batch_size)):
+                batch = [train_set[i] for i in order[start : start + config.batch_size]]
+                images = np.stack([s.image for s in batch])
+                p = forward(net, images)
+                # checked before the loss sees it, so plain and wrapped losses diverge the same way
+                if not np.isfinite(p).all():
+                    raise TrainingDiverged(epoch, b_idx, "network output")
+                upstream = np.empty_like(p)
+                batch_loss = 0.0
+                for k, s in enumerate(batch):
+                    ev = loss_fn(p[k], s.mask)
+                    batch_loss += ev.value
+                    upstream[k] = ev.grad / len(batch)
+                batch_loss /= len(batch)
+                if not np.isfinite(batch_loss):  # a finite p can still give 0/0 (Tversky at alpha=0, smooth=0)
+                    raise TrainingDiverged(epoch, b_idx, f"loss {batch_loss}")
+                adam_step(opt, net.params, backward(net, images, upstream, p=p))
+                epoch_losses.append(batch_loss)
+            means, preds = evaluate(net, val_set)
+        if not all(np.isfinite(p).all() for p in preds):  # the epoch's last step diverged
+            raise TrainingDiverged(epoch, b_idx, "validation output")
         rows.append(
             EpochRow(
                 epoch=epoch,

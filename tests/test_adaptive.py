@@ -163,3 +163,19 @@ class TestWrap:
         ev = fn(p, g)
         fd = finite_difference_grad(fn, p, g, step=1e-8)
         np.testing.assert_allclose(ev.grad, fd, rtol=1e-5)
+
+
+class TestArrays:
+    XS = np.array([[0.0, 0.03, 0.05, DEFAULTS.gamma], [np.nextafter(DEFAULTS.gamma, 0.0), 0.2, 0.7, 1.0]])
+
+    @pytest.mark.parametrize("fn", [adaptive_log_forward, adaptive_log_derivative])
+    def test_array_equals_per_element_calls(self, fn):
+        got = fn(self.XS)
+        assert got.shape == self.XS.shape
+        assert got.tobytes() == np.array([[fn(float(x)) for x in row] for row in self.XS]).tobytes()
+
+    @pytest.mark.parametrize("fn", [adaptive_log_forward, adaptive_log_derivative])
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_out_of_range_element_rejected(self, fn, bad):
+        with pytest.raises(ValueError, match="outside"):
+            fn(np.array([0.05, bad, 0.5]))

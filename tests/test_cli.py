@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 import segbench
-from segbench import model
+from segbench import cli, model
 from segbench.cli import (
     CURVE_MAX_POINTS,
     EXIT_CHECK,
@@ -140,10 +142,20 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "roc"])
     @pytest.mark.parametrize("wrap", [[], ["--all-wrap"]])
     def test_diverged_run_is_check_failure(self, tmp_path, capsys, command, wrap):
-        assert main([command, *FAST, *DIVERGING_LR, *wrap, "--out", str(tmp_path / "o.csv")]) == EXIT_CHECK
+        with warnings.catch_warnings():  # the isfinite checks report it, not numpy's overflow warnings
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, *FAST, *DIVERGING_LR, *wrap, "--out", str(tmp_path / "o.csv")]) == EXIT_CHECK
         err = capsys.readouterr().err
         assert "check failed: non-finite network output" in err
         assert "Traceback" not in err
+
+    def test_divergence_in_the_last_step_is_check_failure(self, tmp_path, capsys):
+        # one batch in one epoch: only the validation pass sees the diverged weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", *FAST, *DIVERGING_LR, "--batch-size", "16", "--epochs", "1",
+                         "--out", str(tmp_path / "o.csv")]) == EXIT_CHECK
+        assert "check failed: non-finite validation output at epoch 0, batch 0" in capsys.readouterr().err
 
 
 class TestGrid:
@@ -177,8 +189,10 @@ class TestGrid:
 
     def test_diverged_run_is_a_row(self, tmp_path):
         out = tmp_path / "grid.csv"
-        assert main(["grid", *FAST, *DIVERGING_LR, "--out", str(out),
-                     "--gammas", "0.1", "--omegas", "10", "--epsilons", "0.5", "--seeds", "2"]) == EXIT_OK
+        with warnings.catch_warnings():  # the diverged row is the report, not numpy's overflow warnings
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["grid", *FAST, *DIVERGING_LR, "--out", str(out),
+                         "--gammas", "0.1", "--omegas", "10", "--epsilons", "0.5", "--seeds", "2"]) == EXIT_OK
         rows = read_rows(out)
         assert [(r["seed"], r["status"]) for r in rows] == [("0", "ok"), ("1", "diverged"), ("mean", "ok")]
         assert (rows[1]["val_jaccard"], rows[1]["val_dice"], rows[1]["epochs_run"]) == ("nan", "nan", "0")
@@ -306,9 +320,11 @@ class TestGradcheckCommand:
         assert not run_gradcheck(trials=1, tolerance=0.0, net_tolerance=1e-4, seed=0,
                                  report=lambda *a: None)
 
-    def test_cli_exit_codes(self):
+    def test_cli_exit_codes(self, monkeypatch):
         assert main(["gradcheck", "--trials", "3"]) == EXIT_OK
-        assert main(["gradcheck", "--trials", "3", "--corrupt", "0.001"]) == EXIT_CHECK
+        assert main(["gradcheck", "--trials", "3", "--corrupt", "0.001"]) == EXIT_USAGE  # a test hook, not a flag
+        monkeypatch.setattr(cli, "run_gradcheck", partial(run_gradcheck, corrupt=1e-3))
+        assert main(["gradcheck", "--trials", "3"]) == EXIT_CHECK
 
     def test_runs_as_python_m_segbench(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(segbench.__file__)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ class TestFocalTversky:
             ev = focal_tversky_loss(p, g)
             fd = finite_difference_grad(focal_tversky_loss, p, g, step=1e-6)
             assert rel_err(ev.grad, fd) < 1e-6
+
+    def test_stacked_copy_at_minimum_gets_zero_grad(self):
+        g = np.array([[1, 0], [1, 1]])
+        stack = np.stack([g.astype(float), np.array([[0.7, 0.2], [0.9, 0.6]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no divide-by-zero at the minimum
+            ev = focal_tversky_loss(stack, g, smooth=0)
+        assert ev.value[0] == 0.0 and ev.value[1] > 0.0
+        assert not np.any(ev.grad[0]) and np.all(np.isfinite(ev.grad))
+        assert ev.grad[1].tobytes() == focal_tversky_loss(stack[1], g, smooth=0).grad.tobytes()
 
 
 @pytest.mark.parametrize("kernel", [soft_dice_loss, soft_jaccard_loss, tversky_loss, focal_tversky_loss])

@@ -1,10 +1,14 @@
+import multiprocessing
+import pickle
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import segbench.model as model
 from segbench.adaptive import AdaptiveLogParams
+from segbench.cli import EXIT_OK, main
 from segbench.losses import LossEval, make_loss
 from segbench.model import AdamState, EpochRow, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward, forward, train
 from segbench.synthdata import SynthSpec, generate, train_val_split
@@ -238,14 +242,13 @@ class TestTrain:
         assert rec.epochs[-1].val_jaccard > 0.8
 
     def test_record_schema(self, tmp_path):
-        train_set, val_set = tiny_dataset(seed=4)
-        cfg = TrainConfig(batch_size=8, max_epochs=2, seed=1)
-        rec = train(cfg, train_set, val_set)
-        assert len(rec.epochs) == 2
         out = tmp_path / "run.csv"
-        rec.write_csv(out)
-        header = out.read_text().splitlines()[0]
-        assert header == "epoch,train_loss,val_jaccard,val_dice,val_recall,val_specificity,val_f1"
+        assert main(["train", "--width", "16", "--height", "16", "--n-images", "16", "--fg-fraction", "0.3",
+                     "--noise-sigma", "0.05", "--data-seed", "4", "--batch-size", "8", "--epochs", "2",
+                     "--seed", "1", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "epoch,train_loss,val_jaccard,val_dice,val_recall,val_specificity,val_f1"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
     def test_divergence_diagnostic(self, monkeypatch):
         def nan_loss(name, **kw):
@@ -273,3 +276,24 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=51)
+
+
+def _raise_diverged(epoch):
+    raise TrainingDiverged(epoch, 3, "loss nan")
+
+
+class TestTrainingDiverged:
+    def _same(self, got, want):
+        assert type(got) is TrainingDiverged
+        assert (str(got), got.epoch, got.batch) == (str(want), want.epoch, want.batch)
+
+    def test_pickle_round_trip(self):
+        err = TrainingDiverged(2, 3, "loss nan")
+        self._same(pickle.loads(pickle.dumps(err)), err)
+
+    def test_crosses_a_process_pool(self):
+        # raised in a worker, it must reach the parent intact rather than break the pool
+        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            with pytest.raises(TrainingDiverged) as exc:
+                pool.submit(_raise_diverged, 2).result(timeout=120)
+        self._same(exc.value, TrainingDiverged(2, 3, "loss nan"))
