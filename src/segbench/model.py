@@ -10,6 +10,8 @@ config seed (seeded init, seeded per-epoch shuffles, sequential reductions).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,10 @@ from .losses import make_loss
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
+# Pixels per chunk of images. backward holds about 35 floats a pixel: chunks over two 48x48 images
+# break test_peak_memory_bounded_by_batch_size. At 128x128, evaluate was fastest at two images.
+BACKWARD_CHUNK_PIXELS = 2 * 48 * 48
+EVALUATE_CHUNK_PIXELS = 2 * 128 * 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -78,15 +84,6 @@ def _conv3x3_into(out: np.ndarray, taps: list[np.ndarray], k: np.ndarray, tmp: n
     return out
 
 
-def _conv3x3_weight_grad(taps: list[np.ndarray], dz: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the kernel k of sum(dz * conv3x3(x, k)), one (3, 3) per leading index.
-
-    ``taps`` are x's; ``tmp`` is scratch.
-    """
-    dk = np.stack([np.multiply(dz, tap, out=tmp).sum(axis=(-2, -1)) for tap in taps], axis=-1)
-    return dk.reshape(dk.shape[:-1] + (KSIZE, KSIZE))
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -104,13 +101,6 @@ def _as_batch(image) -> np.ndarray:
     return image.reshape((-1,) + image.shape[-2:])
 
 
-def _hidden_into(out: np.ndarray, net: TinyNet, x_taps: list[np.ndarray], c: int, tmp: np.ndarray) -> np.ndarray:
-    """ReLU map of hidden channel c, written into the contiguous ``out``."""
-    _conv3x3_into(out, x_taps, net.params["w1"][c], tmp)
-    out += net.params["b1"][c]
-    return np.maximum(out, 0.0, out=out)
-
-
 def _sum_images(per_image: np.ndarray) -> np.ndarray:
     """Sum over the leading image axis in image order (np.sum is pairwise over a 1-D axis)."""
     return np.cumsum(per_image, axis=0)[-1]
@@ -125,10 +115,28 @@ def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     # conv straight into the strided padded interior is slower.
     conv, tmp, z2 = np.empty(x.shape), np.empty(x.shape), np.zeros(x.shape)
     for c in range(HIDDEN_CHANNELS):
-        h_taps[_CENTRE][...] = _hidden_into(conv, net, x_taps, c, tmp)
+        _conv3x3_into(conv, x_taps, net.params["w1"][c], tmp)
+        conv += net.params["b1"][c]
+        h_taps[_CENTRE][...] = np.maximum(conv, 0.0, out=conv)
         z2 += _conv3x3_into(conv, h_taps, net.params["w2"][c], tmp)
     z2 += net.params["b2"]
     return _sigmoid(z2).reshape(np.shape(image))
+
+
+def _image_chunks(shapes, budget: int):
+    """Slices of consecutive images of one shape, each of at most ``budget`` pixels or one image."""
+    start = 0
+    for shape, group in itertools.groupby(shapes):
+        stop, step = start + len(list(group)), max(1, budget // max(1, math.prod(shape)))
+        yield from (slice(s, min(s + step, stop)) for s in range(start, stop, step))
+        start = stop
+
+
+def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The nine zero-padded taps of (b, H, W) maps, stacked into ``out[:b]`` and viewed as (b, 9, H*W)."""
+    taps = _padded_taps(maps.shape)
+    taps[_CENTRE][...] = maps
+    return np.stack(taps, axis=1, out=out[: len(maps)]).reshape(len(maps), KSIZE * KSIZE, -1)
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None) -> dict[str, np.ndarray]:
@@ -143,28 +151,29 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None)
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(p)}")
     x, p, up = _as_batch(image), _as_batch(p), _as_batch(up)
     dz2 = up * p * (1.0 - p)
-    x_taps, dz2_taps, h_taps = _padded_taps(x.shape), _padded_taps(x.shape), _padded_taps(x.shape)
-    x_taps[_CENTRE][...] = x
-    dz2_taps[_CENTRE][...] = dz2
-    conv, tmp, active = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool)
+    chunks = list(_image_chunks([x.shape[1:]] * len(x), BACKWARD_CHUNK_PIXELS))
+    # One set of buffers, sized for the first (largest) chunk: fresh ones per chunk re-fault their pages.
+    t, d = np.empty((2, chunks[0].stop, KSIZE * KSIZE) + x.shape[1:])
+    h, dz1 = np.empty((2, chunks[0].stop, HIDDEN_CHANNELS, x[0].size))
     gw1, gb1, gw2 = [], [], []
-    for c in range(HIDDEN_CHANNELS):
-        # The hidden map is recomputed here rather than kept from forward: (B, 8, H, W) of them
-        # would raise peak memory more than the training run can afford.
-        a1 = _hidden_into(conv, net, x_taps, c, tmp)
-        h_taps[_CENTRE][...] = a1
-        np.greater(a1, 0.0, out=active)
-        gw2.append(_conv3x3_weight_grad(h_taps, dz2, tmp))
-        # Backprop through "same" cross-correlation = cross-correlation with the
-        # 180-degree-flipped kernel.
-        dz1 = _conv3x3_into(conv, dz2_taps, net.params["w2"][c, ::-1, ::-1], tmp)
-        dz1 *= active
-        gw1.append(_conv3x3_weight_grad(x_taps, dz1, tmp))
-        gb1.append(dz1.sum(axis=(-2, -1)))
+    for rows in chunks:
+        # Each image's products are its own matmul, so a batch sums what per-image calls return. The
+        # hidden maps are recomputed, not kept from forward: (B, 8, H, W) of them cost too much memory.
+        tb, db = _stacked_taps(t, x[rows]), _stacked_taps(d, dz2[rows])
+        hb = np.matmul(net.params["w1"].reshape(HIDDEN_CHANNELS, -1), tb, out=h[: len(tb)])
+        hb += net.params["b1"][:, None]
+        np.maximum(hb, 0.0, out=hb)
+        # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped
+        # kernel, so tap k of dz2 pairs with w2's tap 8 - k.
+        gw2.append(np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1])
+        zb = np.matmul(net.params["w2"][:, ::-1, ::-1].reshape(HIDDEN_CHANNELS, -1), db, out=dz1[: len(db)])
+        zb *= hb > 0.0
+        gw1.append(np.matmul(zb, tb.transpose(0, 2, 1)))
+        gb1.append(zb.sum(axis=-1))
     return {
-        "w1": _sum_images(np.stack(gw1, axis=1)),
-        "b1": _sum_images(np.stack(gb1, axis=1)),
-        "w2": _sum_images(np.stack(gw2, axis=1)),
+        "w1": _sum_images(np.concatenate(gw1)).reshape(net.params["w1"].shape),
+        "b1": _sum_images(np.concatenate(gb1)),
+        "w2": _sum_images(np.concatenate(gw2)).reshape(net.params["w2"].shape),
         "b2": np.array(_sum_images(dz2.sum(axis=(-2, -1)))),
     }
 
@@ -243,17 +252,18 @@ class RunRecord:
 
 def evaluate(net: TinyNet, val_set, threshold: float = 0.5):
     """Macro-averaged threshold metrics plus pooled-pixel AUC inputs."""
-    # one image at a time: stacking 48 validation images of 128x128 would hold ~6 MB per live array
-    preds = [forward(net, s.image) for s in val_set]
-    per_image = {"jaccard": [], "dice": [], "recall": [], "specificity": [], "f1": []}
+    if not val_set:
+        raise ValueError("validation set must be non-empty")
+    images = [s.image for s in val_set]
+    chunks = _image_chunks([np.shape(im) for im in images], EVALUATE_CHUNK_PIXELS)
+    preds = [p for rows in chunks for p in forward(net, np.stack(images[rows]))]
+    scores = {"jaccard": metrics.jaccard_index, "dice": metrics.dice_index, "recall": metrics.recall,
+              "specificity": metrics.specificity, "f1": metrics.f_measure}
+    per_image = []
     for p, s in zip(preds, val_set):
         c = metrics.confusion(p, s.mask, threshold)
-        per_image["jaccard"].append(metrics.jaccard_index(c))
-        per_image["dice"].append(metrics.dice_index(c))
-        per_image["recall"].append(metrics.recall(c))
-        per_image["specificity"].append(metrics.specificity(c))
-        per_image["f1"].append(metrics.f_measure(c))
-    means = {k: float(np.mean(v)) for k, v in per_image.items()}
+        per_image.append([score(c) for score in scores.values()])
+    means = {k: float(np.mean(v)) for k, v in zip(scores, zip(*per_image))}
     return means, preds
 
 
@@ -294,17 +304,7 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
             means, preds = evaluate(net, val_set)
         if not all(np.isfinite(p).all() for p in preds):  # the epoch's last step diverged
             raise TrainingDiverged(epoch, b_idx, "validation output")
-        rows.append(
-            EpochRow(
-                epoch=epoch,
-                train_loss=float(np.mean(epoch_losses)),
-                val_jaccard=means["jaccard"],
-                val_dice=means["dice"],
-                val_recall=means["recall"],
-                val_specificity=means["specificity"],
-                val_f1=means["f1"],
-            )
-        )
+        rows.append(EpochRow(epoch, float(np.mean(epoch_losses)), **{f"val_{k}": v for k, v in means.items()}))
     masks = [s.mask for s in val_set]
     try:
         auc = metrics.roc_auc(preds, masks).auc

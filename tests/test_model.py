@@ -1,17 +1,22 @@
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import segbench.metrics as metrics
 import segbench.model as model
 from segbench.adaptive import AdaptiveLogParams
 from segbench.cli import EXIT_OK, main
 from segbench.losses import LossEval, make_loss
-from segbench.model import AdamState, EpochRow, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward, forward, train
-from segbench.synthdata import SynthSpec, generate, train_val_split
+from segbench.model import (AdamState, EpochRow, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward,
+                            evaluate, forward, train)
+from segbench.synthdata import Sample, SynthSpec, generate, train_val_split
 
 
 def zero_net():
@@ -78,18 +83,22 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, np.zeros((8, 8)), np.zeros((4, 4)))
 
-    def test_batch_equals_per_image_sum(self):
+    # the training batch; a batch that is not a multiple of backward's chunk; one image larger
+    # than the chunk budget; non-square images
+    @pytest.mark.parametrize("shape", [(16, 48, 48), (5, 48, 48), (1, 100, 100), (3, 7, 11)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_batch_equals_per_image_sum(self, shape):
         # one (B, H, W) call gives each image's forward and the image-order sum of
         # its per-image gradients, bit for bit
         net = TinyNet.init(seed=7)
         rng = np.random.default_rng(5)
-        imgs = rng.uniform(size=(16, 48, 48))
-        ups = rng.normal(size=(16, 48, 48))
+        imgs = rng.uniform(size=shape)
+        ups = rng.normal(size=shape)
         p = forward(net, imgs)
-        for b in range(16):
+        for b in range(shape[0]):
             np.testing.assert_array_equal(p[b], forward(net, imgs[b]))
         total = {k: np.zeros_like(v) for k, v in net.params.items()}
-        for b in range(16):
+        for b in range(shape[0]):
             for k, g in backward(net, imgs[b], ups[b]).items():
                 total[k] = total[k] + g
         batched = backward(net, imgs, ups, p=p)
@@ -140,27 +149,97 @@ class TestBackward:
 
     @pytest.mark.parametrize("loss_name", ["dice", "jaccard", "focal"])
     def test_full_network_gradient_vs_finite_differences(self, loss_name):
-        net = TinyNet.init(seed=6)
-        rng = np.random.default_rng(4)
-        img = rng.uniform(size=(8, 8))
-        g = (rng.uniform(size=(8, 8)) < 0.4).astype(np.int64)
-        loss_fn = make_loss(loss_name)
-        p = forward(net, img)
-        analytic = backward(net, img, loss_fn(p, g).grad, p=p)
-        step = 1e-5
-        for _ in range(20):
-            key = ("w1", "b1", "w2", "b2")[int(rng.integers(4))]
-            arr = net.params[key]
-            idx = tuple(int(rng.integers(s)) for s in arr.shape)
-            orig = arr[idx] if arr.shape else float(arr)
-            arr[idx if arr.shape else ...] = orig + step
-            f_hi = loss_fn(forward(net, img), g).value
-            arr[idx if arr.shape else ...] = orig - step
-            f_lo = loss_fn(forward(net, img), g).value
-            arr[idx if arr.shape else ...] = orig
-            fd = (f_hi - f_lo) / (2 * step)
-            a = analytic[key][idx] if arr.shape else float(analytic[key])
-            assert abs(a - fd) / max(abs(a), abs(fd), 1e-3) < 1e-4
+        # the non-square image catches a swapped H/W or a wrong tap flip
+        for shape in ((8, 8), (7, 11)):
+            net = TinyNet.init(seed=6)
+            rng = np.random.default_rng(4)
+            img = rng.uniform(size=shape)
+            g = (rng.uniform(size=shape) < 0.4).astype(np.int64)
+            loss_fn = make_loss(loss_name)
+            p = forward(net, img)
+            analytic = backward(net, img, loss_fn(p, g).grad, p=p)
+            step = 1e-5
+            for _ in range(20):
+                key = ("w1", "b1", "w2", "b2")[int(rng.integers(4))]
+                arr = net.params[key]
+                idx = tuple(int(rng.integers(s)) for s in arr.shape)
+                orig = arr[idx] if arr.shape else float(arr)
+                arr[idx if arr.shape else ...] = orig + step
+                f_hi = loss_fn(forward(net, img), g).value
+                arr[idx if arr.shape else ...] = orig - step
+                f_lo = loss_fn(forward(net, img), g).value
+                arr[idx if arr.shape else ...] = orig
+                fd = (f_hi - f_lo) / (2 * step)
+                a = analytic[key][idx] if arr.shape else float(analytic[key])
+                assert abs(a - fd) / max(abs(a), abs(fd), 1e-3) < 1e-4
+
+    def test_gradients_do_not_depend_on_blas_threads(self):
+        # OpenBLAS may split a matrix product over threads; the gradient bytes must not change
+        script = (
+            "import hashlib, numpy as np\n"
+            "from segbench.model import TinyNet, backward\n"
+            "rng = np.random.default_rng(11)\n"
+            "for shape in ((16, 48, 48), (1, 100, 100), (3, 7, 11)):\n"
+            "    g = backward(TinyNet.init(seed=12), rng.uniform(size=shape), rng.normal(size=shape))\n"
+            "    print(shape, *(k + ':' + hashlib.sha1(v.tobytes()).hexdigest() for k, v in sorted(g.items())))\n"
+        )
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert len(outs[0].splitlines()) == 3
+        assert outs[0] == outs[1]
+
+
+def _per_image_evaluate(net, val_set, threshold=0.5):
+    """evaluate's results from one forward call per image: the reference for its chunking."""
+    preds = [forward(net, s.image) for s in val_set]
+    per_image = {"jaccard": [], "dice": [], "recall": [], "specificity": [], "f1": []}
+    for p, s in zip(preds, val_set):
+        c = metrics.confusion(p, s.mask, threshold)
+        per_image["jaccard"].append(metrics.jaccard_index(c))
+        per_image["dice"].append(metrics.dice_index(c))
+        per_image["recall"].append(metrics.recall(c))
+        per_image["specificity"].append(metrics.specificity(c))
+        per_image["f1"].append(metrics.f_measure(c))
+    return {k: float(np.mean(v)) for k, v in per_image.items()}, preds
+
+
+def _random_samples(rng, shapes):
+    return [Sample(rng.uniform(size=s), (rng.uniform(size=s) < 0.3).astype(np.int64)) for s in shapes]
+
+
+class TestEvaluate:
+    def _same_as_per_image(self, net, val_set):
+        means, preds = evaluate(net, val_set)
+        want_means, want_preds = _per_image_evaluate(net, val_set)
+        assert means == want_means
+        assert len(preds) == len(want_preds)
+        for got, want in zip(preds, want_preds):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("side", [48, 200])
+    def test_equals_per_image_forward(self, side):
+        # at 48x48 a chunk holds several images and the last one is partial; at 200x200 one
+        # image exceeds the chunk budget, so each chunk holds a single image
+        per_chunk = model.EVALUATE_CHUNK_PIXELS // (side * side)
+        n = 2 * per_chunk + 3 if per_chunk > 1 else 3
+        assert (per_chunk > 1) == (side == 48)
+        self._same_as_per_image(TinyNet.init(seed=13), _random_samples(np.random.default_rng(8), [(side, side)] * n))
+
+    def test_mixed_image_shapes(self):
+        # load_dataset reads PGMs of any size, so one validation set can mix shapes
+        shapes = [(16, 16), (16, 16), (12, 20), (16, 16), (20, 12), (20, 12), (16, 16)]
+        self._same_as_per_image(TinyNet.init(seed=14), _random_samples(np.random.default_rng(9), shapes))
+
+    def test_empty_validation_set_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate(TinyNet.init(seed=15), [])
 
 
 class TestAdam:
@@ -214,13 +293,14 @@ class TestTrain:
     def test_golden_epoch_rows(self):
         # frozen from the per-image training loop; guards the batched loop's bit-stability
         # (12 training images in batches of 5, so the last batch holds 2)
+        # pinned to the host CPU type: OpenBLAS (DYNAMIC_ARCH) picks backward's GEMM kernel per CPU
         train_set, val_set = tiny_dataset(seed=2)
         cfg = TrainConfig(lr=0.1, batch_size=5, max_epochs=2, loss="dice", seed=5)
         rec = train(cfg, train_set, val_set)
         assert rec.epochs == [
             EpochRow(0, 0.5572122181715223, 0.2869561887254902, 0.44551993570369985, 1.0,
                      0.004072187691835482, 0.44551993570369985),
-            EpochRow(1, 0.47037081988400425, 0.7630353169447519, 0.8651058670075416, 0.9831045462213226,
+            EpochRow(1, 0.47037081988400437, 0.7630353169447519, 0.8651058670075416, 0.9831045462213226,
                      0.8834444039218932, 0.8651058670075416),
         ]
         assert rec.final_auc == 0.9914605734348665
