@@ -9,10 +9,7 @@ from .adaptive import (
     wrap_loss_fn,
 )
 from .losses import (
-    ComboParams,
-    FocalParams,
     LossEval,
-    TverskyParams,
     bce_loss,
     combo_loss,
     finite_difference_grad,

@@ -34,7 +34,7 @@ from .adaptive import (
     derivative_jump,
     wrap_loss_fn,
 )
-from .losses import LOSS_NAMES, LOSSES, finite_difference_grad, make_loss
+from .losses import LOSS_NAMES, LOSSES, finite_difference_grad, loss_options, make_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,7 +141,7 @@ DATASET_DEFAULTS = {
 }
 
 WRAP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(AdaptiveLogParams)}
-LOSS_OPTION_DEFAULTS = {k: v for spec in LOSSES.values() for k, v in spec.options.items()}
+LOSS_OPTION_DEFAULTS = {k: v for name in LOSSES for k, v in loss_options(name).items()}
 LOSS_DEFAULTS = {"loss": "dice", "all_wrap": False, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS}
 
 TRAIN_DEFAULTS = {"lr": 1e-4, "batch_size": 16, "epochs": 30, "split_ratio": 0.8}
@@ -179,7 +179,7 @@ def _adaptive_params(o: dict) -> AdaptiveLogParams:
 
 
 def _train_config(o: dict, loss: str, wrapped: bool, seed: int) -> model.TrainConfig:
-    options = LOSSES[loss].options if loss in LOSSES else ()  # TrainConfig rejects an unknown loss
+    options = loss_options(loss) if loss in LOSSES else ()  # TrainConfig rejects an unknown loss
     try:
         synthdata.split_size(o["n_images"], o["split_ratio"])  # an empty half fails before data is made
         return model.TrainConfig(

@@ -12,12 +12,16 @@ bit.  Averaging over a batch of images is the caller's job.
 Set cardinalities are soft-relaxed (|G ∩ P| -> sum g_i * p_i) so gradients
 exist, and overlap losses take a smoothing constant to avoid 0/0 on empty
 masks.
+
+A loss's options are its parameters after ``(p, g)``, named like the CLI
+flags (``smooth``, ``tversky_alpha``, ``focal_gamma``, ...), and each kernel
+checks its own.  :data:`LOSSES` maps a selector to its kernel's name, so a
+selector's options and their defaults are read from that signature.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,41 +48,6 @@ class LossEval:
     grad: np.ndarray
 
 
-@dataclass(frozen=True)
-class TverskyParams:
-    """Asymmetric error weights: alpha on false negatives, beta on false positives."""
-
-    alpha: float = 0.7
-    beta: float = 0.3
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
-            raise ValueError(f"invalid Tversky weights alpha={self.alpha}, beta={self.beta}")
-
-
-@dataclass(frozen=True)
-class FocalParams:
-    alpha_balance: float = 1.0
-    gamma_focus: float = 2.0
-
-    def __post_init__(self):
-        if not (0 < self.alpha_balance <= 1):
-            raise ValueError(f"alpha_balance must be in (0, 1], got {self.alpha_balance}")
-        if self.gamma_focus < 0:
-            raise ValueError(f"gamma_focus must be >= 0, got {self.gamma_focus}")
-
-
-@dataclass(frozen=True)
-class ComboParams:
-    """mix weights the cross-entropy term; (1 - mix) weights the Dice term."""
-
-    mix: float = 0.5
-
-    def __post_init__(self):
-        if not (0 <= self.mix <= 1):
-            raise ValueError(f"mix must be in [0, 1], got {self.mix}")
-
-
 def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Validate once per call; return ``p`` as ``(*copies, g.size)`` rows, ``g`` flat, ``p.shape``."""
     p = np.asarray(p, dtype=np.float64)
@@ -88,7 +57,7 @@ def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, t
         raise ValueError(f"shape mismatch: prediction {p.shape} vs mask {g.shape}")
     if p.size == 0:
         raise ValueError("empty input")
-    if np.min(p) < 0 or np.max(p) > 1:
+    if not (np.min(p) >= 0 and np.max(p) <= 1):  # written so that a NaN fails it
         raise ValueError("predicted probabilities must lie in [0, 1]")
     if not np.all((g == 0) | (g == 1)):
         raise ValueError("mask values must be exactly 0 or 1")
@@ -141,23 +110,31 @@ def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     return _quotient_loss(inter + smooth, denom, g, 1.0 - g, shape)
 
 
-def tversky_loss(p, g, tp: TverskyParams = TverskyParams(), smooth: float = DEFAULT_SMOOTH) -> LossEval:
+def tversky_loss(
+    p, g, smooth: float = DEFAULT_SMOOTH, tversky_alpha: float = 0.7, tversky_beta: float = 0.3
+) -> LossEval:
     """1 - (TP + s) / (TP + alpha*FN + beta*FP + s) with soft TP/FN/FP."""
+    if tversky_alpha < 0 or tversky_beta < 0 or tversky_alpha + tversky_beta == 0:
+        raise ValueError(f"invalid Tversky weights tversky_alpha={tversky_alpha}, tversky_beta={tversky_beta}")
     p, g, shape = _check_overlap(p, g, smooth)
     inter = _row_sum(g * p)
     fn = _row_sum(g * (1.0 - p))
     fp = _row_sum((1.0 - g) * p)
-    denom = inter + tp.alpha * fn + tp.beta * fp + smooth
-    return _quotient_loss(inter + smooth, denom, g, g - tp.alpha * g + tp.beta * (1.0 - g), shape)
+    denom = inter + tversky_alpha * fn + tversky_beta * fp + smooth
+    return _quotient_loss(inter + smooth, denom, g, g - tversky_alpha * g + tversky_beta * (1.0 - g), shape)
 
 
-def focal_loss(p, g, fp: FocalParams = FocalParams()) -> LossEval:
-    """Mean of -alpha * (1 - p_t)^gamma_focus * ln(p_t), p_t = p where g=1 else 1-p."""
+def focal_loss(p, g, focal_alpha: float = 1.0, focal_gamma: float = 2.0) -> LossEval:
+    """Mean of -alpha * (1 - p_t)^gamma * ln(p_t), p_t = p where g=1 else 1-p."""
+    if not (0 < focal_alpha <= 1):
+        raise ValueError(f"focal_alpha must be in (0, 1], got {focal_alpha}")
+    if focal_gamma < 0:
+        raise ValueError(f"focal_gamma must be >= 0, got {focal_gamma}")
     p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     clamped = pc != p
     pt = np.where(g == 1, pc, 1.0 - pc)
-    a, gf = fp.alpha_balance, fp.gamma_focus
+    a, gf = focal_alpha, focal_gamma
     one_minus = 1.0 - pt
     value = np.mean(-a * one_minus**gf * np.log(pt), axis=-1, keepdims=True)
     # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0. At gf = 0 the
@@ -179,22 +156,25 @@ def bce_loss(p, g) -> LossEval:
     return _eval(value, grad, shape)
 
 
-def combo_loss(p, g, cp: ComboParams = ComboParams(), smooth: float = DEFAULT_SMOOTH) -> LossEval:
+def combo_loss(p, g, smooth: float = DEFAULT_SMOOTH, mix: float = 0.5) -> LossEval:
     """mix * mean-BCE + (1 - mix) * soft Dice loss."""
+    if not (0 <= mix <= 1):
+        raise ValueError(f"mix must be in [0, 1], got {mix}")
     bce = bce_loss(p, g)
     dice = soft_dice_loss(p, g, smooth)
-    value = cp.mix * bce.value + (1.0 - cp.mix) * dice.value
-    grad = cp.mix * bce.grad + (1.0 - cp.mix) * dice.grad
+    value = mix * bce.value + (1.0 - mix) * dice.value
+    grad = mix * bce.grad + (1.0 - mix) * dice.grad
     return LossEval(value, grad)
 
 
 def focal_tversky_loss(
-    p, g, tp: TverskyParams = TverskyParams(), ft_gamma: float = 4.0 / 3.0, smooth: float = DEFAULT_SMOOTH
+    p, g, smooth: float = DEFAULT_SMOOTH, tversky_alpha: float = 0.7, tversky_beta: float = 0.3,
+    ft_gamma: float = 4.0 / 3.0,
 ) -> LossEval:
     """(1 - Tversky index)^(1/ft_gamma), gradient via chain rule."""
     if ft_gamma <= 0:
         raise ValueError(f"ft_gamma must be > 0, got {ft_gamma}")
-    base = tversky_loss(p, g, tp, smooth)
+    base = tversky_loss(p, g, smooth, tversky_alpha, tversky_beta)
     v = np.asarray(base.value)
     expo = 1.0 / ft_gamma
     # at its exact minimum a copy's one-sided slope is unbounded (expo < 1): take the subgradient 0
@@ -236,53 +216,25 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     return out.reshape(p.shape)
 
 
-# Builders take every option their selector reads and return loss_fn(p, g), which looks
-# its kernel up by module-level name at call time, so rebinding a kernel takes effect.
-
-
-def _tversky(smooth, tversky_alpha, tversky_beta):
-    tp = TverskyParams(tversky_alpha, tversky_beta)
-    return lambda p, g: tversky_loss(p, g, tp, smooth)
-
-
-def _focal(focal_alpha, focal_gamma):
-    fp = FocalParams(focal_alpha, focal_gamma)
-    return lambda p, g: focal_loss(p, g, fp)
-
-
-def _combo(smooth, mix):
-    cp = ComboParams(mix)
-    return lambda p, g: combo_loss(p, g, cp, smooth)
-
-
-def _focal_tversky(smooth, tversky_alpha, tversky_beta, ft_gamma):
-    tp = TverskyParams(tversky_alpha, tversky_beta)
-    if ft_gamma <= 0:
-        raise ValueError(f"ft_gamma must be > 0, got {ft_gamma}")
-    return lambda p, g: focal_tversky_loss(p, g, tp, ft_gamma, smooth)
-
-
-# options: the option names a selector reads -> default; build(**options) -> loss_fn
-LossSpec = namedtuple("LossSpec", ["options", "build"])
-
-_SMOOTH = {"smooth": DEFAULT_SMOOTH}
-_TVERSKY = {**_SMOOTH, "tversky_alpha": TverskyParams.alpha, "tversky_beta": TverskyParams.beta}
-_FOCAL = {"focal_alpha": FocalParams.alpha_balance, "focal_gamma": FocalParams.gamma_focus}
-_FT_GAMMA = inspect.signature(focal_tversky_loss).parameters["ft_gamma"].default
-
-# The loss set.  Option names double as CLI flags, config keys and
-# TrainConfig.loss_params keys.
+# The loss set: selector -> kernel name.  Option names double as CLI flags, config keys
+# and TrainConfig.loss_params keys.
 LOSSES = {
-    "jaccard": LossSpec(_SMOOTH, lambda smooth: lambda p, g: soft_jaccard_loss(p, g, smooth)),
-    "dice": LossSpec(_SMOOTH, lambda smooth: lambda p, g: soft_dice_loss(p, g, smooth)),
-    "tversky": LossSpec(_TVERSKY, _tversky),
-    "focal": LossSpec(_FOCAL, _focal),
-    "combo": LossSpec({**_SMOOTH, "mix": ComboParams.mix}, _combo),
-    "focal-tversky": LossSpec({**_TVERSKY, "ft_gamma": _FT_GAMMA}, _focal_tversky),
-    "bce": LossSpec({}, lambda: lambda p, g: bce_loss(p, g)),
+    "jaccard": "soft_jaccard_loss",
+    "dice": "soft_dice_loss",
+    "tversky": "tversky_loss",
+    "focal": "focal_loss",
+    "combo": "combo_loss",
+    "focal-tversky": "focal_tversky_loss",
+    "bce": "bce_loss",
 }
 
 LOSS_NAMES = tuple(LOSSES)
+
+
+def loss_options(name: str) -> dict:
+    """The options selector ``name`` reads, mapped to their defaults, in its kernel's order."""
+    params = list(inspect.signature(globals()[LOSSES[name]]).parameters.values())
+    return {q.name: q.default for q in params[2:]}
 
 
 def make_loss(name: str, **options):
@@ -290,15 +242,15 @@ def make_loss(name: str, **options):
 
     Keyword arguments override the selector's option defaults.  An unknown
     selector, an option the selector does not read, or an invalid option
-    value raises ValueError here, not at the first call.
+    value raises ValueError here, not at the first call.  ``loss_fn`` looks
+    its kernel up by module-level name at call time, so rebinding a kernel
+    takes effect.
     """
     if name not in LOSSES:
         raise ValueError(f"unknown loss selector {name!r} (known: {', '.join(LOSSES)})")
-    spec = LOSSES[name]
-    extra = sorted(set(options) - set(spec.options))
+    extra = sorted(set(options) - set(loss_options(name)))
     if extra:
         raise ValueError(f"unexpected parameters for loss {name!r}: {extra}")
-    options = {**spec.options, **options}
-    if options.get("smooth", 0.0) < 0:
-        raise ValueError(f"smooth must be >= 0, got {options['smooth']}")
-    return spec.build(**options)
+    kernel = LOSSES[name]
+    globals()[kernel](np.full(1, 0.5), np.ones(1), **options)  # a one-pixel call runs the option checks
+    return lambda p, g: globals()[kernel](p, g, **options)

@@ -245,13 +245,12 @@ class EpochRow:
 class RunRecord:
     epochs: list[EpochRow]
     final_auc: float
-    net: TinyNet | None = None
     val_preds: list[np.ndarray] = field(default_factory=list)  # from the final epoch
     val_masks: list[np.ndarray] = field(default_factory=list)
 
 
-def evaluate(net: TinyNet, val_set, threshold: float = 0.5):
-    """Macro-averaged threshold metrics plus pooled-pixel AUC inputs."""
+def evaluate(net: TinyNet, val_set):
+    """Macro-averaged metrics at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC inputs."""
     if not val_set:
         raise ValueError("validation set must be non-empty")
     images = [s.image for s in val_set]
@@ -261,7 +260,7 @@ def evaluate(net: TinyNet, val_set, threshold: float = 0.5):
               "specificity": metrics.specificity, "f1": metrics.f_measure}
     per_image = []
     for p, s in zip(preds, val_set):
-        c = metrics.confusion(p, s.mask, threshold)
+        c = metrics.confusion(p, s.mask)
         per_image.append([score(c) for score in scores.values()])
     means = {k: float(np.mean(v)) for k, v in zip(scores, zip(*per_image))}
     return means, preds
@@ -310,4 +309,4 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
         auc = metrics.roc_auc(preds, masks).auc
     except metrics.UndefinedAUC:
         auc = float("nan")
-    return RunRecord(epochs=rows, final_auc=auc, net=net, val_preds=preds, val_masks=masks)
+    return RunRecord(epochs=rows, final_auc=auc, val_preds=preds, val_masks=masks)

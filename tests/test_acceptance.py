@@ -19,9 +19,6 @@ from segbench.adaptive import (
 )
 from segbench.cli import main, run_gradcheck, run_grid
 from segbench.losses import (
-    ComboParams,
-    FocalParams,
-    TverskyParams,
     bce_loss,
     combo_loss,
     focal_loss,
@@ -102,11 +99,12 @@ def test_criterion_4_reduction_identities():
         p, g = random_pg(rng)
         worst = max(
             worst,
-            abs(tversky_loss(p, g, TverskyParams(0.5, 0.5), 0).value - soft_dice_loss(p, g, 0).value),
+            abs(tversky_loss(p, g, smooth=0, tversky_alpha=0.5, tversky_beta=0.5).value
+                - soft_dice_loss(p, g, smooth=0).value),
             abs(focal_tversky_loss(p, g, ft_gamma=1.0, smooth=0).value - tversky_loss(p, g, smooth=0).value),
-            abs(focal_loss(p, g, FocalParams(1.0, 0.0)).value - bce_loss(p, g).value),
-            abs(combo_loss(p, g, ComboParams(0.0), 0).value - soft_dice_loss(p, g, 0).value),
-            abs(combo_loss(p, g, ComboParams(1.0), 0).value - bce_loss(p, g).value),
+            abs(focal_loss(p, g, focal_alpha=1.0, focal_gamma=0.0).value - bce_loss(p, g).value),
+            abs(combo_loss(p, g, smooth=0, mix=0.0).value - soft_dice_loss(p, g, smooth=0).value),
+            abs(combo_loss(p, g, smooth=0, mix=1.0).value - bce_loss(p, g).value),
         )
     report(4, worst < 1e-12, f"max identity deviation {worst:.2e} over 100 random inputs")
 

@@ -336,6 +336,13 @@ class TestGradcheckCommand:
 
 
 class TestFlagsAndConfig:
+    def test_loss_option_defaults_pinned(self):
+        # read from the kernels' signatures: their order is the --help order, their type the flag's type
+        pinned = [("smooth", 1e-6), ("tversky_alpha", 0.7), ("tversky_beta", 0.3), ("focal_alpha", 1.0),
+                  ("focal_gamma", 2.0), ("mix", 0.5), ("ft_gamma", 4.0 / 3.0)]
+        assert list(cli.LOSS_OPTION_DEFAULTS.items()) == pinned
+        assert all(type(v) is float for v in cli.LOSS_OPTION_DEFAULTS.values())
+
     def test_unknown_flag_usage_error(self):
         assert main(["curve", "--bogus", "1"]) == EXIT_USAGE
 

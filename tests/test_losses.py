@@ -5,19 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
+from segbench import losses
 from segbench.adaptive import wrap_loss_fn
 from segbench.losses import (
     FD_BLOCK,
     LOSS_NAMES,
-    ComboParams,
+    LOSSES,
     DegenerateDenominator,
-    FocalParams,
-    TverskyParams,
     bce_loss,
     combo_loss,
     finite_difference_grad,
     focal_loss,
     focal_tversky_loss,
+    loss_options,
     make_loss,
     soft_dice_loss,
     soft_jaccard_loss,
@@ -58,7 +58,7 @@ class TestSoftDice:
 
     def test_grad_matches_finite_differences(self):
         ev = soft_dice_loss(P4, G4, smooth=0)
-        fd = finite_difference_grad(lambda p, g: soft_dice_loss(p, g, 0), P4, G4, step=1e-6)
+        fd = finite_difference_grad(lambda p, g: soft_dice_loss(p, g, smooth=0), P4, G4, step=1e-6)
         assert rel_err(ev.grad, fd) < 1e-6
 
     def test_dimension_mismatch(self):
@@ -102,10 +102,10 @@ class TestTversky:
         # exact algebraic identity at smooth=0 (the smoothing constant enters
         # the two formulas differently)
         rng = np.random.default_rng(2)
-        tp = TverskyParams(0.5, 0.5)
+        tp = {"tversky_alpha": 0.5, "tversky_beta": 0.5}
         for _ in range(100):
             p, g = random_pair(rng)
-            assert abs(tversky_loss(p, g, tp, smooth=0).value - soft_dice_loss(p, g, smooth=0).value) < 1e-12
+            assert abs(tversky_loss(p, g, smooth=0, **tp).value - soft_dice_loss(p, g, smooth=0).value) < 1e-12
 
     def test_identity_is_zero(self):
         g = np.array([1, 0, 0, 1])
@@ -113,42 +113,42 @@ class TestTversky:
 
     def test_four_pixel_value(self):
         # inter=1.4, fn=0.6, fp=0.6 -> 1 - 1.4/(1.4 + 0.7*0.6 + 0.3*0.6)
-        ev = tversky_loss(P4, G4, TverskyParams(0.7, 0.3), smooth=0)
+        ev = tversky_loss(P4, G4, tversky_alpha=0.7, tversky_beta=0.3, smooth=0)
         assert ev.value == pytest.approx(1.0 - 1.4 / 2.0, abs=1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            TverskyParams(-0.1, 0.5)
+            tversky_loss(P4, G4, tversky_alpha=-0.1, tversky_beta=0.5)
         with pytest.raises(ValueError):
-            TverskyParams(0.0, 0.0)
+            tversky_loss(P4, G4, tversky_alpha=0.0, tversky_beta=0.0)
 
 
 class TestFocal:
     def test_identity_near_zero(self):
         g = np.array([1, 0, 1])
-        ev = focal_loss(g.astype(float), g, FocalParams(1.0, 2.0))
+        ev = focal_loss(g.astype(float), g, focal_alpha=1.0, focal_gamma=2.0)
         assert abs(ev.value) < 1e-12  # bounded by the clip term
 
     def test_gamma_zero_is_bce(self):
         rng = np.random.default_rng(3)
-        fp = FocalParams(1.0, 0.0)
+        fp = {"focal_alpha": 1.0, "focal_gamma": 0.0}
         for _ in range(100):
             p, g = random_pair(rng)
-            assert abs(focal_loss(p, g, fp).value - bce_loss(p, g).value) < 1e-12
+            assert abs(focal_loss(p, g, **fp).value - bce_loss(p, g).value) < 1e-12
 
     def test_two_pixel_value(self):
         # both pixels have p_t = 0.9: mean of -(0.1)^2 * ln(0.9)
         expected = -0.01 * math.log(0.9)
-        ev = focal_loss(np.array([0.9, 0.1]), np.array([1, 0]), FocalParams(1.0, 2.0))
+        ev = focal_loss(np.array([0.9, 0.1]), np.array([1, 0]), focal_alpha=1.0, focal_gamma=2.0)
         assert ev.value == pytest.approx(expected, rel=1e-12)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        fp = FocalParams(1.0, 2.0)
+        fp = {"focal_alpha": 1.0, "focal_gamma": 2.0}
         for _ in range(20):
             p, g = random_pair(rng)
-            ev = focal_loss(p, g, fp)
-            fd = finite_difference_grad(lambda pp, gg: focal_loss(pp, gg, fp), p, g, step=1e-6)
+            ev = focal_loss(p, g, **fp)
+            fd = finite_difference_grad(lambda pp, gg: focal_loss(pp, gg, **fp), p, g, step=1e-6)
             assert rel_err(ev.grad, fd) < 1e-6
 
 
@@ -157,16 +157,16 @@ class TestCombo:
         rng = np.random.default_rng(5)
         for _ in range(50):
             p, g = random_pair(rng)
-            assert abs(combo_loss(p, g, ComboParams(0.0)).value - soft_dice_loss(p, g).value) < 1e-12
-            assert abs(combo_loss(p, g, ComboParams(1.0)).value - bce_loss(p, g).value) < 1e-12
+            assert abs(combo_loss(p, g, mix=0.0).value - soft_dice_loss(p, g).value) < 1e-12
+            assert abs(combo_loss(p, g, mix=1.0).value - bce_loss(p, g).value) < 1e-12
 
     def test_four_pixel_value(self):
         dice = soft_dice_loss(P4, G4).value
         bce = bce_loss(P4, G4).value
-        assert combo_loss(P4, G4, ComboParams(0.5)).value == pytest.approx(0.5 * (dice + bce), abs=1e-12)
+        assert combo_loss(P4, G4, mix=0.5).value == pytest.approx(0.5 * (dice + bce), abs=1e-12)
 
     def test_grad_is_convex_combination(self):
-        ev = combo_loss(P4, G4, ComboParams(0.25))
+        ev = combo_loss(P4, G4, mix=0.25)
         expect = 0.25 * bce_loss(P4, G4).grad + 0.75 * soft_dice_loss(P4, G4).grad
         np.testing.assert_allclose(ev.grad, expect, rtol=1e-12)
 
@@ -185,8 +185,9 @@ class TestFocalTversky:
         assert focal_tversky_loss(g.astype(float), g, smooth=0).value == 0.0
 
     def test_four_pixel_value(self):
-        base = tversky_loss(P4, G4, TverskyParams(0.7, 0.3), smooth=0).value
-        ev = focal_tversky_loss(P4, G4, TverskyParams(0.7, 0.3), ft_gamma=4.0 / 3.0, smooth=0)
+        tp = {"tversky_alpha": 0.7, "tversky_beta": 0.3}
+        base = tversky_loss(P4, G4, smooth=0, **tp).value
+        ev = focal_tversky_loss(P4, G4, ft_gamma=4.0 / 3.0, smooth=0, **tp)
         assert ev.value == pytest.approx(base ** 0.75, rel=1e-12)
 
     def test_grad_matches_finite_differences(self):
@@ -303,6 +304,22 @@ class TestFiniteDifference:
                 finite_difference_grad(soft_dice_loss, P4, G4, step=step)
 
 
+# (selector, bad options): one case per range rule, and negative smooth on every selector that reads it
+BAD_OPTIONS = [
+    ("tversky", {"tversky_alpha": 0.0, "tversky_beta": 0.0}),
+    ("focal-tversky", {"tversky_alpha": 0.0, "tversky_beta": 0.0}),
+    ("tversky", {"tversky_beta": -0.1}),
+    ("focal-tversky", {"tversky_beta": -0.1}),
+    ("focal", {"focal_gamma": -0.5}),
+    ("focal", {"focal_alpha": 0.0}),
+    ("focal", {"focal_alpha": 1.5}),
+    ("combo", {"mix": -0.1}),
+    ("combo", {"mix": 1.5}),
+    ("focal-tversky", {"ft_gamma": 0.0}),
+    ("focal-tversky", {"ft_gamma": -1.0}),
+] + [(name, {"smooth": -1.0}) for name in ("jaccard", "dice", "tversky", "combo", "focal-tversky")]
+
+
 class TestMakeLoss:
     def test_known_selectors(self):
         for name in ("jaccard", "dice", "tversky", "focal", "combo", "focal-tversky", "bce"):
@@ -332,20 +349,29 @@ class TestMakeLoss:
         with pytest.raises(ValueError, match="smooth"):
             make_loss("tversky", smooth=-1.0)
 
-    @pytest.mark.parametrize("name, options", [
-        ("dice", {"smooth": -1.0}),
-        ("tversky", {"tversky_alpha": -1.0}),
-        ("focal", {"focal_alpha": 2.0}),
-        ("combo", {"mix": 1.5}),
-        ("focal-tversky", {"ft_gamma": 0.0}),
-    ])
+    @pytest.mark.parametrize("name, options", BAD_OPTIONS)
     def test_bad_option_rejected_at_build(self, name, options):
-        with pytest.raises(ValueError):
+        # the rule lives in the kernel: make_loss raises its message before any call
+        with pytest.raises(ValueError) as built:
             make_loss(name, **options)
+        with pytest.raises(ValueError) as direct:
+            getattr(losses, LOSSES[name])(P4, G4, **options)
+        assert str(built.value) == str(direct.value)
+        assert any(option in str(built.value) for option in options)
+
+    def test_bad_option_table_covers_smooth_everywhere(self):
+        reads_smooth = {name for name in LOSS_NAMES if "smooth" in loss_options(name)}
+        assert reads_smooth == {"jaccard", "dice", "tversky", "combo", "focal-tversky"}
+        assert {name for name, options in BAD_OPTIONS if "smooth" in options} == reads_smooth
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_nan_prediction_rejected(self, name):
+        with pytest.raises(ValueError, match="predicted probabilities"):
+            make_loss(name)(np.array([np.nan, 0.5]), np.array([1, 0]))
 
     def test_options_reach_the_kernel(self):
         ev = make_loss("focal-tversky", tversky_alpha=0.4, tversky_beta=0.6, ft_gamma=2.0, smooth=0.0)(P4, G4)
-        ref = focal_tversky_loss(P4, G4, TverskyParams(0.4, 0.6), ft_gamma=2.0, smooth=0.0)
+        ref = focal_tversky_loss(P4, G4, tversky_alpha=0.4, tversky_beta=0.6, ft_gamma=2.0, smooth=0.0)
         assert ev.value == ref.value
         np.testing.assert_array_equal(ev.grad, ref.grad)
 
