@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -69,8 +70,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_config_file(path) -> dict:
-    out = {}
+def _finite_float(raw: str) -> float:
+    """The type of every float flag and of each ``--gammas``-style list item: nan and +-inf exit 1."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _csv_floats(o: dict, key: str) -> list[float]:
+    try:
+        return [_finite_float(tok) for tok in o[key].split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad numeric list {o[key]!r} for --{key}: {exc}") from exc
+
+
+def _config_flags(path, ns: argparse.Namespace) -> list[str]:
+    """The ``key=value`` lines of a config file as flags of the command ``ns`` was parsed for."""
+    flags = []
     try:
         with open(path) as f:
             for lineno, raw in enumerate(f, 1):
@@ -79,49 +99,24 @@ def _parse_config_file(path) -> dict:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                k, v = line.split("=", 1)
-                out[k.strip().replace("-", "_")] = v.strip()
+                key, value = line.split("=", 1)
+                key, value = key.strip().replace("-", "_"), value.strip()
+                if key in _NOT_OPTIONS or key not in vars(ns):
+                    raise UsageError(f"unknown config key {key!r}")
+                flag = "--" + key.replace("_", "-")
+                if not isinstance(getattr(ns, key), bool):
+                    flags.append(f"{flag}={value}")  # one token: a value starting with "-" stays a value
+                elif value.lower() in ("1", "true", "yes", "on"):
+                    flags.append(flag)
+                elif value.lower() not in ("0", "false", "no", "off"):
+                    raise UsageError(f"config key {key!r}: expected boolean, got {value!r}")
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
-    return out
-
-
-def _merge_opts(ns: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    explicit = vars(ns)
-    merged = dict(defaults)
-    cfg_path = explicit.pop("config", None)
-    if cfg_path:
-        cfg = _parse_config_file(cfg_path)
-        for k, raw in cfg.items():
-            if k not in defaults:
-                raise UsageError(f"unknown config key {k!r}")
-            merged[k] = _coerce(raw, defaults[k], k)
-    merged.update(explicit)
-    return merged
-
-
-def _coerce(raw: str, default, key: str):
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {key!r}: expected boolean, got {raw!r}")
-    try:
-        return type(default)(raw)
-    except ValueError as exc:
-        raise UsageError(f"config key {key!r}: expected {type(default).__name__}, got {raw!r}") from exc
-
-
-def _csv_floats(raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {raw!r}") from exc
+    return flags
 
 
 RUN_DEFAULTS = {"seed": 0, "out": ""}
+_NOT_OPTIONS = ("command", "config", "handler")  # what a parsed namespace holds besides the options
 CURVE_MAX_POINTS = 1_000_000
 
 RUN_COLS = ("recall", "specificity", "jaccard", "dice", "f1", "auc", "epochs_run")
@@ -151,9 +146,9 @@ def _add_opts(sp, defaults: dict):
     for key, dv in defaults.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(dv, bool):
-            sp.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
+            sp.add_argument(flag, action="store_true")
         else:
-            sp.add_argument(flag, type=type(dv), default=argparse.SUPPRESS)
+            sp.add_argument(flag, type=_finite_float if isinstance(dv, float) else type(dv), default=dv)
 
 
 def _dataset_spec(o: dict) -> synthdata.SynthSpec:
@@ -196,10 +191,10 @@ def _train_config(o: dict, loss: str, wrapped: bool, seed: int) -> model.TrainCo
         raise UsageError(str(exc)) from exc
 
 
-def _require_out(o: dict) -> str:
-    if not o["out"]:
-        raise UsageError("--out is required")
-    return o["out"]
+def _require_out(o: dict, key: str = "out") -> str:
+    if not o[key]:
+        raise UsageError(f"--{key.replace('_', '-')} is required")
+    return o[key]
 
 
 def _derive_seed(*parts: int) -> int:
@@ -233,9 +228,7 @@ def cmd_curve(o: dict) -> int:
 
 
 def cmd_gendata(o: dict) -> int:
-    out_dir = o["out_dir"]
-    if not out_dir:
-        raise UsageError("--out-dir is required")
+    out_dir = _require_out(o, "out_dir")
     spec = _dataset_spec(o)
     try:
         samples = synthdata.generate(spec)
@@ -322,7 +315,7 @@ def run_grid(o: dict) -> list[dict]:
     Per-run rows carry seed_index; each cell is followed by a mean row
     (seed column "mean") averaging the cell's successful runs.
     """
-    gammas, omegas, epsilons = (_csv_floats(o[k]) for k in ("gammas", "omegas", "epsilons"))
+    gammas, omegas, epsilons = (_csv_floats(o, k) for k in ("gammas", "omegas", "epsilons"))
     if not gammas or not omegas or not epsilons or o["seeds"] < 1:
         raise UsageError("grid needs at least one cell and seeds >= 1")
     cells = [{"gamma": g, "omega": w, "epsilon": e} for g in gammas for w in omegas for e in epsilons]
@@ -466,6 +459,11 @@ def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_gradcheck(o: dict) -> int:
+    for message, ok in (("--trials must be >= 1", o["trials"] >= 1), ("--seed must be >= 0", o["seed"] >= 0),
+                        ("--tolerance must be > 0", o["tolerance"] > 0),
+                        ("--net-tolerance must be > 0", o["net_tolerance"] > 0)):
+        if not ok:
+            raise UsageError(message)
     if not run_gradcheck(trials=o["trials"], tolerance=o["tolerance"], net_tolerance=o["net_tolerance"], seed=o["seed"]):
         raise CheckFailure("gradient check failed")
     return EXIT_OK
@@ -478,56 +476,45 @@ def cmd_gradcheck(o: dict) -> int:
 def build_parser():
     parser = _Parser(prog="segbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {}
 
-    def new_cmd(name, help_text, extra):
+    def new_cmd(name, handler, help_text, opts):
         # no prefix matching: grid's --omega must not quietly mean --omegas
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        sp.add_argument("--config", default=argparse.SUPPRESS)
-        _add_opts(sp, extra)  # only the flags the command reads: any other exits 1
-        defaults[name] = extra
-        return sp
+        sp.add_argument("--config")
+        _add_opts(sp, opts)  # only the flags the command reads: any other exits 1
+        sp.set_defaults(handler=handler)
 
-    new_cmd("curve", "emit the wrapper's value/derivative curve as CSV",
+    new_cmd("curve", cmd_curve, "emit the wrapper's value/derivative curve as CSV",
             {"out": "", **WRAP_DEFAULTS, "n_points": 101})
-    new_cmd("gendata", "materialize a synthetic dataset as PGM files + manifest",
+    new_cmd("gendata", cmd_gendata, "materialize a synthetic dataset as PGM files + manifest",
             {**DATASET_DEFAULTS, "out_dir": ""})
-    new_cmd("train", "one training run, per-epoch metrics to CSV",
+    new_cmd("train", cmd_train, "one training run, per-epoch metrics to CSV",
             {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS})
     # grid cells set gamma/omega/epsilon and always wrap; compare's --losses tokens choose loss and wrapping
-    new_cmd("grid", "hyperparameter sweep over gamma/omega/epsilon",
+    new_cmd("grid", cmd_grid, "hyperparameter sweep over gamma/omega/epsilon",
             {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, "loss": LOSS_DEFAULTS["loss"], **LOSS_OPTION_DEFAULTS,
              **TRAIN_DEFAULTS, "gammas": "0.1", "omegas": "6,8,10,12,14,16", "epsilons": "0.3,0.5,1.0,2.0",
              "seeds": 3})
-    new_cmd("compare", "train one model per (loss, seed), emit summary + epoch traces",
+    new_cmd("compare", cmd_compare, "train one model per (loss, seed), emit summary + epoch traces",
             {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS,
              **TRAIN_DEFAULTS, "losses": "jaccard,dice,tversky,focal,combo,all", "seeds": 5})
-    new_cmd("roc", "train then emit the pooled-pixel ROC of the validation set",
+    new_cmd("roc", cmd_roc, "train then emit the pooled-pixel ROC of the validation set",
             {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256})
-    new_cmd("gradcheck", "finite-difference validation of analytic gradients",
+    new_cmd("gradcheck", cmd_gradcheck, "finite-difference validation of analytic gradients",
             {"seed": 0, "trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4})
-    return parser, defaults
-
-
-COMMANDS = {
-    "curve": cmd_curve,
-    "gendata": cmd_gendata,
-    "train": cmd_train,
-    "grid": cmd_grid,
-    "compare": cmd_compare,
-    "roc": cmd_roc,
-    "gradcheck": cmd_gradcheck,
-}
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, defaults = build_parser()
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = parser.parse_args(argv)
-        command = ns.command
-        del ns.command
-        opts = _merge_opts(ns, defaults[command])
-        return COMMANDS[command](opts)
+        if ns.config:
+            # config lines go right after the command name: argparse keeps a flag's last value, so explicit flags win
+            at = argv.index(ns.command) + 1
+            ns = parser.parse_args([*argv[:at], *_config_flags(ns.config, ns), *argv[at:]])
+        return ns.handler({k: v for k, v in vars(ns).items() if k not in _NOT_OPTIONS})
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ from .losses import make_loss
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Pixels per chunk of images. backward holds about 35 floats a pixel: chunks over two 48x48 images
 # break test_peak_memory_bounded_by_batch_size. At 128x128, evaluate was fastest at two images.
 BACKWARD_CHUNK_PIXELS = 2 * 48 * 48
@@ -181,9 +182,6 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None)
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -192,17 +190,17 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
     """Standard bias-corrected Adam update, in place."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for k, g in grads.items():
         if k not in state.m:
             state.m[k] = np.zeros_like(params[k])
             state.v[k] = np.zeros_like(params[k])
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        params[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
+        params[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -217,6 +215,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.lr > 0:  # written so that nan fails
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not (1 <= self.max_epochs <= 50):

@@ -129,8 +129,8 @@ def generate(spec: SynthSpec) -> list[Sample]:
 
 def split_size(n: int, ratio: float) -> int:
     """Training-set size of :func:`train_val_split` for n samples; ValueError if a half is empty."""
-    n_train = int(n * ratio)
-    if not (0 < ratio < 1) or n_train == 0 or n_train == n:
+    n_train = int(n * ratio) if 0 < ratio < 1 else 0  # int() of n * inf or n * nan raises
+    if n_train == 0 or n_train == n:
         raise ValueError(f"split ratio {ratio} leaves an empty partition for {n} samples")
     return n_train
 

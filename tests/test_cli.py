@@ -209,8 +209,8 @@ class TestGrid:
             return real_train(config, *sets)
 
         monkeypatch.setattr(model, "train", train)
-        o = dict(build_parser()[1]["grid"], width=16, height=16, fg_fraction=0.2, n_images=12, noise_sigma=0.05,
-                 epochs=2, batch_size=8, lr=0.01, omegas="8,10,12", epsilons="0.5", seeds=3)
+        o = dict(vars(build_parser().parse_args(["grid"])), width=16, height=16, fg_fraction=0.2, n_images=12,
+                 noise_sigma=0.05, epochs=2, batch_size=8, lr=0.01, omegas="8,10,12", epsilons="0.5", seeds=3)
         rows = run_grid(o)
         cells = {w: [r for r in rows if r["omega"] == w] for w in (8.0, 10.0, 12.0)}
         assert [r["status"] for r in cells[8.0]] == ["ok", "diverged", "ok", "ok"]
@@ -335,7 +335,46 @@ class TestGradcheckCommand:
         assert done.stdout.startswith("usage: segbench gradcheck")
 
 
+SUBCOMMANDS = ("curve", "gendata", "train", "grid", "compare", "roc", "gradcheck")
+TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on", "TRUE", "On"), ("0", "false", "no", "off", "FALSE", "Off")
+
+
+def _config_line_cases():
+    """(command, config line, the flags it stands for) for every option of every command."""
+    cases = []
+    for command in SUBCOMMANDS:
+        for key, default in vars(build_parser().parse_args([command])).items():
+            if key in cli._NOT_OPTIONS:
+                continue
+            flag = "--" + key.replace("_", "-")
+            spellings = sorted({key, flag[2:]})  # underscores and dashes
+            if isinstance(default, bool):
+                cases += [(command, f"{k}={w}", [flag]) for k in spellings for w in TRUE_WORDS]
+                cases += [(command, f"{k}={w}", []) for k in spellings for w in FALSE_WORDS]
+            else:
+                value = "x" if isinstance(default, str) else repr(default + 1)  # an int stays an int
+                cases += [(command, f"{k} = {value}", [f"{flag}={value}"]) for k in spellings]
+    return cases + [
+        ("train", "out=-x.csv", ["--out=-x.csv"]),
+        ("compare", "losses=dice=all", ["--losses=dice=all"]),
+        ("grid", "omegas=-1,2", ["--omegas=-1,2"]),
+    ]
+
+
 class TestFlagsAndConfig:
+    @pytest.mark.parametrize("command,line,flags", _config_line_cases())
+    def test_config_line_parses_like_its_flag(self, tmp_path, monkeypatch, command, line, flags):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda o: seen.append(o) or EXIT_OK)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert main([command, *flags]) == EXIT_OK
+        assert main([command]) == EXIT_OK
+        from_config, from_flags, defaults = seen
+        assert from_config == from_flags
+        assert (from_flags != defaults) == bool(flags)  # the line set something, unless it is a false boolean
+
     def test_loss_option_defaults_pinned(self):
         # read from the kernels' signatures: their order is the --help order, their type the flag's type
         pinned = [("smooth", 1e-6), ("tversky_alpha", 0.7), ("tversky_beta", 0.3), ("focal_alpha", 1.0),
@@ -431,23 +470,63 @@ class TestFlagsAndConfig:
 
 
 class TestDegenerateInputs:
-    @pytest.mark.parametrize("argv", [
-        *[[command, *FAST, *flags]
+    @pytest.mark.parametrize("argv,message", [
+        *[([command, *FAST, *flags], message)
           for command in ("train", "roc", "grid", "compare")
-          for flags in (["--split-ratio", "1.0"], ["--split-ratio", "0"], ["--n-images", "1"])],
-        ["roc", *FAST, "--n-thresholds", "1"],
-        ["curve", "--n-points", str(CURVE_MAX_POINTS + 1)],
-        ["curve", "--n-points", "1"],
-        ["grid", *FAST, "--jobs", "0"],
-        ["compare", *FAST, "--jobs", "-3"],
+          for flags, message in (
+              (["--split-ratio", "1.0"], "split ratio 1.0 leaves an empty partition"),
+              (["--split-ratio", "0"], "split ratio 0.0 leaves an empty partition"),
+              (["--n-images", "1"], "split ratio 0.8 leaves an empty partition for 1 samples"),
+              (["--split-ratio", "inf"], "argument --split-ratio: expected a finite number, got 'inf'"),
+              (["--lr", "nan"], "argument --lr: expected a finite number, got 'nan'"),
+              (["--lr", "-0.01"], "lr must be > 0, got -0.01"),
+              (["--lr", "0"], "lr must be > 0, got 0.0"),
+              (["--seed", "-1"], "seed must be >= 0, got -1"),
+              (["--noise-sigma", "nan"], "argument --noise-sigma: expected a finite number, got 'nan'"),
+              (["--smooth", "nan"], "argument --smooth: expected a finite number, got 'nan'"),
+          )],
+        (["train", *FAST, "--loss", "tversky", "--tversky-alpha", "nan"], "argument --tversky-alpha: "),
+        (["train", *FAST, "--all-wrap", "--omega", "nan"], "argument --omega: expected a finite number"),
+        (["train", *FAST, "--all-wrap", "--epsilon", "inf"], "argument --epsilon: expected a finite number"),
+        (["compare", *FAST, "--epsilon=-inf"], "argument --epsilon: expected a finite number"),
+        (["grid", *FAST, "--omegas", "8,inf"], "bad numeric list '8,inf' for --omegas: expected a finite number"),
+        (["grid", *FAST, "--gammas", "nan"], "bad numeric list 'nan' for --gammas: expected a finite number"),
+        (["roc", *FAST, "--n-thresholds", "1"], "--n-thresholds must be >= 2"),
+        (["curve", "--n-points", str(CURVE_MAX_POINTS + 1)], "--n-points must be in"),
+        (["curve", "--n-points", "1"], "--n-points must be in"),
+        (["curve", "--omega", "inf"], "argument --omega: expected a finite number"),
+        (["grid", *FAST, "--jobs", "0"], "--jobs must be >= 1"),
+        (["compare", *FAST, "--jobs", "-3"], "--jobs must be >= 1"),
+        (["gendata", "--noise-sigma", "inf"], "argument --noise-sigma: expected a finite number, got 'inf'"),
+        (["gradcheck", "--tolerance", "nan"], "argument --tolerance: expected a finite number, got 'nan'"),
+        (["gradcheck", "--tolerance", "0"], "--tolerance must be > 0"),
+        (["gradcheck", "--net-tolerance", "-1"], "--net-tolerance must be > 0"),
+        (["gradcheck", "--trials", "0"], "--trials must be >= 1"),
+        (["gradcheck", "--seed", "-1"], "--seed must be >= 0"),
+        # the value after --config is the file's one line
+        (["train", *FAST, "--config", "lr=nan"], "argument --lr: expected a finite number, got 'nan'"),
+        (["roc", *FAST, "--config", "seed=-1"], "seed must be >= 0, got -1"),
+        (["grid", *FAST, "--config", "omegas = 8,inf"], "bad numeric list '8,inf' for --omegas: expected a finite"),
+        (["gendata", "--config", "noise_sigma=inf"], "argument --noise-sigma: expected a finite number, got 'inf'"),
+        (["gradcheck", "--config", "trials=0"], "--trials must be >= 1"),
     ])
-    def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+    def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the input was checked")
 
         monkeypatch.setattr(segbench.synthdata, "generate", no_work)
         monkeypatch.setattr(model, "train", no_work)
-        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        monkeypatch.setattr(cli, "run_gradcheck", no_work)
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            (tmp_path / "cfg.txt").write_text(argv[at] + "\n")
+            argv = [*argv[:at], str(tmp_path / "cfg.txt"), *argv[at + 1 :]]
+        target = str(tmp_path / "o")  # gradcheck writes nothing, gendata writes to --out-dir
+        out = {"gradcheck": [], "gendata": ["--out-dir", target]}.get(argv[0], ["--out", target])
+        assert main([*argv, *out]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and "Traceback" not in err
-        assert not (tmp_path / "o.csv").exists()
+        # a value argparse rejects follows the command's usage line, as any bad flag does
+        usage, _, report = err.partition("usage error: ")
+        assert usage == "" or usage.startswith(f"usage: segbench {argv[0]} [-h]")
+        assert report.startswith(message) and "Traceback" not in err
+        assert not (tmp_path / "o").exists()

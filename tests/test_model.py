@@ -356,6 +356,11 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=51)
+        for lr in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="lr must be > 0"):
+                TrainConfig(lr=lr)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
 
 def _raise_diverged(epoch):

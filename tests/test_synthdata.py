@@ -13,6 +13,7 @@ from segbench.synthdata import (
     load_dataset,
     load_pgm_pair,
     read_pgm,
+    split_size,
     train_val_split,
     write_dataset,
     write_pgm,
@@ -103,6 +104,12 @@ class TestSplit:
     def test_tiny_set_rejected(self):
         with pytest.raises(ValueError):
             train_val_split([1], 0.8)
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        # checked before int(n * ratio), which raises OverflowError or ValueError of its own
+        with pytest.raises(ValueError, match="leaves an empty partition"):
+            split_size(10, ratio)
 
 
 class TestPGM:
