@@ -4,12 +4,14 @@ Architecture: 3x3 conv (1 -> 8 channels, zero-padded "same") -> ReLU ->
 3x3 conv (8 -> 1) -> sigmoid.  Small enough that a full training run on
 desk-scale synthetic data takes seconds, yet it learns blob segmentation.
 
-All arithmetic is float64 numpy; training is fully deterministic given the
-config seed (seeded init, seeded per-epoch shuffles, sequential reductions).
+All arithmetic is float64 numpy. Training is deterministic given the config seed
+(seeded init and shuffles). Reductions are sequential sums or BLAS contractions,
+one per image; their bits depend on the CPU type, not on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,33 +67,17 @@ class TinyNet:
 _CENTRE = KSIZE * KSIZE // 2  # index of the unshifted tap
 
 
-def _padded_taps(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """The nine 3x3 taps, row-major, of one zeroed (..., H + 2, W + 2) buffer for (..., H, W) maps.
-
-    Tap (i, j) is the interior shifted by (i - 1, j - 1). The centre tap is the interior itself,
-    so maps written into ``taps[_CENTRE]`` are read zero-padded through all nine.
-    """
-    h, w = shape[-2:]
-    xp = np.zeros(shape[:-2] + (h + 2, w + 2))  # np.pad costs more than the taps at these sizes
-    return [xp[..., i : i + h, j : j + w] for i in range(KSIZE) for j in range(KSIZE)]
-
-
-def _conv3x3_into(out: np.ndarray, taps: list[np.ndarray], k: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Cross-correlate the maps behind ``taps`` with a 3x3 kernel into ``out``; ``tmp`` is scratch."""
-    out.fill(0.0)
-    for kij, tap in zip(k.ravel(), taps):
-        np.multiply(tap, kij, out=tmp)
-        out += tmp
-    return out
+@functools.lru_cache(maxsize=16)  # building them takes longer than stacking a chunk's taps
+def _tap_slices(hgt: int, wid: int) -> tuple:
+    """Per 3x3 tap (i, j), row-major, ``(to, frm)`` with ``tap[to] = map[frm]`` for maps shifted by (i - 1, j - 1)."""
+    rows, cols = ([(slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0))) for d in (-1, 0, 1)]
+                  for n in (hgt, wid))
+    return tuple(((..., yt, xt), (..., yf, xf)) for (yt, yf), (xt, xf) in itertools.product(rows, cols))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows: the argument is at most 0
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_batch(image) -> np.ndarray:
@@ -107,23 +93,6 @@ def _sum_images(per_image: np.ndarray) -> np.ndarray:
     return np.cumsum(per_image, axis=0)[-1]
 
 
-def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
-    """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
-    x = _as_batch(image)
-    x_taps, h_taps = _padded_taps(x.shape), _padded_taps(x.shape)
-    x_taps[_CENTRE][...] = x
-    # Each channel's hidden map and conv output go through one contiguous buffer; writing the
-    # conv straight into the strided padded interior is slower.
-    conv, tmp, z2 = np.empty(x.shape), np.empty(x.shape), np.zeros(x.shape)
-    for c in range(HIDDEN_CHANNELS):
-        _conv3x3_into(conv, x_taps, net.params["w1"][c], tmp)
-        conv += net.params["b1"][c]
-        h_taps[_CENTRE][...] = np.maximum(conv, 0.0, out=conv)
-        z2 += _conv3x3_into(conv, h_taps, net.params["w2"][c], tmp)
-    z2 += net.params["b2"]
-    return _sigmoid(z2).reshape(np.shape(image))
-
-
 def _image_chunks(shapes, budget: int):
     """Slices of consecutive images of one shape, each of at most ``budget`` pixels or one image."""
     start = 0
@@ -135,9 +104,46 @@ def _image_chunks(shapes, budget: int):
 
 def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """The nine zero-padded taps of (b, H, W) maps, stacked into ``out[:b]`` and viewed as (b, 9, H*W)."""
-    taps = _padded_taps(maps.shape)
-    taps[_CENTRE][...] = maps
-    return np.stack(taps, axis=1, out=out[: len(maps)]).reshape(len(maps), KSIZE * KSIZE, -1)
+    taps = out[: len(maps)]
+    for edge in (0, -1):  # a tap's clipped rows and columns lie on the frame; the copies below fill the rest
+        taps[..., edge, :] = taps[..., edge] = 0.0
+    for k, (to, frm) in enumerate(_tap_slices(*maps.shape[1:])):
+        taps[:, k][to] = maps[frm]
+    return taps.reshape(len(maps), KSIZE * KSIZE, -1)
+
+
+def _chunk_buffers(x: np.ndarray, n: int):
+    """``x``'s chunks, and ``n`` (b, 9, H, W) tap and ``n`` (b, 8, H*W) hidden buffers for the first (largest) one."""
+    chunks = list(_image_chunks([x.shape[1:]] * len(x), BACKWARD_CHUNK_PIXELS))
+    b = chunks[0].stop if chunks else 0  # every chunk reuses them: fresh buffers per chunk re-fault their pages
+    return chunks, np.empty((n, b, KSIZE * KSIZE, *x.shape[1:])), np.empty((n, b, HIDDEN_CHANNELS, x[:1].size))
+
+
+def _hidden(net: TinyNet, t: np.ndarray, h: np.ndarray, x: np.ndarray):
+    """Taps T of (b, H, W) images into ``t`` and hidden maps relu(w1 @ T + b1) into ``h``, one matmul per image."""
+    tb = _stacked_taps(t, x)
+    hb = np.matmul(net.params["w1"].reshape(HIDDEN_CHANNELS, -1), tb, out=h[: len(tb)])
+    hb += net.params["b1"][:, None]
+    return tb, np.maximum(hb, 0.0, out=hb)
+
+
+def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
+    """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
+    x = _as_batch(image)
+    chunks, (t,), (h,) = _chunk_buffers(x, 1)
+    z2 = np.empty(x.shape)
+    for rows in chunks:
+        tb, hb = _hidden(net, t, h, x[rows])
+        # U_k = sum_c w2[c, k] h_c overwrites the taps. conv2 sums the nine U_k, each read through its
+        # tap's slices (shifted by the tap's offset, clipped at the edge), starting from the centre one.
+        u = np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=tb).reshape(t[: len(tb)].shape)
+        zb = z2[rows]
+        zb[...] = u[:, _CENTRE]
+        for k, (to, frm) in enumerate(_tap_slices(*x.shape[1:])):
+            if k != _CENTRE:
+                zb[to] += u[:, k][frm]
+    z2 += net.params["b2"]
+    return _sigmoid(z2).reshape(np.shape(image))
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None) -> dict[str, np.ndarray]:
@@ -152,18 +158,12 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None)
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(p)}")
     x, p, up = _as_batch(image), _as_batch(p), _as_batch(up)
     dz2 = up * p * (1.0 - p)
-    chunks = list(_image_chunks([x.shape[1:]] * len(x), BACKWARD_CHUNK_PIXELS))
-    # One set of buffers, sized for the first (largest) chunk: fresh ones per chunk re-fault their pages.
-    t, d = np.empty((2, chunks[0].stop, KSIZE * KSIZE) + x.shape[1:])
-    h, dz1 = np.empty((2, chunks[0].stop, HIDDEN_CHANNELS, x[0].size))
+    chunks, (t, d), (h, dz1) = _chunk_buffers(x, 2)
     gw1, gb1, gw2 = [], [], []
     for rows in chunks:
         # Each image's products are its own matmul, so a batch sums what per-image calls return. The
         # hidden maps are recomputed, not kept from forward: (B, 8, H, W) of them cost too much memory.
-        tb, db = _stacked_taps(t, x[rows]), _stacked_taps(d, dz2[rows])
-        hb = np.matmul(net.params["w1"].reshape(HIDDEN_CHANNELS, -1), tb, out=h[: len(tb)])
-        hb += net.params["b1"][:, None]
-        np.maximum(hb, 0.0, out=hb)
+        (tb, hb), db = _hidden(net, t, h, x[rows]), _stacked_taps(d, dz2[rows])
         # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped
         # kernel, so tap k of dz2 pairs with w2's tap 8 - k.
         gw2.append(np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1])

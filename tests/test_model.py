@@ -26,6 +26,27 @@ def zero_net():
     return net
 
 
+def _reference_forward(net, image):
+    """forward by definition: zero-pad with np.pad, then sum every 3x3 tap of every channel in a loop."""
+    hgt, wid = image.shape[-2:]
+
+    def padded(a):
+        return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)])
+
+    xp = padded(image)
+    z = np.full(image.shape, float(net.params["b2"]))
+    for c in range(8):
+        hc = np.full(image.shape, net.params["b1"][c])
+        for i in range(3):
+            for j in range(3):
+                hc = hc + net.params["w1"][c, i, j] * xp[..., i : i + hgt, j : j + wid]
+        hp = padded(np.maximum(hc, 0.0))
+        for i in range(3):
+            for j in range(3):
+                z = z + net.params["w2"][c, i, j] * hp[..., i : i + hgt, j : j + wid]
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 class TestForward:
     def test_zero_weights_give_half(self):
         img = np.random.default_rng(0).uniform(size=(10, 10))
@@ -58,6 +79,29 @@ class TestForward:
             forward(TinyNet.init(), np.zeros((2, 3, 3, 3)))
         with pytest.raises(ValueError):
             forward(TinyNet.init(), np.zeros(9))
+
+    # (1, 1) clips every shifted tap to nothing; (1, 100, 100) exceeds the chunk budget
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 7, 11), (1, 100, 100)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_matches_padded_loop_reference(self, shape):
+        net = TinyNet.init(seed=16)
+        rng = np.random.default_rng(12)
+        net.params["b1"], net.params["b2"] = rng.normal(size=8), np.array(rng.normal())
+        img = rng.uniform(size=shape)
+        np.testing.assert_allclose(forward(net, img), _reference_forward(net, img), rtol=1e-13)
+
+    def test_sigmoid_bytes_equal_masked_form(self):
+        def masked_sigmoid(z):  # the boolean-mask form model._sigmoid replaced
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
+        for z in (edges, np.random.default_rng(13).normal(scale=10.0, size=(16, 48, 48))):
+            assert model._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
 class TestBackward:
@@ -174,14 +218,17 @@ class TestBackward:
                 assert abs(a - fd) / max(abs(a), abs(fd), 1e-3) < 1e-4
 
     def test_gradients_do_not_depend_on_blas_threads(self):
-        # OpenBLAS may split a matrix product over threads; the gradient bytes must not change
+        # OpenBLAS may split a matrix product over threads; the output and gradient bytes must not change
         script = (
             "import hashlib, numpy as np\n"
-            "from segbench.model import TinyNet, backward\n"
+            "from segbench.model import TinyNet, backward, forward\n"
             "rng = np.random.default_rng(11)\n"
             "for shape in ((16, 48, 48), (1, 100, 100), (3, 7, 11)):\n"
-            "    g = backward(TinyNet.init(seed=12), rng.uniform(size=shape), rng.normal(size=shape))\n"
-            "    print(shape, *(k + ':' + hashlib.sha1(v.tobytes()).hexdigest() for k, v in sorted(g.items())))\n"
+            "    net, img, up = TinyNet.init(seed=12), rng.uniform(size=shape), rng.normal(size=shape)\n"
+            "    p = forward(net, img)\n"
+            "    g = backward(net, img, up, p=p)\n"
+            "    print(shape, 'p:' + hashlib.sha1(p.tobytes()).hexdigest(),\n"
+            "          *(k + ':' + hashlib.sha1(v.tobytes()).hexdigest() for k, v in sorted(g.items())))\n"
         )
         src = os.path.dirname(os.path.dirname(model.__file__))
         outs = []
@@ -293,14 +340,15 @@ class TestTrain:
     def test_golden_epoch_rows(self):
         # frozen from the per-image training loop; guards the batched loop's bit-stability
         # (12 training images in batches of 5, so the last batch holds 2)
-        # pinned to the host CPU type: OpenBLAS (DYNAMIC_ARCH) picks backward's GEMM kernel per CPU
+        # pinned to the host CPU type: OpenBLAS (DYNAMIC_ARCH) picks the GEMM kernel of forward and
+        # backward per CPU
         train_set, val_set = tiny_dataset(seed=2)
         cfg = TrainConfig(lr=0.1, batch_size=5, max_epochs=2, loss="dice", seed=5)
         rec = train(cfg, train_set, val_set)
         assert rec.epochs == [
             EpochRow(0, 0.5572122181715223, 0.2869561887254902, 0.44551993570369985, 1.0,
                      0.004072187691835482, 0.44551993570369985),
-            EpochRow(1, 0.47037081988400437, 0.7630353169447519, 0.8651058670075416, 0.9831045462213226,
+            EpochRow(1, 0.47037081988400425, 0.7630353169447519, 0.8651058670075416, 0.9831045462213226,
                      0.8834444039218932, 0.8651058670075416),
         ]
         assert rec.final_auc == 0.9914605734348665
