@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -250,6 +251,97 @@ class TestJobs:
             assert main([args[0], *FAST, *args[1:], "--jobs", jobs, "--out", str(d / "out.csv")]) == EXIT_OK
             outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the process pool, mapping in this process; returns each pool's ``max_workers``."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return built
+
+
+# four runs each: two variants x two seeds
+MATRICES = {
+    "grid": ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2"],
+    "compare": ["compare", "--losses", "dice,all", "--seeds", "2"],
+}
+
+
+class TestRunMatrix:
+    @pytest.mark.parametrize("args,workers", [
+        (["grid", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "1", "--jobs", "64"], [2]),
+        (["grid", "--omegas", "8", "--epsilons", "0.5", "--seeds", "1", "--jobs", "8"], []),
+        (["compare", "--losses", "dice,all", "--seeds", "2", "--jobs", "3"], [3]),
+    ])
+    def test_no_more_workers_than_runs(self, tmp_path, inline_pool, args, workers):
+        assert main([args[0], *FAST, *args[1:], "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert inline_pool == workers
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", MATRICES)
+    def test_one_generation_per_invocation(self, tmp_path, monkeypatch, inline_pool, command, jobs):
+        specs = []
+        real_generate = segbench.synthdata.generate
+        monkeypatch.setattr(segbench.synthdata, "generate", lambda spec: specs.append(spec) or real_generate(spec))
+        args = MATRICES[command]
+        assert main([args[0], *FAST, *args[1:], "--jobs", jobs, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert len(specs) == 1
+        assert inline_pool == ([2] if jobs == "2" else [])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", MATRICES)
+    def test_runs_receive_read_only_samples(self, tmp_path, monkeypatch, inline_pool, command, jobs):
+        seen = []
+        real_train = model.train
+        monkeypatch.setattr(model, "train", lambda config, *sets: seen.append(sets) or real_train(config, *sets))
+        args = MATRICES[command]
+        assert main([args[0], *FAST, *args[1:], "--jobs", jobs, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert len(seen) == 4
+        arrays = [a for sets in seen for half in sets for s in half for a in (s.image, s.mask)]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            seen[0][0][0].image[0, 0] = 0.5
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched train")
+    def test_pool_workers_receive_read_only_samples(self, tmp_path, monkeypatch):
+        # each worker unpickles its own copy of the data, writable unless marked again
+        log = tmp_path / "writeable.txt"
+        real_train = model.train
+
+        def train(config, *sets):
+            with open(log, "a") as f:
+                f.write("".join("1" if a.flags.writeable else "0"
+                                for half in sets for s in half for a in (s.image, s.mask)) + "\n")
+            return real_train(config, *sets)
+
+        monkeypatch.setattr(model, "train", train)
+        args = MATRICES["grid"]
+        assert main([args[0], *FAST, *args[1:], "--jobs", "2", "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        lines = log.read_text().split()
+        assert len(lines) == 4 and all(set(line) == {"0"} for line in lines)
+
+    @pytest.mark.parametrize("command", MATRICES)
+    def test_generation_failure_is_data_error(self, tmp_path, capsys, command):
+        args = MATRICES[command]
+        out = tmp_path / "out.csv"
+        assert main([args[0], *FAST, *args[1:], "--fg-fraction", "0.002", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompare:
