@@ -92,7 +92,7 @@ def _config_flags(path, ns: argparse.Namespace) -> list[str]:
     """The ``key=value`` lines of a config file as flags of the command ``ns`` was parsed for."""
     flags = []
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -110,7 +110,7 @@ def _config_flags(path, ns: argparse.Namespace) -> list[str]:
                     flags.append(flag)
                 elif value.lower() not in ("0", "false", "no", "off"):
                     raise UsageError(f"config key {key!r}: expected boolean, got {value!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     return flags
 

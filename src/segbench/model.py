@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,10 @@ from .losses import make_loss
 HIDDEN_CHANNELS = 8
 KSIZE = 3
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Pixels per chunk of images. backward holds about 35 floats a pixel: chunks over two 48x48 images
-# break test_peak_memory_bounded_by_batch_size. At 128x128, evaluate was fastest at two images.
-BACKWARD_CHUNK_PIXELS = 2 * 48 * 48
-EVALUATE_CHUNK_PIXELS = 2 * 128 * 128
+# Pixels per chunk of images in forward and backward. backward holds about 35 floats a pixel: chunks over
+# two 48x48 images break test_peak_memory_bounded_by_batch_size. A forward call holds its input, its output
+# and one chunk's buffers, so evaluate hands it every run of same-shaped images whole.
+CHUNK_PIXELS = 2 * 48 * 48
 
 
 class TrainingDiverged(RuntimeError):
@@ -93,15 +92,6 @@ def _sum_images(per_image: np.ndarray) -> np.ndarray:
     return np.cumsum(per_image, axis=0)[-1]
 
 
-def _image_chunks(shapes, budget: int):
-    """Slices of consecutive images of one shape, each of at most ``budget`` pixels or one image."""
-    start = 0
-    for shape, group in itertools.groupby(shapes):
-        stop, step = start + len(list(group)), max(1, budget // max(1, math.prod(shape)))
-        yield from (slice(s, min(s + step, stop)) for s in range(start, stop, step))
-        start = stop
-
-
 def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """The nine zero-padded taps of (b, H, W) maps, stacked into ``out[:b]`` and viewed as (b, 9, H*W)."""
     taps = out[: len(maps)]
@@ -114,9 +104,10 @@ def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 def _chunk_buffers(x: np.ndarray, n: int):
     """``x``'s chunks, and ``n`` (b, 9, H, W) tap and ``n`` (b, 8, H*W) hidden buffers for the first (largest) one."""
-    chunks = list(_image_chunks([x.shape[1:]] * len(x), BACKWARD_CHUNK_PIXELS))
-    b = chunks[0].stop if chunks else 0  # every chunk reuses them: fresh buffers per chunk re-fault their pages
-    return chunks, np.empty((n, b, KSIZE * KSIZE, *x.shape[1:])), np.empty((n, b, HIDDEN_CHANNELS, x[:1].size))
+    # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
+    b = max(1, min(len(x), CHUNK_PIXELS // max(1, x[:1].size)))
+    return ([slice(s, s + b) for s in range(0, len(x), b)],
+            np.empty((n, b, KSIZE * KSIZE, *x.shape[1:])), np.empty((n, b, HIDDEN_CHANNELS, x[:1].size)))
 
 
 def _hidden(net: TinyNet, t: np.ndarray, h: np.ndarray, x: np.ndarray):
@@ -131,19 +122,20 @@ def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
     x = _as_batch(image)
     chunks, (t,), (h,) = _chunk_buffers(x, 1)
-    z2 = np.empty(x.shape)
+    p = np.empty(x.shape)
     for rows in chunks:
         tb, hb = _hidden(net, t, h, x[rows])
         # U_k = sum_c w2[c, k] h_c overwrites the taps. conv2 sums the nine U_k, each read through its
         # tap's slices (shifted by the tap's offset, clipped at the edge), starting from the centre one.
         u = np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=tb).reshape(t[: len(tb)].shape)
-        zb = z2[rows]
+        zb = p[rows]
         zb[...] = u[:, _CENTRE]
         for k, (to, frm) in enumerate(_tap_slices(*x.shape[1:])):
             if k != _CENTRE:
                 zb[to] += u[:, k][frm]
-    z2 += net.params["b2"]
-    return _sigmoid(z2).reshape(np.shape(image))
+        zb += net.params["b2"]
+        zb[...] = _sigmoid(zb)  # chunk by chunk, so its temporaries stay chunk-sized
+    return p.reshape(np.shape(image))
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None) -> dict[str, np.ndarray]:
@@ -255,9 +247,8 @@ def evaluate(net: TinyNet, val_set):
     """Macro-averaged metrics at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC inputs."""
     if not val_set:
         raise ValueError("validation set must be non-empty")
-    images = [s.image for s in val_set]
-    chunks = _image_chunks([np.shape(im) for im in images], EVALUATE_CHUNK_PIXELS)
-    preds = [p for rows in chunks for p in forward(net, np.stack(images[rows]))]
+    runs = itertools.groupby((s.image for s in val_set), key=np.shape)
+    preds = [p for _, run in runs for p in forward(net, np.stack(list(run)))]
     scores = {"jaccard": metrics.jaccard_index, "dice": metrics.dice_index, "recall": metrics.recall,
               "specificity": metrics.specificity, "f1": metrics.f_measure}
     per_image = []

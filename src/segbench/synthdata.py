@@ -163,6 +163,11 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM into a uint8 array of shape (H, W)."""
+    return _read_pgm(path)[0]
+
+
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """:func:`read_pgm`'s raster and the file's maxval."""
     with open(path, "rb") as f:
         data = f.read()
     magic, data = _token(data, first=True)
@@ -185,7 +190,10 @@ def read_pgm(path) -> np.ndarray:
         raise PGMHeaderError(f"{path}: bad maxval {maxval}")
     if len(data) < w * h:
         raise PGMHeaderError(f"{path}: truncated payload ({len(data)} < {w * h} bytes)")
-    return np.frombuffer(data[: w * h], dtype=np.uint8).reshape(h, w)
+    raster = np.frombuffer(data[: w * h], dtype=np.uint8).reshape(h, w)
+    if raster.max() > maxval:
+        raise PGMHeaderError(f"{path}: sample {raster.max()} above maxval {maxval}")
+    return raster, maxval
 
 
 def _token(data: bytes, first: bool = False):
@@ -213,12 +221,11 @@ def _token(data: bytes, first: bool = False):
 
 
 def load_pgm_pair(image_path, mask_path) -> Sample:
-    """Load an (image, mask) PGM pair; intensities /255, mask binarized at 128."""
-    img = read_pgm(image_path)
-    msk = read_pgm(mask_path)
+    """Load an (image, mask) PGM pair scaled by each file's maxval; mask pixels above half of it are foreground."""
+    (img, img_max), (msk, msk_max) = _read_pgm(image_path), _read_pgm(mask_path)
     if img.shape != msk.shape:
         raise PGMError(f"dimension mismatch: image {img.shape} vs mask {msk.shape}")
-    return Sample(image=img.astype(np.float64) / 255.0, mask=(msk >= 128).astype(np.int64))
+    return Sample(image=img / img_max, mask=(msk > msk_max // 2).astype(np.int64))  # 2 * raw > maxval
 
 
 def write_dataset(samples, out_dir) -> str:

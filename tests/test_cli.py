@@ -560,6 +560,12 @@ class TestFlagsAndConfig:
         assert main(["curve", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "c.csv")]) == EXIT_DATA
 
+    def test_config_file_not_utf8_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=\xff\xfe\n")
+        assert main(["gradcheck", "--trials", "1", "--config", str(cfg)]) == EXIT_DATA
+        assert f"data error: cannot read config file {cfg}" in capsys.readouterr().err
+
 
 class TestDegenerateInputs:
     @pytest.mark.parametrize("argv,message", [

@@ -103,6 +103,19 @@ class TestForward:
         for z in (edges, np.random.default_rng(13).normal(scale=10.0, size=(16, 48, 48))):
             assert model._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
+    def test_peak_memory_near_output_size(self):
+        # evaluate hands forward a whole run of same-shaped images (eval-large's 48 at 128x128): beside its
+        # output, a call may hold one chunk's buffers, not a batch-sized z2 or sigmoid temporaries
+        net = TinyNet.init(seed=9)
+        imgs = np.random.default_rng(7).uniform(size=(48, 128, 128))
+        tracemalloc.start()
+        try:
+            forward(net, imgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * imgs.nbytes
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
@@ -274,7 +287,7 @@ class TestEvaluate:
     def test_equals_per_image_forward(self, side):
         # at 48x48 a chunk holds several images and the last one is partial; at 200x200 one
         # image exceeds the chunk budget, so each chunk holds a single image
-        per_chunk = model.EVALUATE_CHUNK_PIXELS // (side * side)
+        per_chunk = model.CHUNK_PIXELS // (side * side)
         n = 2 * per_chunk + 3 if per_chunk > 1 else 3
         assert (per_chunk > 1) == (side == 48)
         self._same_as_per_image(TinyNet.init(seed=13), _random_samples(np.random.default_rng(8), [(side, side)] * n))

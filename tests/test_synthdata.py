@@ -167,6 +167,25 @@ class TestPGM:
         assert np.all(s.mask == 1)
         assert s.image[0, 0] == pytest.approx(100 / 255)
 
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 2\n1\n" + bytes([0, 1, 200, 0]))
+        with pytest.raises(PGMHeaderError, match="sample 200 above maxval 1"):
+            read_pgm(path)
+
+    def test_load_pair_scales_by_each_files_maxval(self, tmp_path):
+        # a mask of maxval 1 marks foreground with 1; at maxval 255 the threshold stays at 128
+        (tmp_path / "i.pgm").write_bytes(b"P5\n2 2\n100\n" + bytes([0, 25, 50, 100]))
+        (tmp_path / "m.pgm").write_bytes(b"P5\n2 2\n1\n" + bytes([0, 1, 1, 0]))
+        s = load_pgm_pair(tmp_path / "i.pgm", tmp_path / "m.pgm")
+        np.testing.assert_array_equal(s.image, [[0.0, 0.25], [0.5, 1.0]])
+        np.testing.assert_array_equal(s.mask, [[0, 1], [1, 0]])
+        write_pgm(tmp_path / "i.pgm", np.array([[0, 127], [128, 255]], dtype=np.uint8))
+        write_pgm(tmp_path / "m.pgm", np.array([[0, 127], [128, 255]], dtype=np.uint8))
+        s = load_pgm_pair(tmp_path / "i.pgm", tmp_path / "m.pgm")
+        assert s.image.tobytes() == (np.array([[0, 127], [128, 255]]) / 255.0).tobytes()
+        np.testing.assert_array_equal(s.mask, [[0, 0], [1, 1]])
+
     def test_load_pair_dimension_mismatch(self, tmp_path):
         write_pgm(tmp_path / "i.pgm", np.zeros((4, 4), dtype=np.uint8))
         write_pgm(tmp_path / "m.pgm", np.zeros((4, 5), dtype=np.uint8))
