@@ -92,7 +92,7 @@ def _config_flags(path, ns: argparse.Namespace) -> list[str]:
     """The ``key=value`` lines of a config file as flags of the command ``ns`` was parsed for."""
     flags = []
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # a byte-order mark some editors write is not a key
             for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -429,7 +429,7 @@ def run_gradcheck(trials: int, tolerance: float, net_tolerance: float, seed: int
     for label, loss_fn in (("dice", make_loss("dice")), ("dice+wrap", wrap_loss_fn(make_loss("dice"), params))):
         p = model.forward(net, img)
         ev = loss_fn(p, g)
-        analytic = model.backward(net, img, ev.grad, p=p)
+        analytic = model.backward(net, img, ev.grad)
         analytic = {k: v + corrupt for k, v in analytic.items()}
         worst = 0.0
         for _ in range(20):

@@ -24,9 +24,9 @@ from .losses import make_loss
 HIDDEN_CHANNELS = 8
 KSIZE = 3
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Pixels per chunk of images in forward and backward. backward holds about 35 floats a pixel: chunks over
-# two 48x48 images break test_peak_memory_bounded_by_batch_size. A forward call holds its input, its output
-# and one chunk's buffers, so evaluate hands it every run of same-shaped images whole.
+# Pixels per chunk of images. Per pixel of its chunk, a training step holds 34 floats: the 9 input taps, the 8
+# hidden maps, the 9 taps of dz2 (first the 9 maps w2ᵀ @ h) and the 8 maps of dz1. A forward call holds its
+# input, its output and one chunk's taps and hidden maps, so evaluate hands it every run of same-shaped images.
 CHUNK_PIXELS = 2 * 48 * 48
 
 
@@ -88,8 +88,8 @@ def _as_batch(image) -> np.ndarray:
 
 
 def _sum_images(per_image: np.ndarray) -> np.ndarray:
-    """Sum over the leading image axis in image order (np.sum is pairwise over a 1-D axis)."""
-    return np.cumsum(per_image, axis=0)[-1]
+    """Sum over the leading image axis in image order (np.sum is pairwise over a 1-D axis), as an array."""
+    return np.cumsum(per_image, axis=0)[-1, ...]  # the ellipsis keeps a 1-D input's sum a 0-d array
 
 
 def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -102,12 +102,14 @@ def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return taps.reshape(len(maps), KSIZE * KSIZE, -1)
 
 
-def _chunk_buffers(x: np.ndarray, n: int):
-    """``x``'s chunks, and ``n`` (b, 9, H, W) tap and ``n`` (b, 8, H*W) hidden buffers for the first (largest) one."""
+def _chunk_buffers(x: np.ndarray, n: int, ws: list):
+    """Images per chunk of x, and ``ws`` as ``n`` (b, 9, H, W) tap and ``n`` (b, 8, H*W) hidden buffers for at
+    least its first (largest) chunk: replaced when the images' shape changes or their chunk is larger."""
     # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
     b = max(1, min(len(x), CHUNK_PIXELS // max(1, x[:1].size)))
-    return ([slice(s, s + b) for s in range(0, len(x), b)],
-            np.empty((n, b, KSIZE * KSIZE, *x.shape[1:])), np.empty((n, b, HIDDEN_CHANNELS, x[:1].size)))
+    if not ws or ws[0].shape[1] < b or ws[0].shape[3:] != x.shape[1:]:
+        ws[:] = np.empty((n, b, KSIZE * KSIZE, *x.shape[1:])), np.empty((n, b, HIDDEN_CHANNELS, x[:1].size))
+    return b, *ws
 
 
 def _hidden(net: TinyNet, t: np.ndarray, h: np.ndarray, x: np.ndarray):
@@ -118,57 +120,60 @@ def _hidden(net: TinyNet, t: np.ndarray, h: np.ndarray, x: np.ndarray):
     return tb, np.maximum(hb, 0.0, out=hb)
 
 
+def _output(net: TinyNet, hb: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (b, H, W) chunk ``out`` from its hidden maps ``hb``, with the nine maps w2ᵀ @ h written into ``u``."""
+    # U_k = sum_c w2[c, k] h_c. conv2 sums the nine U_k, each read through its tap's slices (shifted by the
+    # tap's offset, clipped at the edge), starting from the centre one.
+    ub = u[: len(hb)]
+    np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=ub.reshape(len(hb), KSIZE * KSIZE, -1))
+    out[...] = ub[:, _CENTRE]
+    for k, (to, frm) in enumerate(_tap_slices(*out.shape[1:])):
+        if k != _CENTRE:
+            out[to] += ub[:, k][frm]
+    out += net.params["b2"]
+    out[...] = _sigmoid(out)  # chunk by chunk, so its temporaries stay chunk-sized
+    return out
+
+
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
     x = _as_batch(image)
-    chunks, (t,), (h,) = _chunk_buffers(x, 1)
+    b, (t,), (h,) = _chunk_buffers(x, 1, [])
     p = np.empty(x.shape)
-    for rows in chunks:
-        tb, hb = _hidden(net, t, h, x[rows])
-        # U_k = sum_c w2[c, k] h_c overwrites the taps. conv2 sums the nine U_k, each read through its
-        # tap's slices (shifted by the tap's offset, clipped at the edge), starting from the centre one.
-        u = np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=tb).reshape(t[: len(tb)].shape)
-        zb = p[rows]
-        zb[...] = u[:, _CENTRE]
-        for k, (to, frm) in enumerate(_tap_slices(*x.shape[1:])):
-            if k != _CENTRE:
-                zb[to] += u[:, k][frm]
-        zb += net.params["b2"]
-        zb[...] = _sigmoid(zb)  # chunk by chunk, so its temporaries stay chunk-sized
+    for s in range(0, len(x), b):
+        _output(net, _hidden(net, t, h, x[s : s + b])[1], t, p[s : s + b])  # U overwrites the taps
     return p.reshape(np.shape(image))
 
 
-def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray, p=None) -> dict[str, np.ndarray]:
-    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a batch.
-
-    ``p`` is ``forward(net, image)`` when the caller already has it.
-    """
-    if p is None:
-        p = forward(net, image)
-    up = np.asarray(upstream_grad, dtype=np.float64)
-    if up.shape != np.shape(p):
-        raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(p)}")
-    x, p, up = _as_batch(image), _as_batch(p), _as_batch(up)
-    dz2 = up * p * (1.0 - p)
-    chunks, (t, d), (h, dz1) = _chunk_buffers(x, 2)
-    gw1, gb1, gw2 = [], [], []
-    for rows in chunks:
-        # Each image's products are its own matmul, so a batch sums what per-image calls return. The
-        # hidden maps are recomputed, not kept from forward: (B, 8, H, W) of them cost too much memory.
-        (tb, hb), db = _hidden(net, t, h, x[rows]), _stacked_taps(d, dz2[rows])
+def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
+    """Weight gradients of (B, H, W) images x, summed over them, from one pass per chunk on the same taps and
+    hidden maps. ``upstream(rows, p)`` is d(loss)/d(p) of ``x[rows]``, given its output p; ``ws`` holds the buffers."""
+    b, (t, d), (h, dz1) = _chunk_buffers(x, 2, ws)
+    g = {k: [] for k in net.params}  # per-image gradients, summed in image order at the end
+    for s in range(0, len(x), b):
+        rows = slice(s, s + b)
+        tb, hb = _hidden(net, t, h, x[rows])
+        p = _output(net, hb, d, np.empty(x[rows].shape))  # U goes to the dz2 taps: T is still needed
+        dz2 = upstream(rows, p) * p * (1.0 - p)
+        db = _stacked_taps(d, dz2)
+        # Each image's products are its own matmul, so a batch sums what per-image calls return.
         # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped
         # kernel, so tap k of dz2 pairs with w2's tap 8 - k.
-        gw2.append(np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1])
+        g["w2"].append(np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1])
         zb = np.matmul(net.params["w2"][:, ::-1, ::-1].reshape(HIDDEN_CHANNELS, -1), db, out=dz1[: len(db)])
         zb *= hb > 0.0
-        gw1.append(np.matmul(zb, tb.transpose(0, 2, 1)))
-        gb1.append(zb.sum(axis=-1))
-    return {
-        "w1": _sum_images(np.concatenate(gw1)).reshape(net.params["w1"].shape),
-        "b1": _sum_images(np.concatenate(gb1)),
-        "w2": _sum_images(np.concatenate(gw2)).reshape(net.params["w2"].shape),
-        "b2": np.array(_sum_images(dz2.sum(axis=(-2, -1)))),
-    }
+        g["w1"].append(np.matmul(zb, tb.transpose(0, 2, 1)))
+        g["b1"].append(zb.sum(axis=-1))
+        g["b2"].append(dz2.sum(axis=(-2, -1)))
+    return {k: _sum_images(np.concatenate(v)).reshape(net.params[k].shape) for k, v in g.items()}
+
+
+def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a batch."""
+    up = np.asarray(upstream_grad, dtype=np.float64)
+    if up.shape != np.shape(image):
+        raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(image)}")
+    return _step(net, _as_batch(image), lambda rows, p: _as_batch(up)[rows], [])
 
 
 @dataclass
@@ -268,6 +273,7 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
     loss_fn = config.loss_fn()
     n = len(train_set)
     rows = []
+    ws = []  # the step's chunk buffers: allocated at the first (largest) batch, reused by every step of this call
     for epoch in range(config.max_epochs):
         order = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch]))
@@ -277,21 +283,25 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
         with np.errstate(over="ignore", invalid="ignore"):
             for b_idx, start in enumerate(range(0, n, config.batch_size)):
                 batch = [train_set[i] for i in order[start : start + config.batch_size]]
-                images = np.stack([s.image for s in batch])
-                p = forward(net, images)
-                # checked before the loss sees it, so plain and wrapped losses diverge the same way
-                if not np.isfinite(p).all():
-                    raise TrainingDiverged(epoch, b_idx, "network output")
-                upstream = np.empty_like(p)
                 batch_loss = 0.0
-                for k, s in enumerate(batch):
-                    ev = loss_fn(p[k], s.mask)
-                    batch_loss += ev.value
-                    upstream[k] = ev.grad / len(batch)
+
+                def upstream(chunk, p):
+                    nonlocal batch_loss
+                    # checked before the loss sees it, so plain and wrapped losses diverge the same way
+                    if not np.isfinite(p).all():
+                        raise TrainingDiverged(epoch, b_idx, "network output")
+                    up = np.empty_like(p)
+                    for k, s in enumerate(batch[chunk]):
+                        ev = loss_fn(p[k], s.mask)
+                        batch_loss += ev.value
+                        up[k] = ev.grad / len(batch)
+                    return up
+
+                grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
                 batch_loss /= len(batch)
                 if not np.isfinite(batch_loss):  # a finite p can still give 0/0 (Tversky at alpha=0, smooth=0)
                     raise TrainingDiverged(epoch, b_idx, f"loss {batch_loss}")
-                adam_step(opt, net.params, backward(net, images, upstream, p=p))
+                adam_step(opt, net.params, grads)
                 epoch_losses.append(batch_loss)
             means, preds = evaluate(net, val_set)
         if not all(np.isfinite(p).all() for p in preds):  # the epoch's last step diverged

@@ -467,6 +467,16 @@ class TestFlagsAndConfig:
         assert from_config == from_flags
         assert (from_flags != defaults) == bool(flags)  # the line set something, unless it is a false boolean
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, monkeypatch):
+        # a UTF-8 byte-order mark (EF BB BF) before the first key, as some editors write it
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gradcheck", lambda o: seen.append(o) or EXIT_OK)
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed=3\n")
+        assert main(["gradcheck", "--config", str(cfg)]) == EXIT_OK
+        assert main(["gradcheck", "--seed", "3"]) == EXIT_OK
+        assert seen[0] == seen[1] and seen[0]["seed"] == 3
+
     def test_loss_option_defaults_pinned(self):
         # read from the kernels' signatures: their order is the --help order, their type the flag's type
         pinned = [("smooth", 1e-6), ("tversky_alpha", 0.7), ("tversky_beta", 0.3), ("focal_alpha", 1.0),
@@ -560,9 +570,10 @@ class TestFlagsAndConfig:
         assert main(["curve", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "c.csv")]) == EXIT_DATA
 
-    def test_config_file_not_utf8_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("raw", [b"seed=\xff\xfe\n", b"\xef\xbb\xbfseed=\xff\xfe\n"], ids=["plain", "bom"])
+    def test_config_file_not_utf8_is_data_error(self, tmp_path, capsys, raw):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"seed=\xff\xfe\n")
+        cfg.write_bytes(raw)
         assert main(["gradcheck", "--trials", "1", "--config", str(cfg)]) == EXIT_DATA
         assert f"data error: cannot read config file {cfg}" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -45,6 +46,60 @@ def _reference_forward(net, image):
             for j in range(3):
                 z = z + net.params["w2"][c, i, j] * hp[..., i : i + hgt, j : j + wid]
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _reference_backward(net, images, up, p):
+    """Gradients as two passes computed them: dz2 from forward's output p, then the taps and hidden maps rebuilt
+    from the images, one matmul per image, summed in image order."""
+    n, shape = len(images), images.shape[1:]
+    dz2 = up * p * (1.0 - p)
+    tb, hb = model._hidden(net, np.empty((n, 9, *shape)), np.empty((n, 8, images[0].size)), images)
+    db = model._stacked_taps(np.empty((n, 9, *shape)), dz2)
+    zb = np.matmul(net.params["w2"][:, ::-1, ::-1].reshape(8, -1), db) * (hb > 0.0)
+    per_image = {"w1": np.matmul(zb, tb.transpose(0, 2, 1)), "b1": zb.sum(axis=-1),
+                 "w2": np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1], "b2": dz2.sum(axis=(-2, -1))}
+    return {k: model._sum_images(v).reshape(net.params[k].shape) for k, v in per_image.items()}
+
+
+def _reference_step(net, batch, loss_fn):
+    """A training step as two passes: forward on the whole batch, one loss call per image, then backward."""
+    images = np.stack([s.image for s in batch])
+    p = forward(net, images)
+    up, total = np.empty_like(p), 0.0
+    for k, s in enumerate(batch):
+        ev = loss_fn(p[k], s.mask)
+        total += ev.value
+        up[k] = ev.grad / len(batch)
+    return total / len(batch), _reference_backward(net, images, up, p)
+
+
+def _reference_train(config, train_set, val_set):
+    """train's epoch rows from a loop of reference steps."""
+    net, opt, loss_fn, rows = TinyNet.init(seed=config.seed), AdamState(lr=config.lr), config.loss_fn(), []
+    for epoch in range(config.max_epochs):
+        order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch])))
+        order = order.permutation(len(train_set))
+        losses = []
+        for start in range(0, len(train_set), config.batch_size):
+            batch = [train_set[i] for i in order[start : start + config.batch_size]]
+            loss, grads = _reference_step(net, batch, loss_fn)
+            adam_step(opt, net.params, grads)
+            losses.append(loss)
+        means, _ = evaluate(net, val_set)
+        rows.append(EpochRow(epoch, float(np.mean(losses)), **{f"val_{k}": v for k, v in means.items()}))
+    return rows
+
+
+def _loss_upstream(masks, loss_fn, values):
+    """A training step's ``upstream`` for model._step: one loss call per image, its value appended to ``values``."""
+    def upstream(rows, p):
+        up = np.empty_like(p)
+        for k, g in enumerate(masks[rows]):
+            ev = loss_fn(p[k], g)
+            values.append(ev.value)
+            up[k] = ev.grad / len(masks)
+        return up
+    return upstream
 
 
 class TestForward:
@@ -158,7 +213,7 @@ class TestBackward:
         for b in range(shape[0]):
             for k, g in backward(net, imgs[b], ups[b]).items():
                 total[k] = total[k] + g
-        batched = backward(net, imgs, ups, p=p)
+        batched = backward(net, imgs, ups)
         assert set(batched) == {"w1", "b1", "w2", "b2"}
         for k in total:
             assert batched[k].shape == net.params[k].shape
@@ -175,7 +230,7 @@ class TestBackward:
         imgs_copy, ups_copy = imgs.copy(), ups.copy()
         p = forward(net, imgs)
         p_copy = p.copy()
-        g = backward(net, imgs, ups, p=p)
+        g = backward(net, imgs, ups)
         g_copy = {k: v.copy() for k, v in g.items()}
         backward(net, imgs[::-1], ups[::-1])
         for b in range(4):  # later forward calls, each checked against the batch's first result
@@ -194,8 +249,10 @@ class TestBackward:
         rng = np.random.default_rng(7)
         imgs = rng.uniform(size=(16, 48, 48))
         ups = rng.normal(size=(16, 48, 48))
-        p = forward(net, imgs)
-        for call in (lambda: forward(net, imgs), lambda: backward(net, imgs, ups, p=p)):
+        masks = (rng.uniform(size=imgs.shape) < 0.3).astype(np.int64)
+        step = _loss_upstream(masks, make_loss("dice"), [])
+        for call in (lambda: forward(net, imgs), lambda: backward(net, imgs, ups),
+                     lambda: model._step(net, imgs, step, [])):
             tracemalloc.start()
             try:
                 call()
@@ -203,6 +260,23 @@ class TestBackward:
             finally:
                 tracemalloc.stop()
             assert peak <= 12 * imgs.nbytes
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["dice", "dice+wrap"])
+    def test_fused_step_equals_two_passes(self, wrapped):
+        # 7 images of 48x48 make chunks of 2, 2, 2 and 1: the fused step's loss values and gradient bytes
+        # equal forward on the whole batch, one loss call per image, then a separate backward
+        net = TinyNet.init(seed=17)
+        batch = _random_samples(np.random.default_rng(14), [(48, 48)] * 7)
+        loss_fn = TrainConfig(loss="dice", adaptive_wrap=wrapped).loss_fn()
+        want_loss, want = _reference_step(net, batch, loss_fn)
+        values = []
+        got = model._step(net, np.stack([s.image for s in batch]),
+                          _loss_upstream(np.stack([s.mask for s in batch]), loss_fn, values), [])
+        assert len(values) == 7
+        assert model._sum_images(np.array(values)) / 7 == want_loss
+        for k in want:
+            assert got[k].shape == want[k].shape
+            assert got[k].tobytes() == want[k].tobytes()
 
     @pytest.mark.parametrize("loss_name", ["dice", "jaccard", "focal"])
     def test_full_network_gradient_vs_finite_differences(self, loss_name):
@@ -214,7 +288,7 @@ class TestBackward:
             g = (rng.uniform(size=shape) < 0.4).astype(np.int64)
             loss_fn = make_loss(loss_name)
             p = forward(net, img)
-            analytic = backward(net, img, loss_fn(p, g).grad, p=p)
+            analytic = backward(net, img, loss_fn(p, g).grad)
             step = 1e-5
             for _ in range(20):
                 key = ("w1", "b1", "w2", "b2")[int(rng.integers(4))]
@@ -234,14 +308,19 @@ class TestBackward:
         # OpenBLAS may split a matrix product over threads; the output and gradient bytes must not change
         script = (
             "import hashlib, numpy as np\n"
-            "from segbench.model import TinyNet, backward, forward\n"
+            "from segbench.model import TinyNet, TrainConfig, backward, forward, train\n"
+            "from segbench.synthdata import SynthSpec, generate, train_val_split\n"
             "rng = np.random.default_rng(11)\n"
             "for shape in ((16, 48, 48), (1, 100, 100), (3, 7, 11)):\n"
             "    net, img, up = TinyNet.init(seed=12), rng.uniform(size=shape), rng.normal(size=shape)\n"
             "    p = forward(net, img)\n"
-            "    g = backward(net, img, up, p=p)\n"
+            "    g = backward(net, img, up)\n"
             "    print(shape, 'p:' + hashlib.sha1(p.tobytes()).hexdigest(),\n"
             "          *(k + ':' + hashlib.sha1(v.tobytes()).hexdigest() for k, v in sorted(g.items())))\n"
+            "spec = SynthSpec(width=48, height=48, fg_fraction_target=0.05, n_images=16, noise_sigma=0.1, seed=3)\n"
+            "halves = train_val_split(generate(spec), 0.8, seed=3)\n"
+            "rec = train(TrainConfig(lr=0.01, batch_size=5, max_epochs=2, seed=1), *halves)\n"
+            "print('train:' + hashlib.sha1(repr(rec.epochs).encode()).hexdigest())\n"
         )
         src = os.path.dirname(os.path.dirname(model.__file__))
         outs = []
@@ -251,7 +330,7 @@ class TestBackward:
             run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
             assert run.returncode == 0, run.stderr
             outs.append(run.stdout)
-        assert len(outs[0].splitlines()) == 3
+        assert len(outs[0].splitlines()) == 4
         assert outs[0] == outs[1]
 
 
@@ -402,6 +481,83 @@ class TestTrain:
             train(cfg, train_set, val_set)
         assert exc.value.epoch == 0
         assert exc.value.batch == 0
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["dice", "dice+wrap"])
+    def test_epoch_rows_equal_two_pass_loop(self, wrapped):
+        # 48x48 batches of 5, 5 and 2 images run as chunks of 2, 2 and 1
+        train_set, val_set = tiny_dataset(seed=8, size=48)
+        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss="dice", adaptive_wrap=wrapped, seed=3)
+        assert train(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set)
+
+    def test_mixed_image_shapes_equal_two_pass_loop(self):
+        # load_dataset reads PGMs of any size, and batches of one image train on them: the step's buffers
+        # follow the image shape
+        rng = np.random.default_rng(15)
+        samples = _random_samples(rng, [(16, 16), (12, 20), (16, 16), (20, 12), (12, 20), (16, 16)])
+        cfg = TrainConfig(lr=0.01, batch_size=1, max_epochs=2, seed=6)
+        assert train(cfg, samples[:4], samples[4:]).epochs == _reference_train(cfg, samples[:4], samples[4:])
+
+    def test_step_buffers_are_replaced_only_when_too_small(self):
+        ws = []
+        model._chunk_buffers(np.zeros((1, 48, 48)), 2, ws)  # a chunk of one image
+        small = list(ws)
+        model._chunk_buffers(np.zeros((5, 48, 48)), 2, ws)  # a chunk of two: larger buffers
+        assert ws[0].shape == (2, 2, 9, 48, 48) and ws[0] is not small[0]
+        large = list(ws)
+        model._chunk_buffers(np.zeros((1, 48, 48)), 2, ws)
+        assert all(a is b for a, b in zip(ws, large))
+        model._chunk_buffers(np.zeros((1, 40, 50)), 2, ws)  # another image shape
+        assert [a.shape for a in ws] == [(2, 1, 9, 40, 50), (2, 1, 8, 40 * 50)]
+
+    def test_divergence_in_a_later_chunk(self, monkeypatch):
+        # a NaN pixel in the third image of the first batch: the batch's first chunk (two 48x48 images)
+        # has run its losses and gradients before the second chunk's output fails the check
+        train_set, val_set = tiny_dataset(seed=9, size=48)
+        cfg = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=4)
+        clean = train(cfg, train_set, val_set).epochs
+        assert model.CHUNK_PIXELS // (48 * 48) == 2
+        third = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 11, 0])))
+        third = third.permutation(len(train_set))[2]
+        bad = list(train_set)
+        img = bad[third].image.copy()
+        img[10, 10] = np.nan
+        bad[third] = Sample(img, bad[third].mask)
+        calls = []
+        real = model.make_loss
+        monkeypatch.setattr(model, "make_loss",
+                            lambda name, **kw: lambda p, g: calls.append(1) or real(name, **kw)(p, g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail here
+            with pytest.raises(TrainingDiverged) as exc:
+                train(cfg, bad, val_set)
+        assert (exc.value.epoch, exc.value.batch, exc.value.what) == (0, 0, "network output")
+        assert len(calls) == 2  # the first chunk's images
+        monkeypatch.undo()
+        assert train(cfg, train_set, val_set).epochs == clean  # the diverged call left nothing behind
+
+    def test_one_workspace_per_train_call(self, monkeypatch):
+        # 3 epochs of 3 batches: every step reuses the buffers the call's first step allocated, and a second
+        # call allocates its own
+        seen = []
+        real = model._chunk_buffers
+
+        def spy(x, n, ws):
+            out = real(x, n, ws)
+            if n == 2:  # the step's four buffers; forward's evaluate calls ask for n == 1
+                seen.append(list(ws))
+            return out
+
+        monkeypatch.setattr(model, "_chunk_buffers", spy)
+        train_set, val_set = tiny_dataset(seed=10, size=48)
+        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=3, seed=0)
+        for _ in range(2):
+            train(cfg, train_set, val_set)
+        assert len(seen) == 2 * 3 * 3
+        first, second = seen[:9], seen[9:]
+        assert [a.shape for a in first[0]] == [(2, 2, 9, 48, 48), (2, 2, 8, 48 * 48)]
+        for call in (first, second):
+            assert all(a is b for bufs in call for a, b in zip(bufs, call[0], strict=True))
+        assert not any(a is b for a, b in zip(first[0], second[0]))
 
     def test_adaptive_wrapped_training_runs(self):
         train_set, val_set = tiny_dataset(seed=6)
