@@ -49,7 +49,7 @@ class TinyNet:
 
     @classmethod
     def init(cls, seed: int = 0) -> "TinyNet":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
+        rng = np.random.default_rng([seed, 7])
         # He-style uniform: limit = sqrt(6 / fan_in)
         lim1 = np.sqrt(6.0 / (KSIZE * KSIZE * 1))
         lim2 = np.sqrt(6.0 / (KSIZE * KSIZE * HIDDEN_CHANNELS))
@@ -207,8 +207,7 @@ class TrainConfig:
     max_epochs: int = 50
     loss: str = "dice"
     loss_params: dict = field(default_factory=dict)
-    adaptive_wrap: bool = False
-    adaptive_params: AdaptiveLogParams = AdaptiveLogParams()
+    adaptive_params: AdaptiveLogParams | None = None  # the loss is wrapped exactly when these are set
     seed: int = 0
 
     def __post_init__(self):
@@ -224,7 +223,7 @@ class TrainConfig:
 
     def loss_fn(self):
         fn = make_loss(self.loss, **self.loss_params)
-        if self.adaptive_wrap:
+        if self.adaptive_params is not None:
             fn = wrap_loss_fn(fn, self.adaptive_params)
         return fn
 
@@ -275,9 +274,7 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
     rows = []
     ws = []  # the step's chunk buffers: allocated at the first (largest) batch, reused by every step of this call
     for epoch in range(config.max_epochs):
-        order = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch]))
-        ).permutation(n)
+        order = np.random.default_rng([config.seed, 11, epoch]).permutation(n)
         epoch_losses = []
         # a divergence is reported by the isfinite checks, not by numpy's overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,6 @@ class Sample:
         return float(np.mean(self.mask))
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
-
-
 def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
     lo, hi = spec.blob_count_range
@@ -114,7 +111,7 @@ def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 def generate_sample(spec: SynthSpec, index: int) -> Sample:
     """Generate one sample; depends only on (spec, index)."""
-    rng = _sample_rng(spec.seed, index)
+    rng = np.random.default_rng([spec.seed, index])
     mask = _draw_mask(spec, rng)
     image = BG_LEVEL + (FG_LEVEL - BG_LEVEL) * mask.astype(np.float64)
     if spec.noise_sigma > 0:
@@ -139,7 +136,7 @@ def train_val_split(samples, ratio: float = 0.8, seed: int = 0):
     """Deterministic shuffle then split; both halves must be non-empty."""
     n = len(samples)
     n_train = split_size(n, ratio)
-    order = _sample_rng(seed, 2**32).permutation(n)
+    order = np.random.default_rng([seed, 2**32]).permutation(n)
     train = [samples[i] for i in order[:n_train]]
     val = [samples[i] for i in order[n_train:]]
     return train, val
@@ -150,11 +147,13 @@ def train_val_split(samples, ratio: float = 0.8, seed: int = 0):
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """Write a 2-D uint8 array as a binary PGM."""
+    """Write a 2-D array of whole numbers in [0, 255] as a binary PGM; other values raise ValueError."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError("PGM payload must be 2-D")
-    arr = arr.astype(np.uint8)
+    if arr.dtype != np.uint8 and not np.all((arr >= 0) & (arr <= 255) & (np.round(arr) == arr)):  # nan fails
+        raise ValueError("PGM samples must be whole numbers in [0, 255]")
+    arr = arr.astype(np.uint8, copy=False)
     h, w = arr.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -166,21 +165,29 @@ def read_pgm(path) -> np.ndarray:
     return _read_pgm(path)[0]
 
 
+# Whitespace and '#' comments, then one header token (empty only at the end of the file).
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_pgm(path) -> tuple[np.ndarray, int]:
     """:func:`read_pgm`'s raster and the file's maxval."""
     with open(path, "rb") as f:
         data = f.read()
-    magic, data = _token(data, first=True)
+    tokens, pos = [], 0
+    for _ in range(4):  # magic, width, height, maxval; the one whitespace byte after maxval precedes the raster
+        m = _HEADER_TOKEN.match(data, pos)
+        tokens.append(m[1])
+        pos = m.end() + 1
+    magic, w_tok, h_tok, maxval_tok = tokens
+    if not magic:
+        raise PGMHeaderError(f"{path}: unexpected end of header")
     if magic == b"P2":
         raise PGMFormatError(f"{path}: ASCII (P2) PGM is not supported")
     if magic != b"P5":
         raise PGMFormatError(f"{path}: not a PGM file (magic {magic!r})")
     try:
-        w_tok, data = _token(data)
-        h_tok, data = _token(data)
-        maxval_tok, data = _token(data)
         w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise PGMHeaderError(f"{path}: malformed header") from exc
     if w <= 0 or h <= 0:
         raise PGMHeaderError(f"{path}: bad dimensions {w}x{h}")
@@ -188,36 +195,13 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
         raise PGMDepthError(f"{path}: 16-bit samples (maxval {maxval}) not supported")
     if maxval <= 0:
         raise PGMHeaderError(f"{path}: bad maxval {maxval}")
+    data = data[pos:]
     if len(data) < w * h:
         raise PGMHeaderError(f"{path}: truncated payload ({len(data)} < {w * h} bytes)")
     raster = np.frombuffer(data[: w * h], dtype=np.uint8).reshape(h, w)
     if raster.max() > maxval:
         raise PGMHeaderError(f"{path}: sample {raster.max()} above maxval {maxval}")
     return raster, maxval
-
-
-def _token(data: bytes, first: bool = False):
-    # Skip whitespace and '#' comments, return the next whitespace-delimited
-    # token.  After the maxval token exactly one whitespace byte precedes the
-    # raster, which the trailing single-byte skip handles.
-    i = 0
-    while True:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i] == ord("#"):
-            while i < len(data) and data[i] != ord("\n"):
-                i += 1
-            continue
-        break
-    j = i
-    while j < len(data) and not data[j : j + 1].isspace():
-        j += 1
-    if j == i:
-        raise PGMHeaderError("unexpected end of header")
-    tok = data[i:j]
-    if first:
-        return tok, data[j:]
-    return tok, data[j + 1 :] if j < len(data) else data[j:]
 
 
 def load_pgm_pair(image_path, mask_path) -> Sample:

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -100,6 +99,20 @@ class TestGendata:
         rc = main(["gendata", "--out-dir", str(tmp_path / "ds"), "--n-images", "1",
                    "--width", "16", "--height", "16", "--fg-fraction", "0.002"])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_input_too_large_for_memory_is_data_error(self, tmp_path, capsys, monkeypatch, error, message):
+        def out_of_memory(spec):  # stands in for the allocation: nothing this large is allocated for real
+            raise error
+
+        monkeypatch.setattr(segbench.synthdata, "generate", out_of_memory)
+        rc = main(["gendata", "--out-dir", str(tmp_path / "ds"), "--width", "1000000", "--height", "1000000"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {message}\n"
 
 
 class TestBadLossIsUsageError:
@@ -404,9 +417,19 @@ class TestGradcheckCommand:
     def test_passes_at_defaults(self):
         assert run_gradcheck(trials=5, tolerance=1e-6, net_tolerance=1e-4, seed=0, report=lambda *a: None)
 
-    def test_corrupted_gradient_fails(self):
-        assert not run_gradcheck(trials=3, tolerance=1e-6, net_tolerance=1e-4, seed=0,
-                                 corrupt=1e-3, report=lambda *a: None)
+    @staticmethod
+    def _offset_gradients(monkeypatch):
+        # 1e-3 between the analytic and the finite-difference side, as a wrong analytic gradient would leave
+        fd, backward = cli.finite_difference_grad, model.backward
+        monkeypatch.setattr(cli, "finite_difference_grad", lambda *a, **kw: fd(*a, **kw) + 1e-3)
+        monkeypatch.setattr(model, "backward", lambda *a: {k: v + 1e-3 for k, v in backward(*a).items()})
+
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        self._offset_gradients(monkeypatch)
+        lines = []
+        assert not run_gradcheck(trials=3, tolerance=1e-6, net_tolerance=1e-4, seed=0, report=lines.append)
+        assert any(line.startswith("FAIL ") and not line.startswith("FAIL net/") for line in lines)
+        assert any(line.startswith("FAIL net/") for line in lines)
 
     def test_zero_tolerance_fails(self):
         assert not run_gradcheck(trials=1, tolerance=0.0, net_tolerance=1e-4, seed=0,
@@ -414,8 +437,8 @@ class TestGradcheckCommand:
 
     def test_cli_exit_codes(self, monkeypatch):
         assert main(["gradcheck", "--trials", "3"]) == EXIT_OK
-        assert main(["gradcheck", "--trials", "3", "--corrupt", "0.001"]) == EXIT_USAGE  # a test hook, not a flag
-        monkeypatch.setattr(cli, "run_gradcheck", partial(run_gradcheck, corrupt=1e-3))
+        assert main(["gradcheck", "--trials", "3", "--corrupt", "0.001"]) == EXIT_USAGE  # not a flag
+        self._offset_gradients(monkeypatch)
         assert main(["gradcheck", "--trials", "3"]) == EXIT_CHECK
 
     def test_runs_as_python_m_segbench(self):
@@ -601,6 +624,7 @@ class TestDegenerateInputs:
         (["grid", *FAST, "--omegas", "8,inf"], "bad numeric list '8,inf' for --omegas: expected a finite number"),
         (["grid", *FAST, "--gammas", "nan"], "bad numeric list 'nan' for --gammas: expected a finite number"),
         (["roc", *FAST, "--n-thresholds", "1"], "--n-thresholds must be >= 2"),
+        (["roc", *FAST, "--n-thresholds", str(CURVE_MAX_POINTS + 1)], "--n-thresholds must be >= 2 and <= "),
         (["curve", "--n-points", str(CURVE_MAX_POINTS + 1)], "--n-points must be in"),
         (["curve", "--n-points", "1"], "--n-points must be in"),
         (["curve", "--omega", "inf"], "argument --omega: expected a finite number"),

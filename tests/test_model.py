@@ -267,7 +267,7 @@ class TestBackward:
         # equal forward on the whole batch, one loss call per image, then a separate backward
         net = TinyNet.init(seed=17)
         batch = _random_samples(np.random.default_rng(14), [(48, 48)] * 7)
-        loss_fn = TrainConfig(loss="dice", adaptive_wrap=wrapped).loss_fn()
+        loss_fn = TrainConfig(loss="dice", adaptive_params=AdaptiveLogParams() if wrapped else None).loss_fn()
         want_loss, want = _reference_step(net, batch, loss_fn)
         values = []
         got = model._step(net, np.stack([s.image for s in batch]),
@@ -486,7 +486,8 @@ class TestTrain:
     def test_epoch_rows_equal_two_pass_loop(self, wrapped):
         # 48x48 batches of 5, 5 and 2 images run as chunks of 2, 2 and 1
         train_set, val_set = tiny_dataset(seed=8, size=48)
-        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss="dice", adaptive_wrap=wrapped, seed=3)
+        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss="dice",
+                          adaptive_params=AdaptiveLogParams() if wrapped else None, seed=3)
         assert train(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set)
 
     def test_mixed_image_shapes_equal_two_pass_loop(self):
@@ -563,7 +564,7 @@ class TestTrain:
         train_set, val_set = tiny_dataset(seed=6)
         cfg = TrainConfig(
             lr=1e-2, batch_size=8, max_epochs=3, loss="dice",
-            adaptive_wrap=True, adaptive_params=AdaptiveLogParams(), seed=0,
+            adaptive_params=AdaptiveLogParams(), seed=0,
         )
         rec = train(cfg, train_set, val_set)
         assert all(np.isfinite(r.train_loss) for r in rec.epochs)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,21 @@ class TestPGM:
         write_pgm(p2, read_pgm(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("value", [300, -1, 2.5, float("nan")])
+    def test_write_rejects_values_outside_8_bits(self, tmp_path, value):
+        # a uint8 cast would wrap 300 to 44 and -1 to 255, and truncate 2.5 to 2
+        arr = np.array([[0, 255], [1, value]])
+        with pytest.raises(ValueError, match="whole numbers in \\[0, 255\\]"):
+            write_pgm(tmp_path / "x.pgm", arr)
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_write_accepts_whole_numbers_of_any_dtype(self, tmp_path):
+        arr = np.array([[0, 1], [254, 255]], dtype=np.uint8)
+        write_pgm(tmp_path / "u8.pgm", arr)
+        for dtype in (np.int64, np.float64, np.uint16):
+            write_pgm(tmp_path / "x.pgm", arr.astype(dtype))
+            assert (tmp_path / "x.pgm").read_bytes() == (tmp_path / "u8.pgm").read_bytes()
+
     def test_ascii_pgm_rejected(self, tmp_path):
         path = tmp_path / "ascii.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
@@ -139,10 +156,12 @@ class TestPGM:
         with pytest.raises(PGMDepthError):
             read_pgm(path)
 
-    def test_malformed_header(self, tmp_path):
+    @pytest.mark.parametrize("data", [b"P5\nnot numbers\n", b"# only a comment", b"  \n\t"],
+                             ids=["not-numbers", "comment-only", "whitespace-only"])
+    def test_malformed_header(self, tmp_path, data):
         path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P5\nnot numbers\n")
-        with pytest.raises(PGMHeaderError):
+        path.write_bytes(data)
+        with pytest.raises(PGMHeaderError, match=re.escape(str(path))):
             read_pgm(path)
 
     def test_truncated_payload(self, tmp_path):
