@@ -4,9 +4,9 @@ Architecture: 3x3 conv (1 -> 8 channels, zero-padded "same") -> ReLU ->
 3x3 conv (8 -> 1) -> sigmoid.  Small enough that a full training run on
 desk-scale synthetic data takes seconds, yet it learns blob segmentation.
 
-All arithmetic is float64 numpy. Training is deterministic given the config seed
-(seeded init and shuffles). Reductions are sequential sums or BLAS contractions,
-one per image; their bits depend on the CPU type, not on the BLAS thread count.
+All arithmetic is float64 numpy. Training is deterministic given the config seed (seeded init and shuffles).
+Reductions are sequential sums or BLAS contractions, one per image. Bits repeat exactly on one host but depend on
+its BLAS kernel and on numpy's SIMD exp and log; across hosts, the CSVs as printed are what is promised.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .losses import make_loss
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
+_CENTRE = KSIZE * KSIZE // 2  # index of the unshifted tap
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Pixels per chunk of images. Per pixel of its chunk, a training step holds 34 floats: the 9 input taps, the 8
 # hidden maps, the 9 taps of dz2 (first the 9 maps w2ᵀ @ h) and the 8 maps of dz1. A forward call holds its
@@ -63,20 +64,18 @@ class TinyNet:
         )
 
 
-_CENTRE = KSIZE * KSIZE // 2  # index of the unshifted tap
+@functools.lru_cache(maxsize=16)  # at 16x16, working them out takes as long as stacking a chunk's taps
+def _shifts(hgt: int, wid: int) -> tuple:
+    """Per 3x3 tap (i, j), row-major, ``(to, frm)`` with ``tap[to] = map[frm]`` for flat H*W maps shifted by
+    (i - 1) * W + j - 1. A column shift also wraps one column in from the next or previous row: callers zero it."""
+    n, offs = hgt * wid, [i * wid + j for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    spans = [(off, min(max(-off, 0), n), min(max(n - off, 0), n)) for off in offs]  # rows off the image are clipped
+    return tuple(((..., slice(lo, hi)), (..., slice(lo + off, hi + off))) for off, lo, hi in spans)
 
 
-@functools.lru_cache(maxsize=16)  # building them takes longer than stacking a chunk's taps
-def _tap_slices(hgt: int, wid: int) -> tuple:
-    """Per 3x3 tap (i, j), row-major, ``(to, frm)`` with ``tap[to] = map[frm]`` for maps shifted by (i - 1, j - 1)."""
-    rows, cols = ([(slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0))) for d in (-1, 0, 1)]
-                  for n in (hgt, wid))
-    return tuple(((..., yt, xt), (..., yf, xf)) for (yt, yf), (xt, xf) in itertools.product(rows, cols))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows: the argument is at most 0
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _as_batch(image) -> np.ndarray:
@@ -95,11 +94,12 @@ def _sum_images(per_image: np.ndarray) -> np.ndarray:
 def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """The nine zero-padded taps of (b, H, W) maps, stacked into ``out[:b]`` and viewed as (b, 9, H*W)."""
     taps = out[: len(maps)]
-    for edge in (0, -1):  # a tap's clipped rows and columns lie on the frame; the copies below fill the rest
-        taps[..., edge, :] = taps[..., edge] = 0.0
-    for k, (to, frm) in enumerate(_tap_slices(*maps.shape[1:])):
-        taps[:, k][to] = maps[frm]
-    return taps.reshape(len(maps), KSIZE * KSIZE, -1)
+    flat, src = taps.reshape(len(maps), KSIZE * KSIZE, -1), maps.reshape(len(maps), -1)
+    for k, (to, frm) in enumerate(_shifts(*maps.shape[1:])):
+        flat[:, k][to] = src[frm]
+    # what the copies left out or wrapped in lies on the frame: the rows and columns off the image
+    taps[:, :KSIZE, 0] = taps[:, -KSIZE:, -1] = taps[:, ::KSIZE, :, 0] = taps[:, KSIZE - 1 :: KSIZE, :, -1] = 0.0
+    return flat
 
 
 def _chunk_buffers(x: np.ndarray, n: int, ws: list):
@@ -122,17 +122,17 @@ def _hidden(net: TinyNet, t: np.ndarray, h: np.ndarray, x: np.ndarray):
 
 def _output(net: TinyNet, hb: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (b, H, W) chunk ``out`` from its hidden maps ``hb``, with the nine maps w2ᵀ @ h written into ``u``."""
-    # U_k = sum_c w2[c, k] h_c. conv2 sums the nine U_k, each read through its tap's slices (shifted by the
-    # tap's offset, clipped at the edge), starting from the centre one.
+    # U_k = sum_c w2[c, k] h_c. conv2 sums the nine flat U_k, each read through its tap's slices, centre first.
     ub = u[: len(hb)]
-    np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=ub.reshape(len(hb), KSIZE * KSIZE, -1))
-    out[...] = ub[:, _CENTRE]
-    for k, (to, frm) in enumerate(_tap_slices(*out.shape[1:])):
+    flat, of = ub.reshape(len(hb), KSIZE * KSIZE, -1), out.reshape(len(hb), -1)
+    np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=flat)
+    ub[:, ::KSIZE, :, -1] = ub[:, KSIZE - 1 :: KSIZE, :, 0] = 0.0  # the columns wrapped in add exact zeros
+    of[...] = flat[:, _CENTRE]
+    for k, (to, frm) in enumerate(_shifts(*out.shape[1:])):
         if k != _CENTRE:
-            out[to] += ub[:, k][frm]
+            of[to] += flat[:, k][frm]
     out += net.params["b2"]
-    out[...] = _sigmoid(out)  # chunk by chunk, so its temporaries stay chunk-sized
-    return out
+    return _sigmoid(out, out=out)  # chunk by chunk, so its temporaries stay chunk-sized
 
 
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:

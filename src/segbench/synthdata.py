@@ -75,7 +75,7 @@ class SynthSpec:
 @dataclass
 class Sample:
     image: np.ndarray  # float64 in [0, 1], shape (H, W)
-    mask: np.ndarray  # int, values {0, 1}, same shape
+    mask: np.ndarray  # uint8, values {0, 1}, same shape
 
     @property
     def fg_fraction(self) -> float:
@@ -89,7 +89,7 @@ def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     yy, xx = np.mgrid[0:h, 0:w]
     for _ in range(MAX_ATTEMPTS):
         k = int(rng.integers(lo, hi + 1))
-        mask = np.zeros((h, w), dtype=np.int64)
+        mask = np.zeros((h, w), dtype=np.uint8)
         base_r = np.sqrt(target_px / k / np.pi)
         for _ in range(k):
             a = base_r * rng.uniform(0.6, 1.4)
@@ -209,7 +209,7 @@ def load_pgm_pair(image_path, mask_path) -> Sample:
     (img, img_max), (msk, msk_max) = _read_pgm(image_path), _read_pgm(mask_path)
     if img.shape != msk.shape:
         raise PGMError(f"dimension mismatch: image {img.shape} vs mask {msk.shape}")
-    return Sample(image=img / img_max, mask=(msk > msk_max // 2).astype(np.int64))  # 2 * raw > maxval
+    return Sample(image=img / img_max, mask=(msk > msk_max // 2).astype(np.uint8))  # 2 * raw > maxval
 
 
 def write_dataset(samples, out_dir) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -48,13 +49,62 @@ def _reference_forward(net, image):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _masked_sigmoid(z):
+    """The boolean-mask form of the sigmoid: each branch evaluated only where it applies."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _clipped_slices(hgt, wid):
+    """Per 3x3 tap (i, j), row-major, ``(to, frm)`` with ``tap[to] = map[frm]`` for 2-D maps shifted by
+    (i - 1, j - 1) and clipped at the image edge."""
+    rows, cols = ([(slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0))) for d in (-1, 0, 1)]
+                  for n in (hgt, wid))
+    return [((..., yt, xt), (..., yf, xf)) for (yt, yf), (xt, xf) in itertools.product(rows, cols)]
+
+
+def _clipped_taps(maps):
+    """The nine zero-padded taps of (b, H, W) maps as (b, 9, H*W): each copied through its clipped 2-D slices
+    into a zeroed stack."""
+    taps = np.zeros((len(maps), 9, *maps.shape[1:]))
+    for k, (to, frm) in enumerate(_clipped_slices(*maps.shape[1:])):
+        taps[:, k][to] = maps[frm]
+    return taps.reshape(len(maps), 9, -1)
+
+
+def _clipped_hidden(net, images):
+    """Taps and hidden maps relu(w1 @ T + b1) of (B, H, W) images, one matmul per image."""
+    tb = _clipped_taps(images)
+    return tb, np.maximum(np.matmul(net.params["w1"].reshape(8, -1), tb) + net.params["b1"][:, None], 0.0)
+
+
+def _clipped_forward(net, images):
+    """forward of (B, H, W) images by clipped 2-D slices: conv2 starts from the centre map of U = w2ᵀ @ h and adds
+    the other eight, each through its tap's clipped slices, in tap order; then b2 and the sigmoid."""
+    u = np.matmul(net.params["w2"].reshape(8, -1).T, _clipped_hidden(net, images)[1])
+    u = u.reshape(-1, 9, *images.shape[1:])
+    z = u[:, 4].copy()
+    for k, (to, frm) in enumerate(_clipped_slices(*images.shape[1:])):
+        if k != 4:
+            z[to] += u[:, k][frm]
+    return _masked_sigmoid(z + net.params["b2"])
+
+
+def _same_bytes(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)  # reports the first values that differ
+    assert got.tobytes() == want.tobytes()  # and the signs of zeros
+
+
 def _reference_backward(net, images, up, p):
     """Gradients as two passes computed them: dz2 from forward's output p, then the taps and hidden maps rebuilt
     from the images, one matmul per image, summed in image order."""
-    n, shape = len(images), images.shape[1:]
     dz2 = up * p * (1.0 - p)
-    tb, hb = model._hidden(net, np.empty((n, 9, *shape)), np.empty((n, 8, images[0].size)), images)
-    db = model._stacked_taps(np.empty((n, 9, *shape)), dz2)
+    tb, hb = _clipped_hidden(net, images)
+    db = _clipped_taps(dz2)
     zb = np.matmul(net.params["w2"][:, ::-1, ::-1].reshape(8, -1), db) * (hb > 0.0)
     per_image = {"w1": np.matmul(zb, tb.transpose(0, 2, 1)), "b1": zb.sum(axis=-1),
                  "w2": np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1], "b2": dz2.sum(axis=(-2, -1))}
@@ -64,7 +114,7 @@ def _reference_backward(net, images, up, p):
 def _reference_step(net, batch, loss_fn):
     """A training step as two passes: forward on the whole batch, one loss call per image, then backward."""
     images = np.stack([s.image for s in batch])
-    p = forward(net, images)
+    p = _clipped_forward(net, images)
     up, total = np.empty_like(p), 0.0
     for k, s in enumerate(batch):
         ev = loss_fn(p[k], s.mask)
@@ -145,18 +195,54 @@ class TestForward:
         img = rng.uniform(size=shape)
         np.testing.assert_allclose(forward(net, img), _reference_forward(net, img), rtol=1e-13)
 
-    def test_sigmoid_bytes_equal_masked_form(self):
-        def masked_sigmoid(z):  # the boolean-mask form model._sigmoid replaced
-            out = np.empty_like(z)
-            pos = z >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-            ez = np.exp(z[~pos])
-            out[~pos] = ez / (1.0 + ez)
+    # the shapes above, plus batches of several chunks: 16 images of 48x48 in chunks of 2, 8 of 16x16 in one
+    # chunk, 3 of 128x128 in chunks of 1
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 7, 11), (1, 100, 100), (16, 48, 48),
+                                       (8, 16, 16), (3, 128, 128)], ids=lambda s: "x".join(map(str, s)))
+    def test_bytes_equal_clipped_slices(self, shape):
+        # the flat shifts copy the same taps and add the same terms, plus exact zeros where the clipped
+        # slices skip one, so the taps, the output and the gradients keep every bit
+        net = TinyNet.init(seed=16)
+        rng = np.random.default_rng(12)
+        net.params["b1"], net.params["b2"] = rng.normal(size=8), np.array(rng.normal())
+        img, up = rng.uniform(-1.0, 1.0, size=shape), rng.normal(size=shape)
+        x, ups = img.reshape(-1, *shape[-2:]), up.reshape(-1, *shape[-2:])
+        _same_bytes(model._stacked_taps(np.empty((len(x), 9, *x.shape[1:])), x), _clipped_taps(x))
+        p = _clipped_forward(net, x)
+        _same_bytes(forward(net, img), p.reshape(shape))
+        got, want = backward(net, img, up), _reference_backward(net, x, ups, p)
+        for k in want:
+            _same_bytes(got[k], want[k])
+
+    # 5 images of 48x48 run as chunks of 2, 2 and 1; in the one-row and one-column images the frame rows and the
+    # wrapped columns overlap
+    @pytest.mark.parametrize("shape", [(5, 48, 48), (3, 1, 1), (3, 1, 7), (3, 7, 1)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_stale_buffers_are_rewritten(self, shape, monkeypatch):
+        # every chunk buffer starts as NaN: a frame or wrapped-column element that a chunk does not rewrite
+        # would reach the output or the gradients
+        net = TinyNet.init(seed=18)
+        rng = np.random.default_rng(16)
+        img, up = rng.uniform(size=shape), rng.normal(size=shape)
+        want_p, want = forward(net, img), backward(net, img, up)
+        real = model._chunk_buffers
+
+        def nan_buffers(x, n, ws):
+            out = real(x, n, ws)
+            for a in ws:
+                a.fill(np.nan)
             return out
 
-        edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
+        monkeypatch.setattr(model, "_chunk_buffers", nan_buffers)
+        _same_bytes(forward(net, img), want_p)
+        got = backward(net, img, up)
+        for k in want:
+            _same_bytes(got[k], want[k])
+
+    def test_sigmoid_bytes_equal_masked_form(self):
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf, 5e-324, -5e-324])
         for z in (edges, np.random.default_rng(13).normal(scale=10.0, size=(16, 48, 48))):
-            assert model._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+            assert model._sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
 
     def test_peak_memory_near_output_size(self):
         # evaluate hands forward a whole run of same-shaped images (eval-large's 48 at 128x128): beside its

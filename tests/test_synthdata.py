@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from segbench.losses import LOSS_NAMES, make_loss
+from segbench.metrics import confusion, roc_auc
 from segbench.synthdata import (
     GenerationFailure,
     PGMDepthError,
@@ -242,3 +244,16 @@ class TestDatasetFiles:
         manifest = write_dataset(samples, tmp_path / "ds")
         for orig, loaded in zip(samples, load_dataset(manifest)):
             np.testing.assert_array_equal(orig.mask, loaded.mask)
+
+    def test_masks_are_uint8_and_score_as_int64_masks(self, tmp_path):
+        # one byte per mask pixel; every loss and metric reads it as it reads the same mask in int64
+        samples = generate(SynthSpec(width=24, height=24, n_images=2, seed=6))
+        loaded = load_dataset(write_dataset(samples, tmp_path / "ds"))
+        assert [s.mask.dtype for s in samples + loaded] == [np.uint8] * 4
+        p = np.random.default_rng(0).uniform(size=(24, 24))
+        mask, wide = samples[0].mask, samples[0].mask.astype(np.int64)
+        for name in LOSS_NAMES:
+            got, want = make_loss(name)(p, mask), make_loss(name)(p, wide)
+            assert (got.value, got.grad.tobytes()) == (want.value, want.grad.tobytes())
+        assert confusion(p, mask) == confusion(p, wide)
+        assert roc_auc(p, mask) == roc_auc(p, wide)
