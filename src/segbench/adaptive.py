@@ -86,14 +86,15 @@ def adaptive_log_wrap(base: LossEval, params: AdaptiveLogParams = DEFAULT_PARAMS
 def wrap_loss_fn(loss_fn, params: AdaptiveLogParams = DEFAULT_PARAMS):
     """Lift a ``loss_fn(p, g) -> LossEval`` into its wrapped form.
 
-    A ``p`` with leading copy axes gives one base value per copy, and each is
-    wrapped on its own.
+    A stacked call (copies over one mask, or one mask per image) gives one
+    base value per copy or image, and each is wrapped on its own.
     """
 
     def wrapped(p, g):
         base = loss_fn(p, g)
         if np.ndim(base.value) == 0:
-            # kept apart only for the benchmark's log-branch probe, which reads it in adaptive_log_wrap
+            # one-image calls (gradcheck's analytic gradients and its network check) go through
+            # adaptive_log_wrap, whose argument the benchmark's log-branch probe reads; training does not
             return adaptive_log_wrap(base, params)
         value, slope = _branches(base.value, params)
         return LossEval(value, copy_axes(slope, base.grad) * base.grad)

@@ -2,12 +2,13 @@
 
 Every loss takes a predicted probability map ``p`` (floats in [0, 1]) and a
 ground-truth mask ``g`` (values in {0, 1}), and returns a :class:`LossEval`
-carrying the loss and d(loss)/d(p_i) for every pixel.  ``p`` may carry leading
-copy axes, ``p.shape == (*copies, *g.shape)``: each copy is scored against the
-same ``g`` over ``g``'s axes, and the value is an array of shape ``copies``,
-one per copy.  Without copy axes the value is a Python float.  A stacked call
-and one call per copy run the same numpy operations, so they agree bit for
-bit.  Averaging over a batch of images is the caller's job.
+carrying the loss and d(loss)/d(p_i) for every pixel.  It has three call forms.
+One image, ``p.shape == g.shape``, gives a Python float.  Copies over one mask,
+``p.shape == (*copies, *g.shape)``, give one value per copy.  One mask per
+image, ``p`` and ``g`` both ``(b, *img)`` with ``g`` viewed as :class:`Masks`
+(the view alone marks it: by shape it is one image), gives one value per image.
+Each copy or image reduces along its own row, so a stacked call agrees bit for
+bit with one call per copy or image.  Averaging over a batch is the caller's job.
 
 Set cardinalities are soft-relaxed (|G ∩ P| -> sum g_i * p_i) so gradients
 exist, and overlap losses take a smoothing constant to avoid 0/0 on empty
@@ -42,17 +43,22 @@ class DegenerateDenominator(ValueError):
 
 @dataclass
 class LossEval:
-    """Loss value (a float, or one per copy) plus its gradient w.r.t. every predicted pixel."""
+    """Loss value (a float, or one per copy or image) plus its gradient w.r.t. every predicted pixel."""
 
     value: float | np.ndarray
     grad: np.ndarray
 
 
+class Masks(np.ndarray):
+    """A ``(b, *img)`` stack of masks, one per image of ``p``: ``stack.view(Masks)`` selects that call form."""
+
+
 def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Validate once per call; return ``p`` as ``(*copies, g.size)`` rows, ``g`` flat, ``p.shape``."""
+    """Validate once per call; return ``p`` as rows of one image's pixels, ``g`` as its rows, ``p.shape``."""
+    per_image = isinstance(g, Masks)  # its first axis counts images, not pixels
     p = np.asarray(p, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    lead = p.ndim - g.ndim
+    lead = p.ndim - g.ndim  # copy axes
     if lead < 0 or p.shape[lead:] != g.shape:
         raise ValueError(f"shape mismatch: prediction {p.shape} vs mask {g.shape}")
     if p.size == 0:
@@ -61,7 +67,8 @@ def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, t
         raise ValueError("predicted probabilities must lie in [0, 1]")
     if not np.all((g == 0) | (g == 1)):
         raise ValueError("mask values must be exactly 0 or 1")
-    return p.reshape(*p.shape[:lead], g.size), g.ravel(), p.shape
+    rows = p.reshape(*p.shape[: lead + per_image], -1)
+    return rows, g.reshape(rows.shape[lead:]), p.shape
 
 
 def _check_overlap(p, g, smooth: float) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -69,7 +76,7 @@ def _check_overlap(p, g, smooth: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     p, g, shape = _check_pair(p, g)
     if smooth < 0:
         raise ValueError(f"smooth must be >= 0, got {smooth}")
-    if smooth == 0 and np.sum(g) == 0:
+    if smooth == 0 and not _row_sum(g).all():
         raise DegenerateDenominator("empty ground-truth mask with smooth=0")
     return p, g, shape
 
@@ -84,7 +91,7 @@ def copy_axes(x, grad: np.ndarray) -> np.ndarray:
 
 
 def _eval(value: np.ndarray, grad: np.ndarray, shape: tuple) -> LossEval:
-    # value rows are (*copies, 1); without copies the value is a Python float
+    # value rows are (*copies, 1) or (images, 1); for one image the value is a Python float
     value = value[..., 0]
     return LossEval(float(value) if value.ndim == 0 else value, grad.reshape(shape))
 
@@ -98,7 +105,7 @@ def soft_dice_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (2 sum(g*p) + s) / (sum(g) + sum(p) + s)."""
     p, g, shape = _check_overlap(p, g, smooth)
     inter = _row_sum(g * p)
-    denom = np.sum(g) + _row_sum(p) + smooth
+    denom = _row_sum(g) + _row_sum(p) + smooth
     return _quotient_loss(2.0 * inter + smooth, denom, 2.0 * g, 1.0, shape)
 
 
@@ -106,7 +113,7 @@ def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (sum(g*p) + s) / (sum(g) + sum(p) - sum(g*p) + s)."""
     p, g, shape = _check_overlap(p, g, smooth)
     inter = _row_sum(g * p)
-    denom = np.sum(g) + _row_sum(p) - inter + smooth
+    denom = _row_sum(g) + _row_sum(p) - inter + smooth
     return _quotient_loss(inter + smooth, denom, g, 1.0 - g, shape)
 
 
@@ -140,7 +147,7 @@ def focal_loss(p, g, focal_alpha: float = 1.0, focal_gamma: float = 2.0) -> Loss
     # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0. At gf = 0 the
     # first term is -0.0 (pt is clipped below 1), so d_pt is exactly -a / pt.
     d_pt = a * gf * one_minus ** (gf - 1.0) * np.log(pt) - a * one_minus**gf / pt
-    grad = np.where(g == 1, d_pt, -d_pt) / g.size
+    grad = np.where(g == 1, d_pt, -d_pt) / p.shape[-1]
     grad = np.where(clamped, 0.0, grad)
     return _eval(value, grad, shape)
 
@@ -151,7 +158,7 @@ def bce_loss(p, g) -> LossEval:
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     clamped = pc != p
     value = np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)), axis=-1, keepdims=True)
-    grad = -(g / pc - (1.0 - g) / (1.0 - pc)) / g.size
+    grad = -(g / pc - (1.0 - g) / (1.0 - pc)) / p.shape[-1]
     grad = np.where(clamped, 0.0, grad)
     return _eval(value, grad, shape)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .adaptive import AdaptiveLogParams, wrap_loss_fn
-from .losses import make_loss
+from .losses import Masks, make_loss
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
@@ -280,6 +280,7 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
         with np.errstate(over="ignore", invalid="ignore"):
             for b_idx, start in enumerate(range(0, n, config.batch_size)):
                 batch = [train_set[i] for i in order[start : start + config.batch_size]]
+                masks = np.stack([s.mask for s in batch]).view(Masks)
                 batch_loss = 0.0
 
                 def upstream(chunk, p):
@@ -287,12 +288,10 @@ def train(config: TrainConfig, train_set, val_set) -> RunRecord:
                     # checked before the loss sees it, so plain and wrapped losses diverge the same way
                     if not np.isfinite(p).all():
                         raise TrainingDiverged(epoch, b_idx, "network output")
-                    up = np.empty_like(p)
-                    for k, s in enumerate(batch[chunk]):
-                        ev = loss_fn(p[k], s.mask)
-                        batch_loss += ev.value
-                        up[k] = ev.grad / len(batch)
-                    return up
+                    ev = loss_fn(p, masks[chunk])  # one value per image; a scalar stands for each of them
+                    for value in np.broadcast_to(ev.value, len(p)).tolist():  # as Python floats, in image order
+                        batch_loss += value
+                    return ev.grad / len(batch)
 
                 grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
                 batch_loss /= len(batch)

@@ -12,6 +12,7 @@ from segbench.losses import (
     LOSS_NAMES,
     LOSSES,
     DegenerateDenominator,
+    Masks,
     bce_loss,
     combo_loss,
     finite_difference_grad,
@@ -302,6 +303,77 @@ class TestFiniteDifference:
         for step in (0, 0.6):  # above 0.5 neither side of a pixel at 0.5 stays in [0, 1]
             with pytest.raises(ValueError):
                 finite_difference_grad(soft_dice_loss, P4, G4, step=step)
+
+
+
+def per_image_case(shape, seed, empty=None):
+    """A ``(b, *img)`` stack of oracle cases, one seed per image; image ``empty`` gets an all-zero mask, with its
+    predictions flipped where the mask was 1 so they stay near it."""
+    p, g = (np.stack(x) for x in zip(*(oracle_case(shape[1:], seed + k) for k in range(shape[0]))))
+    if empty is not None:
+        p[empty] = np.where(g[empty] == 1, 1.0 - p[empty], p[empty])
+        g[empty] = 0
+    return p, g
+
+
+def error_of(call):
+    """Type and message of the ValueError that ``call()`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return exc.type, str(exc.value)
+
+
+class TestPerImageMasks:
+    # (stack shape, image with an empty mask): the images carry pixels at exactly 0 and 1, which the focal and
+    # BCE clamp
+    CASES = {"empty-mask": ((3, 4, 5), 1), "one-image": ((1, 4, 5), None), "one-row": ((3, 1, 6), None)}
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_stacked_call_matches_per_image_calls(self, name, wrapped, case):
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        shape, empty = self.CASES[case]
+        p, g = per_image_case(shape, seed=21, empty=empty)
+        assert {0.0, 1.0} <= set(p.ravel())
+        ev = fn(p, g.view(Masks))
+        assert ev.value.shape == shape[:1] and ev.grad.shape == shape
+        for k in range(shape[0]):
+            one = fn(p[k], g[k])
+            assert type(one.value) is float
+            assert ev.value[k] == one.value
+            assert ev.grad[k].tobytes() == one.grad.tobytes()
+
+    def test_the_mask_type_marks_the_form(self):
+        p, g = per_image_case((2, 3, 3), seed=5)
+        assert type(soft_dice_loss(p, g).value) is float  # by shape alone, one image of 2x3x3
+        assert soft_dice_loss(p, g.view(Masks)).value.shape == (2,)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            soft_dice_loss(p, g[:1].view(Masks))  # one mask for two images
+
+    @pytest.mark.parametrize("name", [name for name in LOSS_NAMES if "smooth" in loss_options(name)])
+    def test_second_empty_mask_at_smooth_zero(self, name):
+        fn = make_loss(name, smooth=0.0)
+        p, g = per_image_case((3, 4, 5), seed=31, empty=1)
+        want = error_of(lambda: fn(p[1], g[1]))
+        assert error_of(lambda: fn(p, g.view(Masks))) == want and want[0] is DegenerateDenominator
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_nan_pixel(self, name, wrapped):
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        p, g = per_image_case((3, 4, 5), seed=41)
+        p[1, 2, 3] = np.nan
+        assert error_of(lambda: fn(p, g.view(Masks))) == error_of(lambda: fn(p[1], g[1]))
+
+    def test_wrapped_base_value_out_of_range_names_the_first_image(self):
+        # images 1 and 2 predict the opposite of their masks, so their BCE exceeds 1 by different amounts
+        fn = wrap_loss_fn(make_loss("bce"))
+        p, g = per_image_case((3, 4, 5), seed=51)
+        p[1:] = 1.0 - p[1:]
+        p[2, 0, 3] = 0.5
+        assert 1.0 < bce_loss(p[2], g[2]).value != bce_loss(p[1], g[1]).value > 1.0
+        assert error_of(lambda: fn(p, g.view(Masks))) == error_of(lambda: fn(p[1], g[1]))
 
 
 # (selector, bad options): one case per range rule, and negative smooth on every selector that reads it

@@ -15,7 +15,7 @@ import segbench.metrics as metrics
 import segbench.model as model
 from segbench.adaptive import AdaptiveLogParams
 from segbench.cli import EXIT_OK, main
-from segbench.losses import LossEval, make_loss
+from segbench.losses import LOSS_NAMES, LossEval, make_loss
 from segbench.model import (AdamState, EpochRow, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward,
                             evaluate, forward, train)
 from segbench.synthdata import Sample, SynthSpec, generate, train_val_split
@@ -568,13 +568,27 @@ class TestTrain:
         assert exc.value.epoch == 0
         assert exc.value.batch == 0
 
-    @pytest.mark.parametrize("wrapped", [False, True], ids=["dice", "dice+wrap"])
-    def test_epoch_rows_equal_two_pass_loop(self, wrapped):
-        # 48x48 batches of 5, 5 and 2 images run as chunks of 2, 2 and 1
+    @pytest.mark.parametrize("name, wrapped", [(name, wrapped) for name in LOSS_NAMES for wrapped in (False, True)],
+                             ids=[name + "+wrap" * wrapped for name in LOSS_NAMES for wrapped in (False, True)])
+    def test_epoch_rows_equal_two_pass_loop(self, name, wrapped):
+        # 48x48 batches of 5, 5 and 2 images run as chunks of 2, 2 and 1, each scored in one loss call
         train_set, val_set = tiny_dataset(seed=8, size=48)
-        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss="dice",
+        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss=name,
                           adaptive_params=AdaptiveLogParams() if wrapped else None, seed=3)
         assert train(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set)
+
+    @pytest.mark.parametrize("size, batch_size, chunks", [(16, 8, [8, 4]), (48, 5, [2, 2, 1, 2, 2, 1, 2])],
+                             ids=["16x16-batch8", "48x48-batch5"])
+    def test_one_loss_call_per_chunk(self, monkeypatch, size, batch_size, chunks):
+        # 12 training images: a 16x16 batch of 8 is one chunk, and 48x48 batches of 5 run as chunks of 2, 2 and 1
+        train_set, val_set = tiny_dataset(seed=11, size=size)
+        assert len(train_set) == 12
+        seen = []
+        real = model.make_loss
+        monkeypatch.setattr(model, "make_loss",
+                            lambda name, **kw: lambda p, g: seen.append(len(p)) or real(name, **kw)(p, g))
+        train(TrainConfig(lr=0.01, batch_size=batch_size, max_epochs=2, seed=0), train_set, val_set)
+        assert seen == chunks * 2
 
     def test_mixed_image_shapes_equal_two_pass_loop(self):
         # load_dataset reads PGMs of any size, and batches of one image train on them: the step's buffers
@@ -618,7 +632,7 @@ class TestTrain:
             with pytest.raises(TrainingDiverged) as exc:
                 train(cfg, bad, val_set)
         assert (exc.value.epoch, exc.value.batch, exc.value.what) == (0, 0, "network output")
-        assert len(calls) == 2  # the first chunk's images
+        assert len(calls) == 1  # the first chunk's one call
         monkeypatch.undo()
         assert train(cfg, train_set, val_set).epochs == clean  # the diverged call left nothing behind
 
