@@ -80,7 +80,7 @@ def derivative_jump(params: AdaptiveLogParams = DEFAULT_PARAMS) -> float:
 def adaptive_log_wrap(base: LossEval, params: AdaptiveLogParams = DEFAULT_PARAMS) -> LossEval:
     """Compose the wrapper with an evaluated base loss (one float value) via the chain rule."""
     value, slope = _branches(base.value, params)
-    return LossEval(value, slope * np.asarray(base.grad))
+    return LossEval(value, lambda: slope * np.asarray(base.grad))
 
 
 def wrap_loss_fn(loss_fn, params: AdaptiveLogParams = DEFAULT_PARAMS):
@@ -97,6 +97,6 @@ def wrap_loss_fn(loss_fn, params: AdaptiveLogParams = DEFAULT_PARAMS):
             # adaptive_log_wrap, whose argument the benchmark's log-branch probe reads; training does not
             return adaptive_log_wrap(base, params)
         value, slope = _branches(base.value, params)
-        return LossEval(value, copy_axes(slope, base.grad) * base.grad)
+        return LossEval(value, lambda: copy_axes(slope, base.grad) * base.grad)
 
     return wrapped

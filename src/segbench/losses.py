@@ -2,7 +2,8 @@
 
 Every loss takes a predicted probability map ``p`` (floats in [0, 1]) and a
 ground-truth mask ``g`` (values in {0, 1}), and returns a :class:`LossEval`
-carrying the loss and d(loss)/d(p_i) for every pixel.  It has three call forms.
+carrying the loss and d(loss)/d(p_i) for every pixel; the gradient is built on
+the first read of ``.grad``.  It has three call forms.
 One image, ``p.shape == g.shape``, gives a Python float.  Copies over one mask,
 ``p.shape == (*copies, *g.shape)``, give one value per copy.  One mask per
 image, ``p`` and ``g`` both ``(b, *img)`` with ``g`` viewed as :class:`Masks`
@@ -23,7 +24,6 @@ selector's options and their defaults are read from that signature.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,20 +41,37 @@ class DegenerateDenominator(ValueError):
     """Overlap loss denominator is zero (empty masks with smooth=0)."""
 
 
-@dataclass
 class LossEval:
-    """Loss value (a float, or one per copy or image) plus its gradient w.r.t. every predicted pixel."""
+    """Loss value (a float, or one per copy or image) plus its gradient w.r.t. every predicted pixel.
 
-    value: float | np.ndarray
-    grad: np.ndarray
+    ``grad`` is an array, or a zero-argument function that builds it.  The
+    kernels compute ``value`` (and validate their input) at call time and pass
+    a function, which runs on the first read of ``.grad``; that read keeps the
+    array, so later reads return the same object.  The function works on the
+    arrays passed to the call, so a caller must not modify ``p`` or ``g`` in
+    place before reading ``.grad``.
+    """
+
+    def __init__(self, value: float | np.ndarray, grad):
+        self.value = value
+        self._grad = grad
+
+    @property
+    def grad(self) -> np.ndarray:
+        if callable(self._grad):
+            self._grad = self._grad()
+        return self._grad
 
 
 class Masks(np.ndarray):
     """A ``(b, *img)`` stack of masks, one per image of ``p``: ``stack.view(Masks)`` selects that call form."""
 
 
-def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Validate once per call; return ``p`` as rows of one image's pixels, ``g`` as its rows, ``p.shape``."""
+def _check_pair(p: np.ndarray, g: np.ndarray, smooth: float | None = None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Validate once per call; return ``p`` as rows of one image's pixels, ``g`` as its rows, ``p.shape``.
+
+    An overlap loss passes its ``smooth``, which adds the smoothing rules.
+    """
     per_image = isinstance(g, Masks)  # its first axis counts images, not pixels
     p = np.asarray(p, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -63,22 +80,26 @@ def _check_pair(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, t
         raise ValueError(f"shape mismatch: prediction {p.shape} vs mask {g.shape}")
     if p.size == 0:
         raise ValueError("empty input")
-    if not (np.min(p) >= 0 and np.max(p) <= 1):  # written so that a NaN fails it
-        raise ValueError("predicted probabilities must lie in [0, 1]")
-    if not np.all((g == 0) | (g == 1)):
-        raise ValueError("mask values must be exactly 0 or 1")
     rows = p.reshape(*p.shape[: lead + per_image], -1)
-    return rows, g.reshape(rows.shape[lead:]), p.shape
+    g = g.reshape(rows.shape[lead:])
+    if _input_error(rows, g, smooth) is not None:
+        # only now find the first offending copy or image, and raise what it would raise alone
+        errors = (_input_error(rows[k], g[k[lead:]], smooth) for k in np.ndindex(rows.shape[:-1]))
+        raise next(e for e in errors if e is not None)
+    return rows, g, p.shape
 
 
-def _check_overlap(p, g, smooth: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """:func:`_check_pair` plus the smoothing rules every overlap loss shares."""
-    p, g, shape = _check_pair(p, g)
-    if smooth < 0:
-        raise ValueError(f"smooth must be >= 0, got {smooth}")
+def _input_error(p: np.ndarray, g: np.ndarray, smooth: float | None) -> ValueError | None:
+    """What a call on these rows raises, checked in order: ``p``'s range, ``g``'s values, the smoothing rules."""
+    if not (np.min(p) >= 0 and np.max(p) <= 1):  # written so that a NaN fails it
+        return ValueError("predicted probabilities must lie in [0, 1]")
+    if not np.all((g == 0) | (g == 1)):
+        return ValueError("mask values must be exactly 0 or 1")
+    if smooth is not None and smooth < 0:
+        return ValueError(f"smooth must be >= 0, got {smooth}")
     if smooth == 0 and not _row_sum(g).all():
-        raise DegenerateDenominator("empty ground-truth mask with smooth=0")
-    return p, g, shape
+        return DegenerateDenominator("empty ground-truth mask with smooth=0")
+    return None
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -90,31 +111,37 @@ def copy_axes(x, grad: np.ndarray) -> np.ndarray:
     return np.reshape(x, np.shape(x) + (1,) * (grad.ndim - np.ndim(x)))
 
 
-def _eval(value: np.ndarray, grad: np.ndarray, shape: tuple) -> LossEval:
-    # value rows are (*copies, 1) or (images, 1); for one image the value is a Python float
+def _eval(value: np.ndarray, grad, shape: tuple) -> LossEval:
+    # value rows are (*copies, 1) or (images, 1); for one image the value is a Python float.
+    # grad() builds the gradient rows on the first read of .grad
     value = value[..., 0]
-    return LossEval(float(value) if value.ndim == 0 else value, grad.reshape(shape))
+    return LossEval(float(value) if value.ndim == 0 else value, lambda: grad().reshape(shape))
 
 
-def _quotient_loss(num, denom, d_num, d_denom, shape: tuple) -> LossEval:
-    """1 - num/denom, with d/dp_i by the quotient rule from each pixel's d num and d denom."""
-    return _eval(1.0 - num / denom, -(d_num * denom - num * d_denom) / (denom * denom), shape)
+def _quotient_loss(num, denom, d_parts, shape: tuple) -> LossEval:
+    """1 - num/denom, with d/dp_i by the quotient rule from ``d_parts()``: each pixel's (d num, d denom)."""
+
+    def grad():
+        d_num, d_denom = d_parts()
+        return -(d_num * denom - num * d_denom) / (denom * denom)
+
+    return _eval(1.0 - num / denom, grad, shape)
 
 
 def soft_dice_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (2 sum(g*p) + s) / (sum(g) + sum(p) + s)."""
-    p, g, shape = _check_overlap(p, g, smooth)
+    p, g, shape = _check_pair(p, g, smooth)
     inter = _row_sum(g * p)
     denom = _row_sum(g) + _row_sum(p) + smooth
-    return _quotient_loss(2.0 * inter + smooth, denom, 2.0 * g, 1.0, shape)
+    return _quotient_loss(2.0 * inter + smooth, denom, lambda: (2.0 * g, 1.0), shape)
 
 
 def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     """1 - (sum(g*p) + s) / (sum(g) + sum(p) - sum(g*p) + s)."""
-    p, g, shape = _check_overlap(p, g, smooth)
+    p, g, shape = _check_pair(p, g, smooth)
     inter = _row_sum(g * p)
     denom = _row_sum(g) + _row_sum(p) - inter + smooth
-    return _quotient_loss(inter + smooth, denom, g, 1.0 - g, shape)
+    return _quotient_loss(inter + smooth, denom, lambda: (g, 1.0 - g), shape)
 
 
 def tversky_loss(
@@ -123,12 +150,12 @@ def tversky_loss(
     """1 - (TP + s) / (TP + alpha*FN + beta*FP + s) with soft TP/FN/FP."""
     if tversky_alpha < 0 or tversky_beta < 0 or tversky_alpha + tversky_beta == 0:
         raise ValueError(f"invalid Tversky weights tversky_alpha={tversky_alpha}, tversky_beta={tversky_beta}")
-    p, g, shape = _check_overlap(p, g, smooth)
+    p, g, shape = _check_pair(p, g, smooth)
     inter = _row_sum(g * p)
     fn = _row_sum(g * (1.0 - p))
     fp = _row_sum((1.0 - g) * p)
     denom = inter + tversky_alpha * fn + tversky_beta * fp + smooth
-    return _quotient_loss(inter + smooth, denom, g, g - tversky_alpha * g + tversky_beta * (1.0 - g), shape)
+    return _quotient_loss(inter + smooth, denom, lambda: (g, g - tversky_alpha * g + tversky_beta * (1.0 - g)), shape)
 
 
 def focal_loss(p, g, focal_alpha: float = 1.0, focal_gamma: float = 2.0) -> LossEval:
@@ -139,16 +166,18 @@ def focal_loss(p, g, focal_alpha: float = 1.0, focal_gamma: float = 2.0) -> Loss
         raise ValueError(f"focal_gamma must be >= 0, got {focal_gamma}")
     p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    clamped = pc != p
     pt = np.where(g == 1, pc, 1.0 - pc)
     a, gf = focal_alpha, focal_gamma
     one_minus = 1.0 - pt
-    value = np.mean(-a * one_minus**gf * np.log(pt), axis=-1, keepdims=True)
-    # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0. At gf = 0 the
-    # first term is -0.0 (pt is clipped below 1), so d_pt is exactly -a / pt.
-    d_pt = a * gf * one_minus ** (gf - 1.0) * np.log(pt) - a * one_minus**gf / pt
-    grad = np.where(g == 1, d_pt, -d_pt) / p.shape[-1]
-    grad = np.where(clamped, 0.0, grad)
+    weight, log_pt = one_minus**gf, np.log(pt)
+    value = np.mean(-a * weight * log_pt, axis=-1, keepdims=True)
+
+    def grad():
+        # d/dpt of -a (1-pt)^gf ln(pt); dpt/dp = +1 where g=1, -1 where g=0. At gf = 0 the
+        # first term is -0.0 (pt is clipped below 1), so d_pt is exactly -a / pt.
+        d_pt = a * gf * one_minus ** (gf - 1.0) * log_pt - a * weight / pt
+        return np.where(pc != p, 0.0, np.where(g == 1, d_pt, -d_pt) / p.shape[-1])
+
     return _eval(value, grad, shape)
 
 
@@ -156,10 +185,11 @@ def bce_loss(p, g) -> LossEval:
     """Mean binary cross-entropy with probability clipping."""
     p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    clamped = pc != p
     value = np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)), axis=-1, keepdims=True)
-    grad = -(g / pc - (1.0 - g) / (1.0 - pc)) / p.shape[-1]
-    grad = np.where(clamped, 0.0, grad)
+
+    def grad():
+        return np.where(pc != p, 0.0, -(g / pc - (1.0 - g) / (1.0 - pc)) / p.shape[-1])
+
     return _eval(value, grad, shape)
 
 
@@ -167,11 +197,12 @@ def combo_loss(p, g, smooth: float = DEFAULT_SMOOTH, mix: float = 0.5) -> LossEv
     """mix * mean-BCE + (1 - mix) * soft Dice loss."""
     if not (0 <= mix <= 1):
         raise ValueError(f"mix must be in [0, 1], got {mix}")
-    bce = bce_loss(p, g)
+    # Dice first: its checks are BCE's plus the smoothing rules, so a stacked call raises what its first
+    # offending image would raise alone
     dice = soft_dice_loss(p, g, smooth)
+    bce = bce_loss(p, g)
     value = mix * bce.value + (1.0 - mix) * dice.value
-    grad = mix * bce.grad + (1.0 - mix) * dice.grad
-    return LossEval(value, grad)
+    return LossEval(value, lambda: mix * bce.grad + (1.0 - mix) * dice.grad)
 
 
 def focal_tversky_loss(
@@ -184,10 +215,13 @@ def focal_tversky_loss(
     base = tversky_loss(p, g, smooth, tversky_alpha, tversky_beta)
     v = np.asarray(base.value)
     expo = 1.0 / ft_gamma
-    # at its exact minimum a copy's one-sided slope is unbounded (expo < 1): take the subgradient 0
-    at_min = v == 0.0
-    slope = expo * np.where(at_min, 1.0, v) ** (expo - 1.0)
-    grad = np.where(copy_axes(at_min, base.grad), 0.0, copy_axes(slope, base.grad) * base.grad)
+
+    def grad():
+        # at its exact minimum a copy's one-sided slope is unbounded (expo < 1): take the subgradient 0
+        at_min = v == 0.0
+        slope = expo * np.where(at_min, 1.0, v) ** (expo - 1.0)
+        return np.where(copy_axes(at_min, base.grad), 0.0, copy_axes(slope, base.grad) * base.grad)
+
     value = v**expo
     return LossEval(float(value) if value.ndim == 0 else value, grad)
 
@@ -201,7 +235,8 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     ``loss_fn`` is called once per block of pixels, with a ``(2, k, *p.shape)``
     stack: the k up-perturbed copies of ``p`` then the k down-perturbed ones.
     It returns one value per copy, shape ``(2, k)``, as every loss here does,
-    or a scalar, which stands for every copy.
+    or a scalar, which stands for every copy.  Only ``.value`` is read, so
+    the copies' gradients are never built.
     """
     if not (0 < step <= 0.5):
         raise ValueError("step must be in (0, 0.5]")  # above 0.5 neither side may stay in [0, 1]

@@ -12,6 +12,7 @@ from segbench.losses import (
     LOSS_NAMES,
     LOSSES,
     DegenerateDenominator,
+    LossEval,
     Masks,
     bce_loss,
     combo_loss,
@@ -288,8 +289,6 @@ class TestFiniteDifference:
         assert peak <= 1_000_000
 
     def test_constant_loss_zero_grad(self):
-        from segbench.losses import LossEval
-
         fd = finite_difference_grad(lambda p, g: LossEval(0.42, None), P4, G4)
         np.testing.assert_array_equal(fd, np.zeros(4))
 
@@ -304,6 +303,40 @@ class TestFiniteDifference:
             with pytest.raises(ValueError):
                 finite_difference_grad(soft_dice_loss, P4, G4, step=step)
 
+
+
+class TestLazyGradient:
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_finite_differences_build_no_gradient(self, name, wrapped, monkeypatch):
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        p, g = oracle_case((8, 8), seed=7)
+        reads = []
+        read = LossEval.grad.fget
+        monkeypatch.setattr(LossEval, "grad", property(lambda ev: reads.append(ev) or read(ev)))
+        finite_difference_grad(fn, p, g)
+        assert reads == []
+        fn(p, g).grad
+        assert reads  # the patched property sees a read
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_grad_is_built_once(self, name, wrapped):
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        p, g = per_image_case((2, 3, 5), seed=13)
+        for ev in (fn(p[0], g[0]), fn(np.stack([p[0], p[0]]), g[0]), fn(p, g.view(Masks))):
+            assert isinstance(ev.grad, np.ndarray) and ev.grad is ev.grad
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_late_reads_give_the_same_bytes(self, name, wrapped):
+        # every call is made before any gradient is read, and the reads run in reverse order
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        p, g = per_image_case((3, 4, 5), seed=17)
+        calls = [lambda: fn(p, g.view(Masks))] + [lambda k=k: fn(p[k], g[k]) for k in range(3)]
+        late = [call() for call in calls]
+        for ev, call in reversed(list(zip(late, calls))):
+            assert ev.grad.tobytes() == call().grad.tobytes()
 
 
 def per_image_case(shape, seed, empty=None):
@@ -365,6 +398,32 @@ class TestPerImageMasks:
         p, g = per_image_case((3, 4, 5), seed=41)
         p[1, 2, 3] = np.nan
         assert error_of(lambda: fn(p, g.view(Masks))) == error_of(lambda: fn(p[1], g[1]))
+
+    @pytest.mark.parametrize("offence", ["nan-pixel", "bad-mask-value"])
+    @pytest.mark.parametrize("empty_first", [True, False])
+    @pytest.mark.parametrize("name", [name for name in LOSS_NAMES if "smooth" in loss_options(name)])
+    def test_first_offending_image_decides_the_error(self, name, empty_first, offence):
+        # one image has an empty mask at smooth 0, the other a NaN pixel or a mask value of 2
+        fn = make_loss(name, smooth=0.0)
+        p, g = per_image_case((2, 48, 48), seed=61, empty=0 if empty_first else 1)
+        k = 1 if empty_first else 0
+        if offence == "nan-pixel":
+            p[k, 5, 7] = np.nan
+        else:
+            g[k, 5, 7] = 2
+        want = error_of(lambda: fn(p[0], g[0]))
+        assert (want[0] is DegenerateDenominator) == empty_first
+        assert error_of(lambda: fn(p, g.view(Masks))) == want
+
+    def test_first_offending_copy_decides_the_error(self):
+        # copies share one mask: with a bad mask value, copy 0 alone raises the mask error before copy 1's NaN
+        p, g = per_image_case((2, 4, 5), seed=71)
+        g = g[0].copy()
+        g[2, 2] = 2
+        p[1, 0, 0] = np.nan
+        want = error_of(lambda: soft_dice_loss(p[0], g))
+        assert "mask values" in want[1]
+        assert error_of(lambda: soft_dice_loss(p, g)) == want
 
     def test_wrapped_base_value_out_of_range_names_the_first_image(self):
         # images 1 and 2 predict the opposite of their masks, so their BCE exceeds 1 by different amounts
