@@ -48,12 +48,8 @@ def confusion(p, g, threshold: float = 0.5) -> ConfusionCounts:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     pred = p >= threshold
     truth = g == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & truth)),
-        fp=int(np.sum(pred & ~truth)),
-        tn=int(np.sum(~pred & ~truth)),
-        fn=int(np.sum(~pred & truth)),
-    )
+    tp, n_pred, n_true = (int(np.count_nonzero(a)) for a in (pred & truth, pred, truth))
+    return ConfusionCounts(tp=tp, fp=n_pred - tp, tn=pred.size - n_pred - n_true + tp, fn=n_true - tp)
 
 
 def _ratio(num: int, denom: int, what: str) -> float:

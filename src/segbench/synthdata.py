@@ -86,7 +86,6 @@ def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
     lo, hi = spec.blob_count_range
     target_px = spec.fg_fraction_target * w * h
-    yy, xx = np.mgrid[0:h, 0:w]
     for _ in range(MAX_ATTEMPTS):
         k = int(rng.integers(lo, hi + 1))
         mask = np.zeros((h, w), dtype=np.uint8)
@@ -96,8 +95,12 @@ def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
             b = (target_px / k / np.pi) / a * rng.uniform(0.9, 1.1)
             cx = rng.uniform(0, w - 1)
             cy = rng.uniform(0, h - 1)
-            inside = ((xx - cx) / max(a, 0.5)) ** 2 + ((yy - cy) / max(b, 0.5)) ** 2 <= 1.0
-            mask[inside] = 1
+            ra, rb = max(a, 0.5), max(b, 0.5)
+            # only the bounding box can hold the ellipse: outside it each term is above 1
+            x0, x1 = max(0, int(cx - ra) - 1), min(w, int(cx + ra) + 2)
+            y0, y1 = max(0, int(cy - rb) - 1), min(h, int(cy + rb) + 2)
+            xx, yy = np.arange(x0, x1)[None, :], np.arange(y0, y1)[:, None]
+            mask[y0:y1, x0:x1] |= ((xx - cx) / ra) ** 2 + ((yy - cy) / rb) ** 2 <= 1.0
         frac = mask.mean()
         if frac == 0.0 or frac == 1.0:
             continue
@@ -115,8 +118,8 @@ def generate_sample(spec: SynthSpec, index: int) -> Sample:
     mask = _draw_mask(spec, rng)
     image = BG_LEVEL + (FG_LEVEL - BG_LEVEL) * mask.astype(np.float64)
     if spec.noise_sigma > 0:
-        image = image + rng.normal(0.0, spec.noise_sigma, size=image.shape)
-        image = np.clip(image, 0.0, 1.0)
+        image += rng.normal(0.0, spec.noise_sigma, size=image.shape)
+        np.clip(image, 0.0, 1.0, out=image)
     return Sample(image=image, mask=mask)
 
 
@@ -156,8 +159,7 @@ def write_pgm(path, values: np.ndarray) -> None:
     arr = arr.astype(np.uint8, copy=False)
     h, w = arr.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

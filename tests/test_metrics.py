@@ -45,6 +45,26 @@ class TestConfusion:
         assert c.total == 16
 
 
+    @pytest.mark.parametrize("shape", [(50,), (7, 9), (3, 5, 4)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 1.0])
+    def test_equals_four_sums(self, shape, threshold):
+        # NaN predictions are never positive; mask values other than 1 (0, 2, 255) are negatives
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            exact = rng.choice([0.0, 0.3, 0.5, 1.0, np.nan], size=shape)
+            p = np.where(rng.uniform(size=shape) < 0.5, exact, rng.uniform(size=shape))
+            g = rng.choice(np.array([0, 1, 2, 255], dtype=np.uint8), size=shape)
+            pred, truth = p >= threshold, g == 1
+            want = ConfusionCounts(
+                tp=int(np.sum(pred & truth)),
+                fp=int(np.sum(pred & ~truth)),
+                tn=int(np.sum(~pred & ~truth)),
+                fn=int(np.sum(~pred & truth)),
+            )
+            assert confusion(p, g, threshold) == want
+            assert want.total == p.size
+
+
 class TestScalarMetrics:
     def test_balanced_counts(self):
         c = ConfusionCounts(1, 1, 1, 1)

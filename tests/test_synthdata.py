@@ -1,4 +1,6 @@
+import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from segbench.losses import LOSS_NAMES, make_loss
 from segbench.metrics import confusion, roc_auc
 from segbench.synthdata import (
+    MAX_ATTEMPTS,
     GenerationFailure,
     PGMDepthError,
     PGMFormatError,
     PGMHeaderError,
     Sample,
     SynthSpec,
+    _draw_mask,
     generate,
     generate_sample,
     load_dataset,
@@ -70,6 +74,11 @@ class TestGenerate:
         for s in generate(spec):
             assert set(np.unique(s.image)) == {0.2, 0.8}
 
+    def test_noisy_image_clipped_to_unit_range(self):
+        spec = SynthSpec(width=24, height=24, noise_sigma=0.5, n_images=2, seed=1)
+        for s in generate(spec):
+            assert (s.image.dtype, s.image.min(), s.image.max()) == (np.float64, 0.0, 1.0)
+
     def test_masks_nondegenerate(self):
         spec = SynthSpec(width=32, height=32, fg_fraction_target=0.05, n_images=20, seed=4)
         for s in generate(spec):
@@ -88,6 +97,82 @@ class TestGenerate:
         spec = SynthSpec(width=16, height=16, fg_fraction_target=0.002, n_images=1, seed=0)
         with pytest.raises(GenerationFailure):
             generate(spec)
+
+
+def _full_grid_mask(spec, rng):
+    """Reference rasterizer: tests every pixel of the image against every blob."""
+    h, w = spec.height, spec.width
+    lo, hi = spec.blob_count_range
+    target_px = spec.fg_fraction_target * w * h
+    yy, xx = np.mgrid[0:h, 0:w]
+    for _ in range(MAX_ATTEMPTS):
+        k = int(rng.integers(lo, hi + 1))
+        mask = np.zeros((h, w), dtype=np.uint8)
+        base_r = np.sqrt(target_px / k / np.pi)
+        for _ in range(k):
+            a = base_r * rng.uniform(0.6, 1.4)
+            b = (target_px / k / np.pi) / a * rng.uniform(0.9, 1.1)
+            cx = rng.uniform(0, w - 1)
+            cy = rng.uniform(0, h - 1)
+            inside = ((xx - cx) / max(a, 0.5)) ** 2 + ((yy - cy) / max(b, 0.5)) ** 2 <= 1.0
+            mask[inside] = 1
+        frac = mask.mean()
+        if frac == 0.0 or frac == 1.0:
+            continue
+        if abs(frac - spec.fg_fraction_target) <= 0.2 * spec.fg_fraction_target:
+            return mask
+    raise GenerationFailure(
+        f"no mask within 20% of fg fraction {spec.fg_fraction_target} "
+        f"after {MAX_ATTEMPTS} attempts (blob range {spec.blob_count_range})"
+    )
+
+
+class TestBoundingBoxRaster:
+    """``_draw_mask`` tests each blob on its bounding box only; the masks equal the full-grid ones."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SynthSpec(width=16, height=16, fg_fraction_target=0.2, n_images=12, seed=1),
+            SynthSpec(width=48, height=48, fg_fraction_target=0.02, n_images=12, seed=2),
+            SynthSpec(width=128, height=128, fg_fraction_target=0.05, n_images=6, seed=3),
+            SynthSpec(width=17, height=40, fg_fraction_target=0.5, n_images=12, blob_count_range=(1, 6), seed=4),
+            # three blobs on about one pixel: every blob's radius a is below 0.5 and floored to it
+            SynthSpec(width=32, height=32, fg_fraction_target=1 / 1024, n_images=6, blob_count_range=(3, 3), seed=5),
+        ],
+        ids=["16x16", "48x48", "128x128", "17x40", "radius-floor"],
+    )
+    def test_matches_full_grid(self, spec):
+        for i in range(spec.n_images):
+            got = _draw_mask(spec, np.random.default_rng([spec.seed, i]))
+            want = _full_grid_mask(spec, np.random.default_rng([spec.seed, i]))
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_failure_message_unchanged(self):
+        spec = SynthSpec(width=16, height=16, fg_fraction_target=0.002, n_images=1, seed=0)
+        with pytest.raises(GenerationFailure) as want:
+            _full_grid_mask(spec, np.random.default_rng([0, 0]))
+        with pytest.raises(GenerationFailure) as got:
+            generate(spec)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "spec, mask_sha, image_sha",
+        [
+            (SynthSpec(),
+             "b8a22942043d4683296133d71238d771c192d77fe7c4ebae37bdc4960dd8bf87",
+             "3e3f10e1fb1455def8ab6b26db126d91f97b2f7ef31b3bb2e6aaab429d387c52"),
+            (SynthSpec(width=128, height=128, fg_fraction_target=0.05, n_images=8, seed=1),
+             "7aba5010e45f7a9ead0a58c3857618275455576285f25601d42a51db25d3292c",
+             "202001b5ab36de5ac4642a33cd451918c7de966f6930dd9870ff38f1707fe52e"),
+        ],
+        ids=["default", "128x128"],
+    )
+    def test_pinned_digests(self, spec, mask_sha, image_sha):
+        # the noise is drawn after the mask, so the masks are the noisy spec's; noiseless images need no exp/log
+        samples = generate(replace(spec, noise_sigma=0.0))
+        assert hashlib.sha256(b"".join(s.mask.tobytes() for s in samples)).hexdigest() == mask_sha
+        assert hashlib.sha256(b"".join(s.image.tobytes() for s in samples)).hexdigest() == image_sha
 
 
 class TestSplit:
