@@ -250,9 +250,17 @@ def _split_dataset(o: dict) -> tuple[list, list]:
     return synthdata.train_val_split(_generate(o), o["split_ratio"], seed=o["data_seed"])
 
 
+def _train_one(o: dict) -> model.RunRecord:
+    """The one run ``o`` describes, trained alone: a divergence is raised."""
+    (rec,) = model.train([_train_config(o, o["loss"], o["all_wrap"])], *_split_dataset(o))
+    if isinstance(rec, model.TrainingDiverged):
+        raise rec
+    return rec
+
+
 def cmd_train(o: dict) -> int:
     out = _require_out(o)
-    rec = model.train(_train_config(o, o["loss"], o["all_wrap"]), *_split_dataset(o))
+    rec = _train_one(o)
     _write_csv(out, EPOCH_COLS, (dataclasses.astuple(r) for r in rec.epochs))
     last = rec.epochs[-1]
     print(f"final val jaccard {fmt(last.val_jaccard)}, dice {fmt(last.val_dice)}, auc {fmt(rec.final_auc)}")
@@ -263,14 +271,8 @@ def _diverged(seed: str) -> dict:
     return {"seed": seed, "status": "diverged", **dict.fromkeys(RUN_COLS, float("nan")), "epochs_run": 0, "trace": []}
 
 
-def _matrix_worker(args) -> dict:
-    config, run_idx, halves = args
-    for s in (*halves[0], *halves[1]):  # every run shares them; a pool worker's unpickled copy is writable
-        s.image.setflags(write=False)
-        s.mask.setflags(write=False)
-    try:
-        rec = model.train(config, *halves)
-    except model.TrainingDiverged:  # a record, not an exception: it must cross the process pool
+def _run_row(run_idx: int, rec: model.RunRecord | model.TrainingDiverged) -> dict:
+    if isinstance(rec, model.TrainingDiverged):
         return _diverged(str(run_idx))
     last = rec.epochs[-1]
     return {
@@ -282,27 +284,43 @@ def _matrix_worker(args) -> dict:
     }
 
 
+def _matrix_worker(args) -> list[dict]:
+    configs, run_idx, halves = args
+    for s in (*halves[0], *halves[1]):  # every run shares them; a pool worker's unpickled copy is writable
+        s.image.setflags(write=False)
+        s.mask.setflags(write=False)
+    return [_run_row(run_idx, rec) for rec in model.train(configs, *halves)]
+
+
 def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int) -> list[list[dict]]:
     """Train every (variant, seed index) pair; per variant, its run records then a mean record.
 
-    A diverged run is recorded with status "diverged" and nan metrics; the mean record
-    averages the variant's "ok" runs.
+    The variants of one seed index train side by side. A diverged run is recorded with status "diverged" and nan
+    metrics; the mean record averages the variant's "ok" runs.
     """
     if o["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
     halves = _split_dataset(o)  # variants differ only in loss and wrapper parameters: one dataset serves all
     # run seed depends on the run index only, so variants are seed-paired and a
     # swept parameter with no effective influence reproduces bit-identical runs
-    tasks = [(dataclasses.replace(config, seed=_derive_seed(o["seed"], ri)), ri, halves)
-             for config in variants for ri in range(n_seeds)]
-    if o["jobs"] > 1 and len(tasks) > 1:  # a pool starts all its workers up front, so no more than runs
-        with ProcessPoolExecutor(max_workers=min(o["jobs"], len(tasks))) as pool:
-            records = list(pool.map(_matrix_worker, tasks))
+    seeded = [[dataclasses.replace(config, seed=_derive_seed(o["seed"], ri)) for config in variants]
+              for ri in range(n_seeds)]
+    groups = [(ri, list(range(len(variants)))) for ri in range(n_seeds)]  # (seed index, variant indices)
+    workers = min(o["jobs"], len(variants) * n_seeds)  # a pool starts all its workers up front, so no more than runs
+    while len(groups) < workers:  # split the largest group until every worker has one
+        i = max(range(len(groups)), key=lambda i: len(groups[i][1]))
+        ri, vis = groups[i]
+        groups[i : i + 1] = [(ri, vis[: len(vis) // 2]), (ri, vis[len(vis) // 2 :])]
+    tasks = [([seeded[ri][vi] for vi in vis], ri, halves) for ri, vis in groups]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_matrix_worker, tasks))
     else:
-        records = [_matrix_worker(t) for t in tasks]
+        results = [_matrix_worker(t) for t in tasks]
+    records = {(vi, ri): row for (ri, vis), rows in zip(groups, results) for vi, row in zip(vis, rows)}
     out = []
     for vi in range(len(variants)):
-        runs = records[vi * n_seeds : (vi + 1) * n_seeds]
+        runs = [records[vi, ri] for ri in range(n_seeds)]
         ok = [r for r in runs if r["status"] == "ok"]
         mean = _diverged("mean")
         if ok:
@@ -372,7 +390,7 @@ def cmd_roc(o: dict) -> int:
     out = _require_out(o)
     if not 2 <= o["n_thresholds"] <= CURVE_MAX_POINTS:
         raise UsageError(f"--n-thresholds must be >= 2 and <= {CURVE_MAX_POINTS}")
-    rec = model.train(_train_config(o, o["loss"], o["all_wrap"]), *_split_dataset(o))
+    rec = _train_one(o)
     try:
         curve = metrics.roc_auc(rec.val_preds, rec.val_masks, n_thresholds=o["n_thresholds"])
     except metrics.UndefinedAUC as exc:

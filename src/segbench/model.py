@@ -7,6 +7,11 @@ desk-scale synthetic data takes seconds, yet it learns blob segmentation.
 All arithmetic is float64 numpy. Training is deterministic given the config seed (seeded init and shuffles).
 Reductions are sequential sums or BLAS contractions, one per image. Bits repeat exactly on one host but depend on
 its BLAS kernel and on numpy's SIMD exp and log; across hosts, the CSVs as printed are what is promised.
+
+A net may stack the weights of several runs on a leading run axis. Runs that share a seed, a batch size and an
+epoch count see the same images in the same order, so :func:`train` trains them side by side: each chunk's input
+taps are stacked once for every run, each run's products are still its own matrix products, and each run gets the
+bits it would get alone.
 """
 
 from __future__ import annotations
@@ -25,10 +30,16 @@ HIDDEN_CHANNELS = 8
 KSIZE = 3
 _CENTRE = KSIZE * KSIZE // 2  # index of the unshifted tap
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Pixels per chunk of images. Per pixel of its chunk, a training step holds 34 floats: the 9 input taps, the 8
-# hidden maps, the 9 taps of dz2 (first the 9 maps w2ᵀ @ h) and the 8 maps of dz1. A forward call holds its
-# input, its output and one chunk's taps and hidden maps, so evaluate hands it every run of same-shaped images.
+# Pixels per run per chunk of images. Per pixel of its chunk, a training step holds the 9 input taps, shared by
+# every run, and per run 17 floats: the 8 hidden maps (then dz1) and the 9 taps of dz2 (first the 9 maps w2ᵀ @ h);
+# one run holds 26. A one-run forward call holds its input, its output and one chunk's taps and hidden maps
+# (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images.
 CHUNK_PIXELS = 2 * 48 * 48
+# Pixels of runs x images per chunk of a stacked net: runs beyond it go to the chunk's next block of runs, which
+# reuses its taps. A block holds at least one run, so only an image larger than this makes a larger chunk. Of caps
+# from 1 to 12 CHUNK_PIXELS, 2 trained groups of 2 and 6 runs at 48x48 and of 6 and 24 at 16x16 as fast as any
+# (2-vCPU Xeon, in-process timings).
+GROUP_PIXELS = 2 * CHUNK_PIXELS
 
 
 class TrainingDiverged(RuntimeError):
@@ -44,24 +55,32 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TinyNet:
-    """Weights as a dict of arrays: w1 (8,3,3), b1 (8,), w2 (8,3,3), b2 ()."""
+    """Weights as a dict of arrays: w1 (8,3,3), b1 (8,), w2 (8,3,3), b2 (); with a run axis, (R,8,3,3) and so on."""
 
     params: dict[str, np.ndarray]
 
     @classmethod
-    def init(cls, seed: int = 0) -> "TinyNet":
+    def init(cls, seed: int = 0, runs: int | None = None) -> "TinyNet":
+        """The seed's weights; with ``runs``, stacked that many times on a leading run axis."""
         rng = np.random.default_rng([seed, 7])
         # He-style uniform: limit = sqrt(6 / fan_in)
         lim1 = np.sqrt(6.0 / (KSIZE * KSIZE * 1))
         lim2 = np.sqrt(6.0 / (KSIZE * KSIZE * HIDDEN_CHANNELS))
-        return cls(
-            params={
-                "w1": rng.uniform(-lim1, lim1, size=(HIDDEN_CHANNELS, KSIZE, KSIZE)),
-                "b1": np.zeros(HIDDEN_CHANNELS),
-                "w2": rng.uniform(-lim2, lim2, size=(HIDDEN_CHANNELS, KSIZE, KSIZE)),
-                "b2": np.zeros(()),
-            }
-        )
+        params = {
+            "w1": rng.uniform(-lim1, lim1, size=(HIDDEN_CHANNELS, KSIZE, KSIZE)),
+            "b1": np.zeros(HIDDEN_CHANNELS),
+            "w2": rng.uniform(-lim2, lim2, size=(HIDDEN_CHANNELS, KSIZE, KSIZE)),
+            "b2": np.zeros(()),
+        }
+        if runs is not None:
+            params = {k: np.repeat(v[None], runs, axis=0) for k, v in params.items()}
+        return cls(params=params)
+
+    @property
+    def runs(self) -> int | None:
+        """How many runs the weights stack, or None for one run's weights without a run axis."""
+        b2 = self.params["b2"]
+        return len(b2) if np.ndim(b2) else None
 
 
 @functools.lru_cache(maxsize=16)  # at 16x16, working them out takes as long as stacking a chunk's taps
@@ -86,86 +105,146 @@ def _as_batch(image) -> np.ndarray:
     return image.reshape((-1,) + image.shape[-2:])
 
 
-def _sum_images(per_image: np.ndarray) -> np.ndarray:
-    """Sum over the leading image axis in image order (np.sum is pairwise over a 1-D axis), as an array."""
-    return np.cumsum(per_image, axis=0)[-1, ...]  # the ellipsis keeps a 1-D input's sum a 0-d array
+def _sum_images(per_image: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over the image axis in image order (np.sum is pairwise over a 1-D axis), as an array."""
+    # the ellipsis keeps a 1-D input's sum a 0-d array
+    return np.cumsum(per_image, axis=axis)[(slice(None),) * axis + (-1, ...)]
 
 
-def _stacked_taps(out: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """The nine zero-padded taps of (b, H, W) maps, stacked into ``out[:b]`` and viewed as (b, 9, H*W)."""
-    taps = out[: len(maps)]
-    flat, src = taps.reshape(len(maps), KSIZE * KSIZE, -1), maps.reshape(len(maps), -1)
-    for k, (to, frm) in enumerate(_shifts(*maps.shape[1:])):
-        flat[:, k][to] = src[frm]
+def _stacked_taps(taps: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The nine zero-padded taps of (..., H, W) maps, written into ``taps`` (..., 9, H, W) and viewed as
+    (..., 9, H*W)."""
+    flat, src = taps.reshape(*taps.shape[:-2], -1), maps.reshape(*maps.shape[:-2], -1)
+    for k, (to, frm) in enumerate(_shifts(*maps.shape[-2:])):
+        flat[..., k, :][to] = src[frm]
     # what the copies left out or wrapped in lies on the frame: the rows and columns off the image
-    taps[:, :KSIZE, 0] = taps[:, -KSIZE:, -1] = taps[:, ::KSIZE, :, 0] = taps[:, KSIZE - 1 :: KSIZE, :, -1] = 0.0
+    taps[..., :KSIZE, 0, :] = taps[..., -KSIZE:, -1, :] = 0.0
+    taps[..., ::KSIZE, :, 0] = taps[..., KSIZE - 1 :: KSIZE, :, -1] = 0.0
     return flat
 
 
-def _chunk_buffers(x: np.ndarray, n: int, ws: list):
-    """Images per chunk of x, and ``ws`` as ``n`` (b, 9, H, W) tap and ``n`` (b, 8, H*W) hidden buffers for at
-    least its first (largest) chunk: replaced when the images' shape changes or their chunk is larger."""
+def _chunk_buffers(x: np.ndarray, runs: int | None, step: bool, ws: list):
+    """Images per run per chunk of x, runs per block (None without a run axis), and ``ws`` as the buffers of at
+    least its first (largest) chunk and block: the (b, 9, H, W) input taps, the (…, b, 9, H, W) taps of w2ᵀ @ h
+    and then of dz2, and the (…, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over the
+    input taps. The buffers are replaced when the images' shape changes or their chunk or block is larger."""
+    hw = max(1, x[:1].size)
     # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
-    b = max(1, min(len(x), CHUNK_PIXELS // max(1, x[:1].size)))
-    if not ws or ws[0].shape[1] < b or ws[0].shape[3:] != x.shape[1:]:
-        ws[:] = np.empty((n, b, KSIZE * KSIZE, *x.shape[1:])), np.empty((n, b, HIDDEN_CHANNELS, x[:1].size))
-    return b, *ws
+    b = max(1, min(len(x), CHUNK_PIXELS // hw))
+    rc = None if runs is None else max(1, min(runs, GROUP_PIXELS // (b * hw)))
+    lead = (b,) if rc is None else (rc, b)
+    one_run_forward = not step and (runs or 1) == 1
+    # the taps hold the chunk's images and the hidden maps, before them, the block's runs
+    if (len(ws) != 3 - one_run_forward or ws[0].shape[0] < b or ws[0].shape[2:] != x.shape[1:]
+            or ws[-1].ndim != len(lead) + 2 or ws[-1].shape[:-3] < lead[:-1]):
+        taps, hidden = (KSIZE * KSIZE, *x.shape[1:]), (*lead, HIDDEN_CHANNELS, hw)
+        ws[:] = [np.empty((b, *taps)), *([] if one_run_forward else [np.empty((*lead, *taps))]), np.empty(hidden)]
+    if one_run_forward:
+        return b, rc, (ws[0], ws[0] if rc is None else ws[0][None], ws[1])
+    return b, rc, ws
 
 
-def _hidden(net: TinyNet, t: np.ndarray, h: np.ndarray, x: np.ndarray):
-    """Taps T of (b, H, W) images into ``t`` and hidden maps relu(w1 @ T + b1) into ``h``, one matmul per image."""
-    tb = _stacked_taps(t, x)
-    hb = np.matmul(net.params["w1"].reshape(HIDDEN_CHANNELS, -1), tb, out=h[: len(tb)])
-    hb += net.params["b1"][:, None]
-    return tb, np.maximum(hb, 0.0, out=hb)
+def _weights(params: dict[str, np.ndarray], rc: int | None, step: bool) -> list[tuple]:
+    """The weights as the passes multiply by them, per block of ``rc`` runs (one block without a run axis):
+    ``(sel, runs, w1 (…, 8, 9), b1 (…, 8, 1), w2ᵀ (…, 9, 8), b2 (…, 1, 1), w2 flipped (…, 8, 9) for a step or None)``.
+    ``sel`` indexes the block's runs, ``runs`` is their range (None without a run axis), and a run axis is followed
+    by a broadcast image axis."""
+    if rc is None:
+        blocks = [((), None, params)]
+    else:
+        n = len(params["b2"])
+        blocks = [((slice(r, r + rc),), range(r, min(r + rc, n)), {k: v[r : r + rc] for k, v in params.items()})
+                  for r in range(0, n, rc)]
+    out = []
+    for sel, runs, w in blocks:
+        ext = () if runs is None else (len(runs), 1)
+        w2 = w["w2"].reshape(*ext, HIDDEN_CHANNELS, -1)
+        # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped kernel, whose
+        # flat taps are w2's in reverse order
+        out.append((sel, runs, w["w1"].reshape(*ext, HIDDEN_CHANNELS, -1), w["b1"].reshape(*ext, HIDDEN_CHANNELS, 1),
+                    w2.swapaxes(-1, -2), w["b2"].reshape(*ext, 1, 1) if ext else w["b2"],
+                    w2[..., ::-1].copy() if step else None))
+    return out
 
 
-def _output(net: TinyNet, hb: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (b, H, W) chunk ``out`` from its hidden maps ``hb``, with the nine maps w2ᵀ @ h written into ``u``."""
+def _hidden(w1: np.ndarray, b1: np.ndarray, tb: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Hidden maps relu(w1 @ T + b1) of taps T (b, 9, H*W) into ``h``, one matmul per run and image."""
+    hb = np.matmul(w1, tb, out=h)
+    hb += b1
+    return np.maximum(hb, 0.0, out=hb)
+
+
+def _output(w2t: np.ndarray, b2: np.ndarray, hb: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (…, H, W) chunk ``out`` from its hidden maps ``hb``, with the nine maps w2ᵀ @ h written into ``u``."""
     # U_k = sum_c w2[c, k] h_c. conv2 sums the nine flat U_k, each read through its tap's slices, centre first.
-    ub = u[: len(hb)]
-    flat, of = ub.reshape(len(hb), KSIZE * KSIZE, -1), out.reshape(len(hb), -1)
-    np.matmul(net.params["w2"].reshape(HIDDEN_CHANNELS, -1).T, hb, out=flat)
-    ub[:, ::KSIZE, :, -1] = ub[:, KSIZE - 1 :: KSIZE, :, 0] = 0.0  # the columns wrapped in add exact zeros
-    of[...] = flat[:, _CENTRE]
-    for k, (to, frm) in enumerate(_shifts(*out.shape[1:])):
+    flat, of = u.reshape(*u.shape[:-2], -1), out.reshape(*out.shape[:-2], -1)
+    np.matmul(w2t, hb, out=flat)
+    u[..., ::KSIZE, :, -1] = u[..., KSIZE - 1 :: KSIZE, :, 0] = 0.0  # the columns wrapped in add exact zeros
+    of[...] = flat[..., _CENTRE, :]
+    for k, (to, frm) in enumerate(_shifts(*out.shape[-2:])):
         if k != _CENTRE:
-            of[to] += flat[:, k][frm]
-    out += net.params["b2"]
+            of[to] += flat[..., k, :][frm]
+    out += b2
     return _sigmoid(out, out=out)  # chunk by chunk, so its temporaries stay chunk-sized
 
 
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
-    """Predicted probability map for one (H, W) image or a (B, H, W) batch."""
+    """Predicted probability map for one (H, W) image or a (B, H, W) batch; per run on a leading axis for a net
+    with a run axis."""
     x = _as_batch(image)
-    b, (t,), (h,) = _chunk_buffers(x, 1, [])
-    p = np.empty(x.shape)
+    b, rc, (t, u, h) = _chunk_buffers(x, net.runs, False, [])
+    p = np.empty((net.runs,) * (rc is not None) + x.shape)
+    blocks = _weights(net.params, rc, False)
     for s in range(0, len(x), b):
-        _output(net, _hidden(net, t, h, x[s : s + b])[1], t, p[s : s + b])  # U overwrites the taps
-    return p.reshape(np.shape(image))
+        rows, xs = slice(s, s + b), x[s : s + b]
+        tb = _stacked_taps(t[: len(xs)], xs)
+        for sel, runs, w1, b1, w2t, b2, _ in blocks:
+            lim = (slice(len(xs)),) if runs is None else (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
+            _output(w2t, b2, _hidden(w1, b1, tb, h[lim]), u[lim], p[sel + (rows,)])
+    return p.reshape(p.shape[: p.ndim - x.ndim] + np.shape(image))
 
 
 def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
     """Weight gradients of (B, H, W) images x, summed over them, from one pass per chunk on the same taps and
-    hidden maps. ``upstream(rows, p)`` is d(loss)/d(p) of ``x[rows]``, given its output p; ``ws`` holds the buffers."""
-    b, (t, d), (h, dz1) = _chunk_buffers(x, 2, ws)
-    g = {k: [] for k in net.params}  # per-image gradients, summed in image order at the end
+    hidden maps; per run on a leading axis for a net with a run axis. ``upstream(run, rows, p)`` is d(loss)/d(p) of
+    ``x[rows]`` for run ``run`` (None without a run axis), given its output p, or None for a run that has stopped:
+    its gradients are then left undefined. ``ws`` holds the buffers."""
+    b, rc, (t, d, h) = _chunk_buffers(x, net.runs, True, ws)
+    lead = (net.runs,) * (rc is not None)
+    # per-image gradients, summed in image order at the end
+    shapes = {"w1": (HIDDEN_CHANNELS, KSIZE * KSIZE), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, KSIZE * KSIZE),
+              "b2": ()}
+    g = {k: np.empty((*lead, len(x), *s)) for k, s in shapes.items()}
+    blocks = _weights(net.params, rc, True)
     for s in range(0, len(x), b):
-        rows = slice(s, s + b)
-        tb, hb = _hidden(net, t, h, x[rows])
-        p = _output(net, hb, d, np.empty(x[rows].shape))  # U goes to the dz2 taps: T is still needed
-        dz2 = upstream(rows, p) * p * (1.0 - p)
-        db = _stacked_taps(d, dz2)
-        # Each image's products are its own matmul, so a batch sums what per-image calls return.
-        # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped
-        # kernel, so tap k of dz2 pairs with w2's tap 8 - k.
-        g["w2"].append(np.matmul(hb, db.transpose(0, 2, 1))[..., ::-1])
-        zb = np.matmul(net.params["w2"][:, ::-1, ::-1].reshape(HIDDEN_CHANNELS, -1), db, out=dz1[: len(db)])
-        zb *= hb > 0.0
-        g["w1"].append(np.matmul(zb, tb.transpose(0, 2, 1)))
-        g["b1"].append(zb.sum(axis=-1))
-        g["b2"].append(dz2.sum(axis=(-2, -1)))
-    return {k: _sum_images(np.concatenate(v)).reshape(net.params[k].shape) for k, v in g.items()}
+        rows, xs = slice(s, s + b), x[s : s + b]
+        tb = _stacked_taps(t[: len(xs)], xs)
+        for sel, runs, w1, b1, w2t, b2, w2f in blocks:
+            at = sel + (rows,)
+            lim = (slice(len(xs)),) if runs is None else (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
+            hb = _hidden(w1, b1, tb, h[lim])
+            p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[1:]))  # T is still needed
+            if runs is None:
+                up = upstream(None, rows, p)
+                up = 0.0 if up is None else up
+            else:
+                up = np.zeros_like(p)
+                for i, run in enumerate(runs):
+                    u = upstream(run, rows, p[i])
+                    if u is not None:
+                        up[i] = u
+            dz2 = up * p * (1.0 - p)
+            db = _stacked_taps(d[lim], dz2)
+            # Each image's products are its own matmul, so a batch sums what per-image calls return.
+            np.matmul(hb, db.swapaxes(-1, -2), out=g["w2"][at])
+            relu = hb > 0.0
+            zb = np.matmul(w2f, db, out=hb)  # dz1 over the hidden maps, which only the ReLU mask still needs
+            zb *= relu
+            np.matmul(zb, tb.swapaxes(-1, -2), out=g["w1"][at])
+            zb.sum(axis=-1, out=g["b1"][at])
+            dz2.sum(axis=(-2, -1), out=g["b2"][at])
+    g["w2"] = g["w2"][..., ::-1]  # tap k of dz2 pairs with w2's tap 8 - k
+    return {k: _sum_images(v, len(lead)).reshape(net.params[k].shape) for k, v in g.items()}
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -173,19 +252,19 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict
     up = np.asarray(upstream_grad, dtype=np.float64)
     if up.shape != np.shape(image):
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(image)}")
-    return _step(net, _as_batch(image), lambda rows, p: _as_batch(up)[rows], [])
+    return _step(net, _as_batch(image), lambda run, rows, p: _as_batch(up)[rows], [])
 
 
 @dataclass
 class AdamState:
-    lr: float = 1e-4
+    lr: float | np.ndarray = 1e-4  # stacked weights may take one rate per run, shape (R,)
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place; a per-run rate steps each run of stacked weights."""
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
@@ -193,11 +272,12 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
         if k not in state.m:
             state.m[k] = np.zeros_like(params[k])
             state.v[k] = np.zeros_like(params[k])
+        lr = state.lr.reshape((-1,) + (1,) * (g.ndim - 1)) if isinstance(state.lr, np.ndarray) else state.lr
         state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
         state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        params[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -247,65 +327,121 @@ class RunRecord:
     val_masks: list[np.ndarray] = field(default_factory=list)
 
 
-def evaluate(net: TinyNet, val_set):
-    """Macro-averaged metrics at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC inputs."""
-    if not val_set:
-        raise ValueError("validation set must be non-empty")
-    runs = itertools.groupby((s.image for s in val_set), key=np.shape)
-    preds = [p for _, run in runs for p in forward(net, np.stack(list(run)))]
+def _scores(preds: list[np.ndarray], val_set) -> tuple[dict[str, float], list[np.ndarray]]:
+    """Macro-averaged metrics of one run's predictions at :func:`metrics.confusion`'s default threshold."""
     scores = {"jaccard": metrics.jaccard_index, "dice": metrics.dice_index, "recall": metrics.recall,
               "specificity": metrics.specificity, "f1": metrics.f_measure}
     per_image = []
     for p, s in zip(preds, val_set):
         c = metrics.confusion(p, s.mask)
         per_image.append([score(c) for score in scores.values()])
-    means = {k: float(np.mean(v)) for k, v in zip(scores, zip(*per_image))}
-    return means, preds
+    return {k: float(np.mean(v)) for k, v in zip(scores, zip(*per_image))}, preds
 
 
-def train(config: TrainConfig, train_set, val_set) -> RunRecord:
-    """Mini-batch Adam training; per-epoch validation at threshold 0.5."""
+def evaluate(net: TinyNet, val_set):
+    """Macro-averaged metrics at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC inputs.
+
+    For a net with a run axis, a list of them, one per run, from one forward pass over every run.
+    """
+    if not val_set:
+        raise ValueError("validation set must be non-empty")
+    runs = itertools.groupby((s.image for s in val_set), key=np.shape)
+    maps = [forward(net, np.stack(list(run))) for _, run in runs]
+    if net.runs is None:
+        return _scores([p for m in maps for p in m], val_set)
+    return [_scores([p for m in maps for p in m[r]], val_set) for r in range(net.runs)]
+
+
+def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
+    """Mini-batch Adam training; per-epoch validation at threshold 0.5.
+
+    ``configs`` share a seed, a batch size and an epoch count, and train side by side on one net with a run axis
+    (one config trains on a net without one). Returns, per config, its record or the :class:`TrainingDiverged` it
+    would raise if trained alone: a run that diverges leaves the stack, and the others go on with the bits they
+    would have alone.
+    """
+    configs = list(configs)
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
-    net = TinyNet.init(seed=config.seed)
-    opt = AdamState(lr=config.lr)
-    loss_fn = config.loss_fn()
+    if len({(c.seed, c.batch_size, c.max_epochs) for c in configs}) != 1:
+        raise ValueError("runs trained side by side must share seed, batch_size and max_epochs")
+    seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
+    runs = len(configs) if len(configs) > 1 else None
+    net = TinyNet.init(seed=seed, runs=runs)
+    opt = AdamState(lr=configs[0].lr if runs is None else np.array([c.lr for c in configs]))
+    loss_fns = [c.loss_fn() for c in configs]
+    live = list(range(len(configs)))  # the config of each run the net stacks
+    out: list = [None] * len(configs)
+    rows = [[] for _ in configs]
+
+    def drop(failed: dict[int, TrainingDiverged]) -> list[int]:
+        """Record the failed runs and take them off the stack; returns the stack rows kept."""
+        keep = [r for r in range(len(live)) if r not in failed]
+        for r, exc in failed.items():
+            out[live[r]] = exc
+        live[:] = [live[r] for r in keep]
+        if live:  # else training ends: a net without a run axis has one run
+            net.params, opt.lr = {k: v[keep] for k, v in net.params.items()}, opt.lr[keep]
+            opt.m, opt.v = {k: v[keep] for k, v in opt.m.items()}, {k: v[keep] for k, v in opt.v.items()}
+        return keep
+
     n = len(train_set)
-    rows = []
     ws = []  # the step's chunk buffers: allocated at the first (largest) batch, reused by every step of this call
-    for epoch in range(config.max_epochs):
-        order = np.random.default_rng([config.seed, 11, epoch]).permutation(n)
-        epoch_losses = []
+    for epoch in range(max_epochs):
+        order = np.random.default_rng([seed, 11, epoch]).permutation(n)
+        epoch_losses = [[] for _ in configs]
         # a divergence is reported by the isfinite checks, not by numpy's overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for b_idx, start in enumerate(range(0, n, config.batch_size)):
-                batch = [train_set[i] for i in order[start : start + config.batch_size]]
+            for b_idx, start in enumerate(range(0, n, batch_size)):
+                batch = [train_set[i] for i in order[start : start + batch_size]]
                 masks = np.stack([s.mask for s in batch]).view(Masks)
-                batch_loss = 0.0
+                batch_loss = [0.0] * len(live)
+                failed = {}
 
-                def upstream(chunk, p):
-                    nonlocal batch_loss
+                def upstream(run, chunk, p):
+                    r = run or 0  # the stack row
+                    if r in failed:
+                        return None
                     # checked before the loss sees it, so plain and wrapped losses diverge the same way
                     if not np.isfinite(p).all():
-                        raise TrainingDiverged(epoch, b_idx, "network output")
-                    ev = loss_fn(p, masks[chunk])  # one value per image; a scalar stands for each of them
+                        failed[r] = TrainingDiverged(epoch, b_idx, "network output")
+                        return None
+                    ev = loss_fns[live[r]](p, masks[chunk])  # one value per image; a scalar stands for each
                     for value in np.broadcast_to(ev.value, len(p)).tolist():  # as Python floats, in image order
-                        batch_loss += value
+                        batch_loss[r] += value
                     return ev.grad / len(batch)
 
                 grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
-                batch_loss /= len(batch)
-                if not np.isfinite(batch_loss):  # a finite p can still give 0/0 (Tversky at alpha=0, smooth=0)
-                    raise TrainingDiverged(epoch, b_idx, f"loss {batch_loss}")
+                for r in range(len(live)):
+                    batch_loss[r] /= len(batch)
+                    if r not in failed and not np.isfinite(batch_loss[r]):  # a finite p can still give 0/0
+                        failed[r] = TrainingDiverged(epoch, b_idx, f"loss {batch_loss[r]}")
+                if failed:
+                    keep = drop(failed)
+                    if not live:
+                        return out
+                    grads = {k: v[keep] for k, v in grads.items()}
+                    batch_loss = [batch_loss[r] for r in keep]
                 adam_step(opt, net.params, grads)
-                epoch_losses.append(batch_loss)
-            means, preds = evaluate(net, val_set)
-        if not all(np.isfinite(p).all() for p in preds):  # the epoch's last step diverged
-            raise TrainingDiverged(epoch, b_idx, "validation output")
-        rows.append(EpochRow(epoch, float(np.mean(epoch_losses)), **{f"val_{k}": v for k, v in means.items()}))
+                for c, value in zip(live, batch_loss):
+                    epoch_losses[c].append(value)
+            results = evaluate(net, val_set)
+            results = dict(zip(live, [results] if runs is None else results))
+        failed = {r: TrainingDiverged(epoch, b_idx, "validation output") for r, c in enumerate(live)
+                  if not all(np.isfinite(p).all() for p in results[c][1])}  # the epoch's last step diverged
+        if failed:
+            drop(failed)
+            if not live:
+                return out
+        for c in live:
+            means = {f"val_{k}": v for k, v in results[c][0].items()}
+            rows[c].append(EpochRow(epoch, float(np.mean(epoch_losses[c])), **means))
     masks = [s.mask for s in val_set]
-    try:
-        auc = metrics.roc_auc(preds, masks).auc
-    except metrics.UndefinedAUC:
-        auc = float("nan")
-    return RunRecord(epochs=rows, final_auc=auc, val_preds=preds, val_masks=masks)
+    for c in live:
+        preds = results[c][1]
+        try:
+            auc = metrics.roc_auc(preds, masks).auc
+        except metrics.UndefinedAUC:
+            auc = float("nan")
+        out[c] = RunRecord(epochs=rows[c], final_auc=auc, val_preds=preds, val_masks=masks)
+    return out

@@ -214,8 +214,15 @@ def load_pgm_pair(image_path, mask_path) -> Sample:
     return Sample(image=img / img_max, mask=(msk > msk_max // 2).astype(np.uint8))  # 2 * raw > maxval
 
 
+_PAIR_NAME = re.compile(r"(image|mask)_(\d+)\.pgm")
+
+
 def write_dataset(samples, out_dir) -> str:
-    """Materialize samples as PGM pairs plus a manifest CSV; returns the manifest path."""
+    """Materialize samples as PGM pairs plus a manifest CSV; returns the manifest path.
+
+    The ``image_NNNN.pgm`` and ``mask_NNNN.pgm`` files of an earlier, larger dataset in ``out_dir`` that the new
+    manifest does not list are deleted; every other file is left alone.
+    """
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.csv")
     with open(manifest, "w", newline="") as f:
@@ -227,6 +234,12 @@ def write_dataset(samples, out_dir) -> str:
             write_pgm(os.path.join(out_dir, img_name), np.round(s.image * 255.0).astype(np.uint8))
             write_pgm(os.path.join(out_dir, msk_name), (s.mask * 255).astype(np.uint8))
             writer.writerow([i, img_name, msk_name, "%.6g" % s.fg_fraction])
+    with os.scandir(out_dir) as entries:
+        for entry in entries:
+            m = _PAIR_NAME.fullmatch(entry.name)
+            # only a name this function writes: the index as it formats it, past the new manifest's last
+            if m and entry.name == f"{m[1]}_{int(m[2]):04d}.pgm" and int(m[2]) >= len(samples) and entry.is_file():
+                os.remove(entry.path)
     return manifest
 
 

@@ -77,6 +77,19 @@ class TestGendata:
         assert len(pgms) == 8
         assert len(read_rows(d / "manifest.csv")) == 4
 
+    def test_smaller_dataset_replaces_a_larger_one(self, tmp_path):
+        d = tmp_path / "ds"
+        args = ["gendata", "--out-dir", str(d), "--width", "16", "--height", "16"]
+        assert main([*args, "--n-images", "6"]) == EXIT_OK
+        others = ["image_4.pgm", "image_00004.pgm", "image_0004.pgm.bak", "mask_0005.PGM", "notes.txt"]
+        for name in others:  # not names gendata writes: they stay
+            (d / name).write_bytes(b"x")
+        (d / "mask_0009.pgm").mkdir()  # a directory, not a pair file
+        assert main([*args, "--n-images", "4"]) == EXIT_OK
+        pairs = sorted(f"{kind}_{i:04d}.pgm" for kind in ("image", "mask") for i in range(4))
+        assert sorted(p.name for p in d.iterdir()) == sorted([*pairs, "manifest.csv", "mask_0009.pgm", *others])
+        assert [r["image_path"] for r in read_rows(d / "manifest.csv")] == pairs[:4]
+
     def test_byte_identical_rerun(self, tmp_path):
         d = tmp_path / "ds"
         args = ["gendata", "--out-dir", str(d), "--n-images", "3", "--width", "16", "--height", "16"]
@@ -215,12 +228,14 @@ class TestGrid:
     def test_mean_row_averages_only_ok_runs(self, monkeypatch):
         real_train = model.train
 
-        def train(config, *sets):
+        def diverges(config):
             # omega 8: run 1 of 3 diverges; omega 12: every run diverges
             omega = config.adaptive_params.omega
-            if omega == 12 or (omega == 8 and config.seed == _derive_seed(0, 1)):
-                raise model.TrainingDiverged(0, 0, "loss nan")
-            return real_train(config, *sets)
+            return omega == 12 or (omega == 8 and config.seed == _derive_seed(0, 1))
+
+        def train(configs, *sets):
+            return [model.TrainingDiverged(0, 0, "loss nan") if diverges(c) else rec
+                    for c, rec in zip(configs, real_train(configs, *sets))]
 
         monkeypatch.setattr(model, "train", train)
         o = dict(vars(build_parser().parse_args(["grid"])), width=16, height=16, fg_fraction=0.2, n_images=12,
@@ -255,6 +270,8 @@ class TestJobs:
         ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2"],
         ["compare", "--losses", "dice,all", "--seeds", "2", *DIVERGING_LR],
         ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2", *DIVERGING_LR],
+        # one seed group: two workers split it
+        ["compare", "--losses", "dice,all,focal", "--seeds", "1"],
     ])
     def test_jobs_do_not_change_results(self, tmp_path, args):
         outputs = []
@@ -321,14 +338,15 @@ class TestRunMatrix:
     def test_runs_receive_read_only_samples(self, tmp_path, monkeypatch, inline_pool, command, jobs):
         seen = []
         real_train = model.train
-        monkeypatch.setattr(model, "train", lambda config, *sets: seen.append(sets) or real_train(config, *sets))
+        monkeypatch.setattr(model, "train",
+                            lambda configs, *sets: seen.append((len(configs), sets)) or real_train(configs, *sets))
         args = MATRICES[command]
         assert main([args[0], *FAST, *args[1:], "--jobs", jobs, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
-        assert len(seen) == 4
-        arrays = [a for sets in seen for half in sets for s in half for a in (s.image, s.mask)]
+        assert [n for n, _ in seen] == [2, 2]  # each seed's two variants side by side, in one worker or two
+        arrays = [a for _, sets in seen for half in sets for s in half for a in (s.image, s.mask)]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            seen[0][0][0].image[0, 0] = 0.5
+            seen[0][1][0][0].image[0, 0] = 0.5
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched train")
     def test_pool_workers_receive_read_only_samples(self, tmp_path, monkeypatch):
@@ -336,17 +354,18 @@ class TestRunMatrix:
         log = tmp_path / "writeable.txt"
         real_train = model.train
 
-        def train(config, *sets):
+        def train(configs, *sets):
             with open(log, "a") as f:
-                f.write("".join("1" if a.flags.writeable else "0"
-                                for half in sets for s in half for a in (s.image, s.mask)) + "\n")
-            return real_train(config, *sets)
+                f.write(f"{len(configs)}:" + "".join("1" if a.flags.writeable else "0"
+                                                     for half in sets for s in half for a in (s.image, s.mask)) + "\n")
+            return real_train(configs, *sets)
 
         monkeypatch.setattr(model, "train", train)
         args = MATRICES["grid"]
         assert main([args[0], *FAST, *args[1:], "--jobs", "2", "--out", str(tmp_path / "out.csv")]) == EXIT_OK
-        lines = log.read_text().split()
-        assert len(lines) == 4 and all(set(line) == {"0"} for line in lines)
+        calls = [line.split(":") for line in log.read_text().split()]
+        assert sorted(n for n, _ in calls) == ["2", "2"]  # two seeds of two variants: one group per worker
+        assert all(set(flags) == {"0"} for _, flags in calls)
 
     @pytest.mark.parametrize("command", MATRICES)
     def test_generation_failure_is_data_error(self, tmp_path, capsys, command):

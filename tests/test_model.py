@@ -21,6 +21,14 @@ from segbench.model import (AdamState, EpochRow, TinyNet, TrainConfig, TrainingD
 from segbench.synthdata import Sample, SynthSpec, generate, train_val_split
 
 
+def train_alone(config, train_set, val_set):
+    """One config trained by itself, as ``segbench train`` does: its record, or its divergence raised."""
+    (rec,) = train([config], train_set, val_set)
+    if isinstance(rec, TrainingDiverged):
+        raise rec
+    return rec
+
+
 def zero_net():
     net = TinyNet.init(seed=0)
     for k in net.params:
@@ -142,7 +150,7 @@ def _reference_train(config, train_set, val_set):
 
 def _loss_upstream(masks, loss_fn, values):
     """A training step's ``upstream`` for model._step: one loss call per image, its value appended to ``values``."""
-    def upstream(rows, p):
+    def upstream(run, rows, p):
         up = np.empty_like(p)
         for k, g in enumerate(masks[rows]):
             ev = loss_fn(p[k], g)
@@ -216,19 +224,21 @@ class TestForward:
 
     # 5 images of 48x48 run as chunks of 2, 2 and 1; in the one-row and one-column images the frame rows and the
     # wrapped columns overlap
+    # and three runs side by side: at 48x48 they make blocks of two runs and one
+    @pytest.mark.parametrize("runs", [None, 3])
     @pytest.mark.parametrize("shape", [(5, 48, 48), (3, 1, 1), (3, 1, 7), (3, 7, 1)],
                              ids=lambda s: "x".join(map(str, s)))
-    def test_stale_buffers_are_rewritten(self, shape, monkeypatch):
+    def test_stale_buffers_are_rewritten(self, shape, runs, monkeypatch):
         # every chunk buffer starts as NaN: a frame or wrapped-column element that a chunk does not rewrite
         # would reach the output or the gradients
-        net = TinyNet.init(seed=18)
+        net = TinyNet.init(seed=18, runs=runs)
         rng = np.random.default_rng(16)
         img, up = rng.uniform(size=shape), rng.normal(size=shape)
         want_p, want = forward(net, img), backward(net, img, up)
         real = model._chunk_buffers
 
-        def nan_buffers(x, n, ws):
-            out = real(x, n, ws)
+        def nan_buffers(x, runs, step, ws):
+            out = real(x, runs, step, ws)
             for a in ws:
                 a.fill(np.nan)
             return out
@@ -405,7 +415,7 @@ class TestBackward:
             "          *(k + ':' + hashlib.sha1(v.tobytes()).hexdigest() for k, v in sorted(g.items())))\n"
             "spec = SynthSpec(width=48, height=48, fg_fraction_target=0.05, n_images=16, noise_sigma=0.1, seed=3)\n"
             "halves = train_val_split(generate(spec), 0.8, seed=3)\n"
-            "rec = train(TrainConfig(lr=0.01, batch_size=5, max_epochs=2, seed=1), *halves)\n"
+            "(rec,) = train([TrainConfig(lr=0.01, batch_size=5, max_epochs=2, seed=1)], *halves)\n"
             "print('train:' + hashlib.sha1(repr(rec.epochs).encode()).hexdigest())\n"
         )
         src = os.path.dirname(os.path.dirname(model.__file__))
@@ -512,7 +522,7 @@ class TestTrain:
         spec = SynthSpec(width=16, height=16, fg_fraction_target=0.3, n_images=40, noise_sigma=0.05, seed=1)
         train_set, val_set = train_val_split(generate(spec), 0.8, seed=1)  # 32 train images
         cfg = TrainConfig(batch_size=16, max_epochs=1, seed=0)
-        train(cfg, train_set, val_set)
+        train_alone(cfg, train_set, val_set)
         assert len(calls) == 2
 
     def test_golden_epoch_rows(self):
@@ -522,7 +532,7 @@ class TestTrain:
         # backward per CPU
         train_set, val_set = tiny_dataset(seed=2)
         cfg = TrainConfig(lr=0.1, batch_size=5, max_epochs=2, loss="dice", seed=5)
-        rec = train(cfg, train_set, val_set)
+        rec = train_alone(cfg, train_set, val_set)
         assert rec.epochs == [
             EpochRow(0, 0.5572122181715223, 0.2869561887254902, 0.44551993570369985, 1.0,
                      0.004072187691835482, 0.44551993570369985),
@@ -534,8 +544,8 @@ class TestTrain:
     def test_determinism(self):
         train_set, val_set = tiny_dataset(seed=2)
         cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, loss="dice", seed=5)
-        a = train(cfg, train_set, val_set)
-        b = train(cfg, train_set, val_set)
+        a = train_alone(cfg, train_set, val_set)
+        b = train_alone(cfg, train_set, val_set)
         assert a.epochs == b.epochs
         assert a.final_auc == b.final_auc
 
@@ -544,7 +554,7 @@ class TestTrain:
         spec = SynthSpec(width=16, height=16, fg_fraction_target=0.3, n_images=64, noise_sigma=0.05, seed=3)
         train_set, val_set = train_val_split(generate(spec), 0.8, seed=3)
         cfg = TrainConfig(lr=1e-2, batch_size=16, max_epochs=30, loss="dice", seed=0)
-        rec = train(cfg, train_set, val_set)
+        rec = train_alone(cfg, train_set, val_set)
         assert rec.epochs[-1].val_jaccard > 0.8
 
     def test_record_schema(self, tmp_path):
@@ -564,7 +574,7 @@ class TestTrain:
         train_set, val_set = tiny_dataset(seed=5)
         cfg = TrainConfig(batch_size=8, max_epochs=2, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
-            train(cfg, train_set, val_set)
+            train_alone(cfg, train_set, val_set)
         assert exc.value.epoch == 0
         assert exc.value.batch == 0
 
@@ -575,7 +585,7 @@ class TestTrain:
         train_set, val_set = tiny_dataset(seed=8, size=48)
         cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss=name,
                           adaptive_params=AdaptiveLogParams() if wrapped else None, seed=3)
-        assert train(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set)
+        assert train_alone(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set)
 
     @pytest.mark.parametrize("size, batch_size, chunks", [(16, 8, [8, 4]), (48, 5, [2, 2, 1, 2, 2, 1, 2])],
                              ids=["16x16-batch8", "48x48-batch5"])
@@ -587,7 +597,7 @@ class TestTrain:
         real = model.make_loss
         monkeypatch.setattr(model, "make_loss",
                             lambda name, **kw: lambda p, g: seen.append(len(p)) or real(name, **kw)(p, g))
-        train(TrainConfig(lr=0.01, batch_size=batch_size, max_epochs=2, seed=0), train_set, val_set)
+        train_alone(TrainConfig(lr=0.01, batch_size=batch_size, max_epochs=2, seed=0), train_set, val_set)
         assert seen == chunks * 2
 
     def test_mixed_image_shapes_equal_two_pass_loop(self):
@@ -596,26 +606,33 @@ class TestTrain:
         rng = np.random.default_rng(15)
         samples = _random_samples(rng, [(16, 16), (12, 20), (16, 16), (20, 12), (12, 20), (16, 16)])
         cfg = TrainConfig(lr=0.01, batch_size=1, max_epochs=2, seed=6)
-        assert train(cfg, samples[:4], samples[4:]).epochs == _reference_train(cfg, samples[:4], samples[4:])
+        assert train_alone(cfg, samples[:4], samples[4:]).epochs == _reference_train(cfg, samples[:4], samples[4:])
 
     def test_step_buffers_are_replaced_only_when_too_small(self):
+        # a step's buffers: the input taps, then per run the taps of w2ᵀ @ h and dz2, and the hidden maps and dz1
         ws = []
-        model._chunk_buffers(np.zeros((1, 48, 48)), 2, ws)  # a chunk of one image
+        model._chunk_buffers(np.zeros((1, 48, 48)), 1, True, ws)  # a chunk of one image
         small = list(ws)
-        model._chunk_buffers(np.zeros((5, 48, 48)), 2, ws)  # a chunk of two: larger buffers
-        assert ws[0].shape == (2, 2, 9, 48, 48) and ws[0] is not small[0]
+        model._chunk_buffers(np.zeros((5, 48, 48)), 1, True, ws)  # a chunk of two: larger buffers
+        assert ws[0].shape == (2, 9, 48, 48) and ws[0] is not small[0]
         large = list(ws)
-        model._chunk_buffers(np.zeros((1, 48, 48)), 2, ws)
+        model._chunk_buffers(np.zeros((1, 48, 48)), 1, True, ws)
         assert all(a is b for a, b in zip(ws, large))
-        model._chunk_buffers(np.zeros((1, 40, 50)), 2, ws)  # another image shape
-        assert [a.shape for a in ws] == [(2, 1, 9, 40, 50), (2, 1, 8, 40 * 50)]
+        model._chunk_buffers(np.zeros((1, 40, 50)), 1, True, ws)  # another image shape
+        assert [a.shape for a in ws] == [(1, 9, 40, 50), (1, 1, 9, 40, 50), (1, 1, 8, 40 * 50)]
+        model._chunk_buffers(np.zeros((5, 48, 48)), 2, True, ws)  # two runs: larger buffers
+        assert [a.shape for a in ws] == [(2, 9, 48, 48), (2, 2, 9, 48, 48), (2, 2, 8, 48 * 48)]
+        large = list(ws)
+        for runs in (5, 1):  # blocks of two runs; then the group's other runs have left it
+            model._chunk_buffers(np.zeros((5, 48, 48)), runs, True, ws)
+            assert all(a is b for a, b in zip(ws, large))
 
     def test_divergence_in_a_later_chunk(self, monkeypatch):
         # a NaN pixel in the third image of the first batch: the batch's first chunk (two 48x48 images)
         # has run its losses and gradients before the second chunk's output fails the check
         train_set, val_set = tiny_dataset(seed=9, size=48)
         cfg = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=4)
-        clean = train(cfg, train_set, val_set).epochs
+        clean = train_alone(cfg, train_set, val_set).epochs
         assert model.CHUNK_PIXELS // (48 * 48) == 2
         third = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 11, 0])))
         third = third.permutation(len(train_set))[2]
@@ -630,11 +647,11 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would fail here
             with pytest.raises(TrainingDiverged) as exc:
-                train(cfg, bad, val_set)
+                train_alone(cfg, bad, val_set)
         assert (exc.value.epoch, exc.value.batch, exc.value.what) == (0, 0, "network output")
         assert len(calls) == 1  # the first chunk's one call
         monkeypatch.undo()
-        assert train(cfg, train_set, val_set).epochs == clean  # the diverged call left nothing behind
+        assert train_alone(cfg, train_set, val_set).epochs == clean  # the diverged call left nothing behind
 
     def test_one_workspace_per_train_call(self, monkeypatch):
         # 3 epochs of 3 batches: every step reuses the buffers the call's first step allocated, and a second
@@ -642,9 +659,9 @@ class TestTrain:
         seen = []
         real = model._chunk_buffers
 
-        def spy(x, n, ws):
-            out = real(x, n, ws)
-            if n == 2:  # the step's four buffers; forward's evaluate calls ask for n == 1
+        def spy(x, runs, step, ws):
+            out = real(x, runs, step, ws)
+            if step:  # the step's three buffers, not those of evaluate's forward calls
                 seen.append(list(ws))
             return out
 
@@ -652,10 +669,10 @@ class TestTrain:
         train_set, val_set = tiny_dataset(seed=10, size=48)
         cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=3, seed=0)
         for _ in range(2):
-            train(cfg, train_set, val_set)
+            train_alone(cfg, train_set, val_set)
         assert len(seen) == 2 * 3 * 3
         first, second = seen[:9], seen[9:]
-        assert [a.shape for a in first[0]] == [(2, 2, 9, 48, 48), (2, 2, 8, 48 * 48)]
+        assert [a.shape for a in first[0]] == [(2, 9, 48, 48), (2, 9, 48, 48), (2, 8, 48 * 48)]
         for call in (first, second):
             assert all(a is b for bufs in call for a, b in zip(bufs, call[0], strict=True))
         assert not any(a is b for a, b in zip(first[0], second[0]))
@@ -666,7 +683,7 @@ class TestTrain:
             lr=1e-2, batch_size=8, max_epochs=3, loss="dice",
             adaptive_params=AdaptiveLogParams(), seed=0,
         )
-        rec = train(cfg, train_set, val_set)
+        rec = train_alone(cfg, train_set, val_set)
         assert all(np.isfinite(r.train_loss) for r in rec.epochs)
 
     def test_config_validation(self):
@@ -679,6 +696,124 @@ class TestTrain:
                 TrainConfig(lr=lr)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
+
+
+def _wrapped(loss, **params):
+    return {"loss": loss, "adaptive_params": AdaptiveLogParams(**params)}
+
+
+# grid cells: one loss, wrapped with each (gamma, omega, epsilon)
+GRID_VARIANTS = [_wrapped("dice", gamma=0.1, omega=w, epsilon=e) for w in (6.0, 10.0, 14.0) for e in (0.3, 1.0)]
+# compare's selectors jaccard, dice, focal, combo, focal-tversky and all (wrapped dice)
+COMPARE_VARIANTS = [*({"loss": name} for name in ("jaccard", "dice", "focal", "combo", "focal-tversky")),
+                    _wrapped("dice")]
+
+
+class TestSideBySide:
+    def _solo_and_group(self, variants, size, batch_size, lrs=(0.01,)):
+        train_set, val_set = tiny_dataset(seed=12, size=size)
+        configs = [TrainConfig(lr=lrs[i % len(lrs)], batch_size=batch_size, max_epochs=2, seed=7, **v)
+                   for i, v in enumerate(variants)]
+        return [train([c], train_set, val_set)[0] for c in configs], train(configs, train_set, val_set)
+
+    def _same_record(self, got, want):
+        assert type(got) is type(want)
+        if isinstance(want, TrainingDiverged):
+            assert (got.epoch, got.batch, got.what, str(got)) == (want.epoch, want.batch, want.what, str(want))
+            return
+        assert got.epochs == want.epochs
+        assert got.final_auc == want.final_auc or (np.isnan(got.final_auc) and np.isnan(want.final_auc))
+        assert [p.tobytes() for p in got.val_preds] == [p.tobytes() for p in want.val_preds]
+        assert [m.tobytes() for m in got.val_masks] == [m.tobytes() for m in want.val_masks]
+
+    # at 16x16 a chunk of 8 images per run makes blocks of 4 and 2 runs; at 48x48 batches of 5 make chunks of 2, 2
+    # and 1 images per run, in blocks of 2 runs
+    @pytest.mark.parametrize("size, batch_size", [(16, 8), (48, 5)], ids=["16x16", "48x48"])
+    @pytest.mark.parametrize("variants", [GRID_VARIANTS, COMPARE_VARIANTS], ids=["grid", "compare"])
+    def test_group_trains_like_its_runs_alone(self, variants, size, batch_size):
+        solo, group = self._solo_and_group(variants, size, batch_size, lrs=(0.01, 0.003, 0.02))
+        assert len(group) == len(variants)
+        for got, want in zip(group, solo):
+            self._same_record(got, want)
+
+    def test_diverging_run_leaves_the_others_alone(self):
+        # lr 1e300 sends that run's output to nan at epoch 0, batch 1 (see tests/test_cli.py's DIVERGING_LR)
+        solo, group = self._solo_and_group(COMPARE_VARIANTS[:3], 16, 8, lrs=(0.01, 1e300, 0.02))
+        assert isinstance(solo[1], TrainingDiverged) and solo[1].what == "network output"
+        for got, want in zip(group, solo):
+            self._same_record(got, want)
+        with pytest.raises(TrainingDiverged) as exc:  # alone, through the CLI's train, it raises
+            train_alone(TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7), *tiny_dataset(seed=12))
+        self._same_record(exc.value, solo[1])
+
+    def test_loss_divergence_and_a_group_that_all_diverges(self, monkeypatch):
+        # focal's value turns nan at the third call: its run leaves the group at that batch, the others go on
+        real, calls = model.make_loss, []
+
+        def make(name, **kw):
+            fn = real(name, **kw)
+            if name != "focal":
+                return fn
+
+            def nan_third(p, g):
+                calls.append(1)
+                ev = fn(p, g)
+                return LossEval(float("nan"), ev.grad) if len(calls) == 3 else ev
+            return nan_third
+
+        monkeypatch.setattr(model, "make_loss", make)
+        train_set, val_set = tiny_dataset(seed=12)
+        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=7, **v) for v in COMPARE_VARIANTS[:3]]
+        solo = []
+        for config in configs:
+            calls.clear()
+            solo.append(train([config], train_set, val_set)[0])
+        assert (solo[2].epoch, solo[2].batch, solo[2].what) == (1, 0, "loss nan")
+        calls.clear()
+        for got, want in zip(train(configs, train_set, val_set), solo):
+            self._same_record(got, want)
+        configs = [TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7, loss=n) for n in ("dice", "jaccard")]
+        assert all(isinstance(r, TrainingDiverged) for r in train(configs, train_set, val_set))
+
+    def test_members_must_share_seed_batch_size_and_epochs(self):
+        train_set, val_set = tiny_dataset(seed=12)
+        base = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=7)
+        for other in ({"seed": 8}, {"batch_size": 4}, {"max_epochs": 1}):
+            with pytest.raises(ValueError, match="share seed, batch_size and max_epochs"):
+                train([base, TrainConfig(**{**vars(base), **other})], train_set, val_set)
+
+    @pytest.mark.parametrize("size, runs", [(16, 6), (16, 24), (48, 2), (48, 6), (200, 3)])
+    def test_chunks_stay_within_the_group_cap(self, monkeypatch, size, runs):
+        # 24 runs at 16x16 or 6 at 48x48 exceed the cap in one block; a 200x200 image alone exceeds it
+        chunks, real = [], model._hidden
+        monkeypatch.setattr(model, "_hidden", lambda w1, b1, tb, h: chunks.append(h.shape) or real(w1, b1, tb, h))
+        images = np.random.default_rng(3).uniform(size=(5, size, size))
+        model._step(TinyNet.init(seed=1, runs=runs), images, lambda run, rows, p: np.ones_like(p), [])
+        for shape in chunks:
+            assert np.prod(shape[:-2]) * size * size <= max(model.GROUP_PIXELS, size * size)
+        assert sum(np.prod(shape[:-2]) for shape in chunks) == runs * len(images)  # each run's images, once
+        per_run = min(len(images), max(1, model.CHUNK_PIXELS // (size * size)))
+        assert max(shape[1] for shape in chunks) == per_run  # a run's chunk holds as many images as alone
+
+    def test_each_run_makes_its_solo_loss_calls(self, monkeypatch):
+        # grid-sweep's shape: 16x16, 12 training images in batches of 8 and 4, six runs side by side
+        real, calls = model.make_loss, []
+
+        def make(name, **kw):  # train makes each config's loss function once, in config order
+            fn, key = real(name, **kw), len(made)
+            made.append(key)
+            return lambda p, g: calls.append((key, len(p))) or fn(p, g)
+
+        made = []
+        monkeypatch.setattr(model, "make_loss", make)
+        train_set, val_set = tiny_dataset(seed=11)
+        assert len(train_set) == 12
+        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in GRID_VARIANTS]
+        made.clear()
+        train(configs, train_set, val_set)
+        assert made == list(range(6))
+        for run in range(6):
+            assert [n for k, n in calls if k == run] == [8, 4] * 3  # one call per chunk of each step
 
 
 def _raise_diverged(epoch):
