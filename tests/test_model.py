@@ -736,6 +736,15 @@ class TestSideBySide:
         for got, want in zip(group, solo):
             self._same_record(got, want)
 
+    def test_mixed_image_shapes(self):
+        # batches of one image of any shape: the group's buffers follow the shape, as one run's do
+        shapes = [(16, 16), (12, 20), (16, 16), (20, 12), (12, 20), (16, 16)]
+        samples = _random_samples(np.random.default_rng(15), shapes)
+        configs = [TrainConfig(lr=lr, batch_size=1, max_epochs=2, seed=6, **v)
+                   for lr, v in zip((0.01, 0.02, 0.005), COMPARE_VARIANTS[3:])]
+        for got, config in zip(train(configs, samples[:4], samples[4:]), configs):
+            self._same_record(got, train_alone(config, samples[:4], samples[4:]))
+
     def test_diverging_run_leaves_the_others_alone(self):
         # lr 1e300 sends that run's output to nan at epoch 0, batch 1 (see tests/test_cli.py's DIVERGING_LR)
         solo, group = self._solo_and_group(COMPARE_VARIANTS[:3], 16, 8, lrs=(0.01, 1e300, 0.02))
