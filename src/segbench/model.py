@@ -364,7 +364,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     if len({(c.seed, c.batch_size, c.max_epochs) for c in configs}) != 1:
-        raise ValueError("runs trained side by side must share seed, batch_size and max_epochs")
+        raise ValueError("train takes one or more configs that share seed, batch_size and max_epochs")
     seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
     runs = len(configs) if len(configs) > 1 else None
     net = TinyNet.init(seed=seed, runs=runs)

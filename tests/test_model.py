@@ -790,6 +790,8 @@ class TestSideBySide:
         for other in ({"seed": 8}, {"batch_size": 4}, {"max_epochs": 1}):
             with pytest.raises(ValueError, match="share seed, batch_size and max_epochs"):
                 train([base, TrainConfig(**{**vars(base), **other})], train_set, val_set)
+        with pytest.raises(ValueError, match="one or more configs"):
+            train([], train_set, val_set)
 
     @pytest.mark.parametrize("size, runs", [(16, 6), (16, 24), (48, 2), (48, 6), (200, 3)])
     def test_chunks_stay_within_the_group_cap(self, monkeypatch, size, runs):
