@@ -16,8 +16,8 @@ import segbench.model as model
 from segbench.adaptive import AdaptiveLogParams
 from segbench.cli import EXIT_OK, main
 from segbench.losses import LOSS_NAMES, LossEval, make_loss
-from segbench.model import (AdamState, EpochRow, TinyNet, TrainConfig, TrainingDiverged, adam_step, backward,
-                            evaluate, forward, train)
+from segbench.model import (AdamState, EpochRow, RunRecord, TinyNet, TrainConfig, TrainingDiverged, adam_step,
+                            backward, evaluate, forward, train)
 from segbench.synthdata import Sample, SynthSpec, generate, train_val_split
 
 
@@ -132,7 +132,7 @@ def _reference_step(net, batch, loss_fn):
 
 
 def _reference_train(config, train_set, val_set):
-    """train's epoch rows from a loop of reference steps."""
+    """train's record from a loop of reference steps, each epoch validated one image at a time by clipped slices."""
     net, opt, loss_fn, rows = TinyNet.init(seed=config.seed), AdamState(lr=config.lr), config.loss_fn(), []
     for epoch in range(config.max_epochs):
         order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch])))
@@ -143,9 +143,14 @@ def _reference_train(config, train_set, val_set):
             loss, grads = _reference_step(net, batch, loss_fn)
             adam_step(opt, net.params, grads)
             losses.append(loss)
-        means, _ = evaluate(net, val_set)
+        means, preds = _per_image_evaluate(net, val_set, lambda net, image: _clipped_forward(net, image[None])[0])
         rows.append(EpochRow(epoch, float(np.mean(losses)), **{f"val_{k}": v for k, v in means.items()}))
-    return rows
+    masks = [s.mask for s in val_set]
+    try:
+        auc = metrics.roc_auc(preds, masks).auc
+    except metrics.UndefinedAUC:
+        auc = float("nan")
+    return RunRecord(epochs=rows, final_auc=auc, val_preds=preds, val_masks=masks)
 
 
 def _loss_upstream(masks, loss_fn, values):
@@ -430,12 +435,12 @@ class TestBackward:
         assert outs[0] == outs[1]
 
 
-def _per_image_evaluate(net, val_set, threshold=0.5):
-    """evaluate's results from one forward call per image: the reference for its chunking."""
-    preds = [forward(net, s.image) for s in val_set]
+def _per_image_evaluate(net, val_set, predict=forward):
+    """evaluate's results from one ``predict`` call per image: the reference for its chunking."""
+    preds = [predict(net, s.image) for s in val_set]
     per_image = {"jaccard": [], "dice": [], "recall": [], "specificity": [], "f1": []}
     for p, s in zip(preds, val_set):
-        c = metrics.confusion(p, s.mask, threshold)
+        c = metrics.confusion(p, s.mask)
         per_image["jaccard"].append(metrics.jaccard_index(c))
         per_image["dice"].append(metrics.dice_index(c))
         per_image["recall"].append(metrics.recall(c))
@@ -585,7 +590,7 @@ class TestTrain:
         train_set, val_set = tiny_dataset(seed=8, size=48)
         cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss=name,
                           adaptive_params=AdaptiveLogParams() if wrapped else None, seed=3)
-        assert train_alone(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set)
+        assert train_alone(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set).epochs
 
     @pytest.mark.parametrize("size, batch_size, chunks", [(16, 8, [8, 4]), (48, 5, [2, 2, 1, 2, 2, 1, 2])],
                              ids=["16x16-batch8", "48x48-batch5"])
@@ -606,7 +611,8 @@ class TestTrain:
         rng = np.random.default_rng(15)
         samples = _random_samples(rng, [(16, 16), (12, 20), (16, 16), (20, 12), (12, 20), (16, 16)])
         cfg = TrainConfig(lr=0.01, batch_size=1, max_epochs=2, seed=6)
-        assert train_alone(cfg, samples[:4], samples[4:]).epochs == _reference_train(cfg, samples[:4], samples[4:])
+        want = _reference_train(cfg, samples[:4], samples[4:]).epochs
+        assert train_alone(cfg, samples[:4], samples[4:]).epochs == want
 
     def test_step_buffers_are_replaced_only_when_too_small(self):
         # a step's buffers: the input taps, then per run the taps of w2ᵀ @ h and dz2, and the hidden maps and dz1
@@ -709,22 +715,24 @@ COMPARE_VARIANTS = [*({"loss": name} for name in ("jaccard", "dice", "focal", "c
                     _wrapped("dice")]
 
 
+def _same_record(got, want):
+    """The same record, or a divergence with the same fields: epoch rows, AUC, and prediction and mask bytes."""
+    assert type(got) is type(want)
+    if isinstance(want, TrainingDiverged):
+        assert (got.epoch, got.batch, got.what, str(got)) == (want.epoch, want.batch, want.what, str(want))
+        return
+    assert got.epochs == want.epochs
+    assert got.final_auc == want.final_auc or (np.isnan(got.final_auc) and np.isnan(want.final_auc))
+    assert [p.tobytes() for p in got.val_preds] == [p.tobytes() for p in want.val_preds]
+    assert [m.tobytes() for m in got.val_masks] == [m.tobytes() for m in want.val_masks]
+
+
 class TestSideBySide:
     def _solo_and_group(self, variants, size, batch_size, lrs=(0.01,)):
         train_set, val_set = tiny_dataset(seed=12, size=size)
         configs = [TrainConfig(lr=lrs[i % len(lrs)], batch_size=batch_size, max_epochs=2, seed=7, **v)
                    for i, v in enumerate(variants)]
         return [train([c], train_set, val_set)[0] for c in configs], train(configs, train_set, val_set)
-
-    def _same_record(self, got, want):
-        assert type(got) is type(want)
-        if isinstance(want, TrainingDiverged):
-            assert (got.epoch, got.batch, got.what, str(got)) == (want.epoch, want.batch, want.what, str(want))
-            return
-        assert got.epochs == want.epochs
-        assert got.final_auc == want.final_auc or (np.isnan(got.final_auc) and np.isnan(want.final_auc))
-        assert [p.tobytes() for p in got.val_preds] == [p.tobytes() for p in want.val_preds]
-        assert [m.tobytes() for m in got.val_masks] == [m.tobytes() for m in want.val_masks]
 
     # at 16x16 a chunk of 8 images per run makes blocks of 4 and 2 runs; at 48x48 batches of 5 make chunks of 2, 2
     # and 1 images per run, in blocks of 2 runs
@@ -734,7 +742,7 @@ class TestSideBySide:
         solo, group = self._solo_and_group(variants, size, batch_size, lrs=(0.01, 0.003, 0.02))
         assert len(group) == len(variants)
         for got, want in zip(group, solo):
-            self._same_record(got, want)
+            _same_record(got, want)
 
     def test_mixed_image_shapes(self):
         # batches of one image of any shape: the group's buffers follow the shape, as one run's do
@@ -743,17 +751,17 @@ class TestSideBySide:
         configs = [TrainConfig(lr=lr, batch_size=1, max_epochs=2, seed=6, **v)
                    for lr, v in zip((0.01, 0.02, 0.005), COMPARE_VARIANTS[3:])]
         for got, config in zip(train(configs, samples[:4], samples[4:]), configs):
-            self._same_record(got, train_alone(config, samples[:4], samples[4:]))
+            _same_record(got, train_alone(config, samples[:4], samples[4:]))
 
     def test_diverging_run_leaves_the_others_alone(self):
         # lr 1e300 sends that run's output to nan at epoch 0, batch 1 (see tests/test_cli.py's DIVERGING_LR)
         solo, group = self._solo_and_group(COMPARE_VARIANTS[:3], 16, 8, lrs=(0.01, 1e300, 0.02))
         assert isinstance(solo[1], TrainingDiverged) and solo[1].what == "network output"
         for got, want in zip(group, solo):
-            self._same_record(got, want)
+            _same_record(got, want)
         with pytest.raises(TrainingDiverged) as exc:  # alone, through the CLI's train, it raises
             train_alone(TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7), *tiny_dataset(seed=12))
-        self._same_record(exc.value, solo[1])
+        _same_record(exc.value, solo[1])
 
     def test_loss_divergence_and_a_group_that_all_diverges(self, monkeypatch):
         # focal's value turns nan at the third call: its run leaves the group at that batch, the others go on
@@ -780,7 +788,7 @@ class TestSideBySide:
         assert (solo[2].epoch, solo[2].batch, solo[2].what) == (1, 0, "loss nan")
         calls.clear()
         for got, want in zip(train(configs, train_set, val_set), solo):
-            self._same_record(got, want)
+            _same_record(got, want)
         configs = [TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7, loss=n) for n in ("dice", "jaccard")]
         assert all(isinstance(r, TrainingDiverged) for r in train(configs, train_set, val_set))
 

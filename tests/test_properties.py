@@ -1,4 +1,4 @@
-"""Property tests on random inputs: loss ranges, the wrapper's shape, PGM parsing.
+"""Property tests on random inputs: loss ranges, the wrapper's shape, PGM parsing, side-by-side training.
 
 Derandomized with few examples, so the suite stays deterministic and fast.
 """
@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segbench.adaptive import DEFAULT_PARAMS, adaptive_log_forward
+from segbench.adaptive import DEFAULT_PARAMS, AdaptiveLogParams, adaptive_log_forward
 from segbench.losses import LOSS_NAMES, make_loss
-from segbench.synthdata import PGMError, read_pgm
+from segbench.model import TrainConfig, TrainingDiverged, train
+from segbench.synthdata import PGMError, Sample, read_pgm
+from test_model import _reference_train, _same_record
 
 FEW = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -84,3 +86,45 @@ def test_read_pgm_raises_only_pgm_error(data, pgm_path):
     except PGMError:
         return
     assert img.dtype == np.uint8 and img.ndim == 2
+
+
+# one row or one column; an image wider than a chunk's pixels; 48x48, two images to a chunk and two runs to a block
+IMAGE_SHAPES = st.one_of(st.sampled_from([(1, 1), (1, 7), (7, 1), (1, 5000), (48, 48)]),
+                         st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+@st.composite
+def groups(draw):
+    """A seed group: per run a loss selector or a wrapper cell and an ``lr`` (1e300 diverges), a shared seed, batch
+    size and epoch count, and training and validation images, of mixed shapes only in batches of one."""
+    configs, seed, epochs = [], draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    n_train, n_val = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        shapes, batch_size = draw(st.lists(IMAGE_SHAPES, min_size=n_train + n_val, max_size=n_train + n_val)), 1
+    else:
+        shapes, batch_size = [draw(IMAGE_SHAPES)] * (n_train + n_val), draw(st.integers(1, n_train + 1))
+    for _ in range(draw(st.integers(1, 4))):
+        lr = draw(st.one_of(st.just(1e300), st.floats(1e-3, 0.1)))
+        if draw(st.booleans()):  # a wrapper cell, on a loss whose value lies in [0, 1]
+            cell = AdaptiveLogParams(gamma=draw(st.floats(0.05, 0.5)), omega=draw(st.floats(1.0, 20.0)),
+                                     epsilon=draw(st.floats(0.1, 2.0)))
+            variant = {"loss": draw(st.sampled_from(sorted(OVERLAP))), "adaptive_params": cell}
+        else:
+            variant = {"loss": draw(st.sampled_from(LOSS_NAMES))}
+        configs.append(TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, seed=seed, **variant))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    samples = [Sample(rng.uniform(size=s), (rng.uniform(size=s) < 0.3).astype(np.uint8)) for s in shapes]
+    return configs, samples[:n_train], samples[n_train:]
+
+
+@FEW
+@given(group=groups())
+def test_group_run_equals_two_pass_reference(group):
+    # every run that trains to the end equals the two-pass loop; a run that diverges leaves the group with the
+    # fields it raises alone
+    configs, train_set, val_set = group
+    for config, got in zip(configs, train(configs, train_set, val_set)):
+        if isinstance(got, TrainingDiverged):
+            _same_record(got, train([config], train_set, val_set)[0])
+        else:
+            _same_record(got, _reference_train(config, train_set, val_set))
