@@ -8,10 +8,11 @@ All arithmetic is float64 numpy. Training is deterministic given the config seed
 Reductions are sequential sums or BLAS contractions, one per image. Bits repeat exactly on one host but depend on
 its BLAS kernel and on numpy's SIMD exp and log; across hosts, the CSVs as printed are what is promised.
 
-A net may stack the weights of several runs on a leading run axis. Runs that share a seed, a batch size and an
-epoch count see the same images in the same order, so :func:`train` trains them side by side: each chunk's input
-taps are stacked once for every run, each run's products are still its own matrix products, and each run gets the
-bits it would get alone.
+Every pass works on weights stacked on a leading run axis. Runs that share a seed, a batch size and an epoch count
+see the same images in the same order, so :func:`train` trains them side by side: each chunk's input taps are
+stacked once for every run, each run's products are still its own matrix products, and each run gets the bits it
+would get alone. One config trains as a stack of one run, and :func:`forward`, :func:`backward` and
+:func:`evaluate` run a net without a run axis as a one-run stack.
 """
 
 from __future__ import annotations
@@ -123,48 +124,46 @@ def _stacked_taps(taps: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _chunk_buffers(x: np.ndarray, runs: int | None, step: bool, ws: list):
-    """Images per run per chunk of x, runs per block (None without a run axis), and ``ws`` as the buffers of at
-    least its first (largest) chunk and block: the (b, 9, H, W) input taps, the (…, b, 9, H, W) taps of w2ᵀ @ h
-    and then of dz2, and the (…, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over the
-    input taps. The buffers are replaced when the images' shape changes or their chunk or block is larger."""
+def _chunk_buffers(x: np.ndarray, runs: int, step: bool, ws: list):
+    """Images per run per chunk of x, runs per block, and ``ws`` as the buffers of at least its first (largest)
+    chunk and block: the (b, 9, H, W) input taps, the (rc, b, 9, H, W) taps of w2ᵀ @ h and then of dz2, and the
+    (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over the input taps. The buffers are
+    replaced when the images' shape changes or their chunk or block is larger."""
     hw = max(1, x[:1].size)
     # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
     b = max(1, min(len(x), CHUNK_PIXELS // hw))
-    rc = None if runs is None else max(1, min(runs, GROUP_PIXELS // (b * hw)))
-    lead = (b,) if rc is None else (rc, b)
-    one_run_forward = not step and (runs or 1) == 1
+    rc = max(1, min(runs, GROUP_PIXELS // (b * hw)))
+    one_run_forward = not step and runs == 1
     # the taps hold the chunk's images and the hidden maps, before them, the block's runs
-    if (len(ws) != 3 - one_run_forward or ws[0].shape[0] < b or ws[0].shape[2:] != x.shape[1:]
-            or ws[-1].ndim != len(lead) + 2 or ws[-1].shape[:-3] < lead[:-1]):
-        taps, hidden = (KSIZE * KSIZE, *x.shape[1:]), (*lead, HIDDEN_CHANNELS, hw)
-        ws[:] = [np.empty((b, *taps)), *([] if one_run_forward else [np.empty((*lead, *taps))]), np.empty(hidden)]
+    if len(ws) != 3 - one_run_forward or ws[0].shape[0] < b or ws[0].shape[2:] != x.shape[1:] or len(ws[-1]) < rc:
+        taps = (KSIZE * KSIZE, *x.shape[1:])
+        ws[:] = [np.empty((b, *taps)), *([] if one_run_forward else [np.empty((rc, b, *taps))]),
+                 np.empty((rc, b, HIDDEN_CHANNELS, hw))]
     if one_run_forward:
-        return b, rc, (ws[0], ws[0] if rc is None else ws[0][None], ws[1])
+        return b, rc, (ws[0], ws[0][None], ws[1])
     return b, rc, ws
 
 
-def _weights(params: dict[str, np.ndarray], rc: int | None, step: bool) -> list[tuple]:
-    """The weights as the passes multiply by them, per block of ``rc`` runs (one block without a run axis):
-    ``(sel, runs, w1 (…, 8, 9), b1 (…, 8, 1), w2ᵀ (…, 9, 8), b2 (…, 1, 1), w2 flipped (…, 8, 9) for a step or None)``.
-    ``sel`` indexes the block's runs, ``runs`` is their range (None without a run axis), and a run axis is followed
-    by a broadcast image axis."""
-    if rc is None:
-        blocks = [((), None, params)]
-    else:
-        n = len(params["b2"])
-        blocks = [((slice(r, r + rc),), range(r, min(r + rc, n)), {k: v[r : r + rc] for k, v in params.items()})
-                  for r in range(0, n, rc)]
-    out = []
-    for sel, runs, w in blocks:
-        ext = () if runs is None else (len(runs), 1)
-        w2 = w["w2"].reshape(*ext, HIDDEN_CHANNELS, -1)
+def _weights(params: dict[str, np.ndarray], rc: int, step: bool) -> list[tuple]:
+    """The weights as the passes multiply by them, per block of ``rc`` runs: ``(sel, runs, w1 (r, 1, 8, 9),
+    b1 (r, 1, 8, 1), w2ᵀ (r, 1, 9, 8), b2 (r, 1, 1, 1), w2 flipped (r, 1, 8, 9) for a step or None)``. ``sel``
+    slices the block's runs and ``runs`` is their range; the run axis is followed by a broadcast image axis."""
+    n, out = len(params["b2"]), []
+    for r in range(0, n, rc):
+        sel, runs = slice(r, r + rc), range(r, min(r + rc, n))
+        ext = (len(runs), 1)
+        w2 = params["w2"][sel].reshape(*ext, HIDDEN_CHANNELS, -1)
         # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped kernel, whose
         # flat taps are w2's in reverse order
-        out.append((sel, runs, w["w1"].reshape(*ext, HIDDEN_CHANNELS, -1), w["b1"].reshape(*ext, HIDDEN_CHANNELS, 1),
-                    w2.swapaxes(-1, -2), w["b2"].reshape(*ext, 1, 1) if ext else w["b2"],
-                    w2[..., ::-1].copy() if step else None))
+        out.append((sel, runs, params["w1"][sel].reshape(*ext, HIDDEN_CHANNELS, -1),
+                    params["b1"][sel].reshape(*ext, HIDDEN_CHANNELS, 1), w2.swapaxes(-1, -2),
+                    params["b2"][sel].reshape(*ext, 1, 1), w2[..., ::-1].copy() if step else None))
     return out
+
+
+def _one_run(net: TinyNet) -> TinyNet:
+    """A net without a run axis as a stack of one run, on views of its weights."""
+    return TinyNet({k: v[None] for k, v in net.params.items()})
 
 
 def _hidden(w1: np.ndarray, b1: np.ndarray, tb: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -191,49 +190,46 @@ def _output(w2t: np.ndarray, b2: np.ndarray, hb: np.ndarray, u: np.ndarray, out:
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image or a (B, H, W) batch; per run on a leading axis for a net
     with a run axis."""
+    n = net.runs
+    if n is None:
+        return forward(_one_run(net), image)[0]
     x = _as_batch(image)
-    b, rc, (t, u, h) = _chunk_buffers(x, net.runs, False, [])
-    p = np.empty((net.runs,) * (rc is not None) + x.shape)
+    b, rc, (t, u, h) = _chunk_buffers(x, n, False, [])
+    p = np.empty((n, *x.shape))
     blocks = _weights(net.params, rc, False)
     for s in range(0, len(x), b):
         rows, xs = slice(s, s + b), x[s : s + b]
         tb = _stacked_taps(t[: len(xs)], xs)
         for sel, runs, w1, b1, w2t, b2, _ in blocks:
-            lim = (slice(len(xs)),) if runs is None else (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
-            _output(w2t, b2, _hidden(w1, b1, tb, h[lim]), u[lim], p[sel + (rows,)])
-    return p.reshape(p.shape[: p.ndim - x.ndim] + np.shape(image))
+            lim = (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
+            _output(w2t, b2, _hidden(w1, b1, tb, h[lim]), u[lim], p[sel, rows])
+    return p.reshape(n, *np.shape(image))
 
 
 def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
-    """Weight gradients of (B, H, W) images x, summed over them, from one pass per chunk on the same taps and
-    hidden maps; per run on a leading axis for a net with a run axis. ``upstream(run, rows, p)`` is d(loss)/d(p) of
-    ``x[rows]`` for run ``run`` (None without a run axis), given its output p, or None for a run that has stopped:
-    its gradients are then left undefined. ``ws`` holds the buffers."""
-    b, rc, (t, d, h) = _chunk_buffers(x, net.runs, True, ws)
-    lead = (net.runs,) * (rc is not None)
+    """Weight gradients of (B, H, W) images x per run, summed over the images, from one pass per chunk on the same
+    taps and hidden maps. ``upstream(run, rows, p)`` is d(loss)/d(p) of ``x[rows]`` for the net's run ``run``,
+    given its output p, or None for a run that has stopped: its gradients are then left undefined. ``ws`` holds
+    the buffers."""
+    n = net.runs
+    b, rc, (t, d, h) = _chunk_buffers(x, n, True, ws)
     # per-image gradients, summed in image order at the end
     shapes = {"w1": (HIDDEN_CHANNELS, KSIZE * KSIZE), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, KSIZE * KSIZE),
               "b2": ()}
-    g = {k: np.empty((*lead, len(x), *s)) for k, s in shapes.items()}
+    g = {k: np.empty((n, len(x), *s)) for k, s in shapes.items()}
     blocks = _weights(net.params, rc, True)
     for s in range(0, len(x), b):
         rows, xs = slice(s, s + b), x[s : s + b]
         tb = _stacked_taps(t[: len(xs)], xs)
         for sel, runs, w1, b1, w2t, b2, w2f in blocks:
-            at = sel + (rows,)
-            lim = (slice(len(xs)),) if runs is None else (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
+            at, lim = (sel, rows), (slice(len(runs)), slice(len(xs)))  # the chunk's gradients and buffers
             hb = _hidden(w1, b1, tb, h[lim])
             p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[1:]))  # T is still needed
-            if runs is None:
-                up = upstream(None, rows, p)
-                up = 0.0 if up is None else up
-            else:
-                up = np.zeros_like(p)
-                for i, run in enumerate(runs):
-                    u = upstream(run, rows, p[i])
-                    if u is not None:
-                        up[i] = u
-            dz2 = up * p * (1.0 - p)
+            dz2 = np.empty_like(p)
+            for i, run in enumerate(runs):
+                u = upstream(run, rows, p[i])
+                np.multiply(0.0 if u is None else u, p[i], out=dz2[i])
+            dz2 *= 1.0 - p
             db = _stacked_taps(d[lim], dz2)
             # Each image's products are its own matmul, so a batch sums what per-image calls return.
             np.matmul(hb, db.swapaxes(-1, -2), out=g["w2"][at])
@@ -244,15 +240,21 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
             zb.sum(axis=-1, out=g["b1"][at])
             dz2.sum(axis=(-2, -1), out=g["b2"][at])
     g["w2"] = g["w2"][..., ::-1]  # tap k of dz2 pairs with w2's tap 8 - k
-    return {k: _sum_images(v, len(lead)).reshape(net.params[k].shape) for k, v in g.items()}
+    return {k: _sum_images(v, 1).reshape(net.params[k].shape) for k, v in g.items()}
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a batch."""
+    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a batch; per run on a
+    leading axis for a net with a run axis."""
+    if net.runs is None:
+        return {k: v[0, ...] for k, v in backward(_one_run(net), image, upstream_grad).items()}
     up = np.asarray(upstream_grad, dtype=np.float64)
     if up.shape != np.shape(image):
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(image)}")
-    return _step(net, _as_batch(image), lambda run, rows, p: _as_batch(up)[rows], [])
+    x = _as_batch(image)
+    if not len(x):
+        raise ValueError("image batch must be non-empty")
+    return _step(net, x, lambda run, rows, p: _as_batch(up)[rows], [])
 
 
 @dataclass
@@ -343,12 +345,12 @@ def evaluate(net: TinyNet, val_set):
 
     For a net with a run axis, a list of them, one per run, from one forward pass over every run.
     """
+    if net.runs is None:
+        return evaluate(_one_run(net), val_set)[0]
     if not val_set:
         raise ValueError("validation set must be non-empty")
-    runs = itertools.groupby((s.image for s in val_set), key=np.shape)
-    maps = [forward(net, np.stack(list(run))) for _, run in runs]
-    if net.runs is None:
-        return _scores([p for m in maps for p in m], val_set)
+    same_shape = itertools.groupby((s.image for s in val_set), key=np.shape)
+    maps = [forward(net, np.stack(list(images))) for _, images in same_shape]
     return [_scores([p for m in maps for p in m[r]], val_set) for r in range(net.runs)]
 
 
@@ -356,7 +358,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     """Mini-batch Adam training; per-epoch validation at threshold 0.5.
 
     ``configs`` share a seed, a batch size and an epoch count, and train side by side on one net with a run axis
-    (one config trains on a net without one). Returns, per config, its record or the :class:`TrainingDiverged` it
+    (one config on a stack of one run). Returns, per config, its record or the :class:`TrainingDiverged` it
     would raise if trained alone: a run that diverges leaves the stack, and the others go on with the bits they
     would have alone.
     """
@@ -366,9 +368,8 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     if len({(c.seed, c.batch_size, c.max_epochs) for c in configs}) != 1:
         raise ValueError("train takes one or more configs that share seed, batch_size and max_epochs")
     seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
-    runs = len(configs) if len(configs) > 1 else None
-    net = TinyNet.init(seed=seed, runs=runs)
-    opt = AdamState(lr=configs[0].lr if runs is None else np.array([c.lr for c in configs]))
+    net = TinyNet.init(seed=seed, runs=len(configs))
+    opt = AdamState(lr=np.array([c.lr for c in configs]))
     loss_fns = [c.loss_fn() for c in configs]
     live = list(range(len(configs)))  # the config of each run the net stacks
     out: list = [None] * len(configs)
@@ -380,9 +381,8 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
         for r, exc in failed.items():
             out[live[r]] = exc
         live[:] = [live[r] for r in keep]
-        if live:  # else training ends: a net without a run axis has one run
-            net.params, opt.lr = {k: v[keep] for k, v in net.params.items()}, opt.lr[keep]
-            opt.m, opt.v = {k: v[keep] for k, v in opt.m.items()}, {k: v[keep] for k, v in opt.v.items()}
+        net.params, opt.lr = {k: v[keep] for k, v in net.params.items()}, opt.lr[keep]
+        opt.m, opt.v = {k: v[keep] for k, v in opt.m.items()}, {k: v[keep] for k, v in opt.v.items()}
         return keep
 
     n = len(train_set)
@@ -398,8 +398,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
                 batch_loss = [0.0] * len(live)
                 failed = {}
 
-                def upstream(run, chunk, p):
-                    r = run or 0  # the stack row
+                def upstream(r, chunk, p):  # r is the stack row
                     if r in failed:
                         return None
                     # checked before the loss sees it, so plain and wrapped losses diverge the same way
@@ -425,8 +424,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
                 adam_step(opt, net.params, grads)
                 for c, value in zip(live, batch_loss):
                     epoch_losses[c].append(value)
-            results = evaluate(net, val_set)
-            results = dict(zip(live, [results] if runs is None else results))
+            results = dict(zip(live, evaluate(net, val_set)))
         failed = {r: TrainingDiverged(epoch, b_idx, "validation output") for r, c in enumerate(live)
                   if not all(np.isfinite(p).all() for p in results[c][1])}  # the epoch's last step diverged
         if failed:

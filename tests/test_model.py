@@ -296,6 +296,14 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, np.zeros((8, 8)), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_empty_batch_rejected(self, runs):
+        # forward maps an empty batch to an empty map; a gradient summed over no images is rejected by name
+        net = TinyNet.init(seed=5, runs=runs)
+        assert forward(net, np.zeros((0, 4, 4))).shape == ((0, 4, 4) if runs is None else (runs, 0, 4, 4))
+        with pytest.raises(ValueError, match="image batch must be non-empty"):
+            backward(net, np.zeros((0, 4, 4)), np.zeros((0, 4, 4)))
+
     # the training batch; a batch that is not a multiple of backward's chunk; one image larger
     # than the chunk budget; non-square images
     @pytest.mark.parametrize("shape", [(16, 48, 48), (5, 48, 48), (1, 100, 100), (3, 7, 11)],
@@ -353,7 +361,7 @@ class TestBackward:
         masks = (rng.uniform(size=imgs.shape) < 0.3).astype(np.int64)
         step = _loss_upstream(masks, make_loss("dice"), [])
         for call in (lambda: forward(net, imgs), lambda: backward(net, imgs, ups),
-                     lambda: model._step(net, imgs, step, [])):
+                     lambda: model._step(model._one_run(net), imgs, step, [])):
             tracemalloc.start()
             try:
                 call()
@@ -364,19 +372,19 @@ class TestBackward:
 
     @pytest.mark.parametrize("wrapped", [False, True], ids=["dice", "dice+wrap"])
     def test_fused_step_equals_two_passes(self, wrapped):
-        # 7 images of 48x48 make chunks of 2, 2, 2 and 1: the fused step's loss values and gradient bytes
-        # equal forward on the whole batch, one loss call per image, then a separate backward
+        # 7 images of 48x48 make chunks of 2, 2, 2 and 1: the fused step's loss values and gradient bytes, on a
+        # one-run stack, equal forward on the whole batch, one loss call per image, then a separate backward
         net = TinyNet.init(seed=17)
         batch = _random_samples(np.random.default_rng(14), [(48, 48)] * 7)
         loss_fn = TrainConfig(loss="dice", adaptive_params=AdaptiveLogParams() if wrapped else None).loss_fn()
         want_loss, want = _reference_step(net, batch, loss_fn)
         values = []
-        got = model._step(net, np.stack([s.image for s in batch]),
+        got = model._step(model._one_run(net), np.stack([s.image for s in batch]),
                           _loss_upstream(np.stack([s.mask for s in batch]), loss_fn, values), [])
         assert len(values) == 7
         assert model._sum_images(np.array(values)) / 7 == want_loss
         for k in want:
-            assert got[k].shape == want[k].shape
+            assert got[k].shape == (1, *want[k].shape)
             assert got[k].tobytes() == want[k].tobytes()
 
     @pytest.mark.parametrize("loss_name", ["dice", "jaccard", "focal"])
@@ -480,6 +488,30 @@ class TestEvaluate:
     def test_empty_validation_set_rejected(self):
         with pytest.raises(ValueError):
             evaluate(TinyNet.init(seed=15), [])
+
+
+class TestOneRunStack:
+    # 48 images of 128x128 as eval-large evaluates them, a training batch of 48x48 images, and one 1x7 image
+    @pytest.mark.parametrize("shape", [(48, 128, 128), (16, 48, 48), (1, 7)], ids=lambda s: "x".join(map(str, s)))
+    def test_equals_the_unstacked_net(self, shape):
+        # a net without a run axis and the same weights stacked as one run give the same bytes
+        rng = np.random.default_rng(19)
+        net, stack = TinyNet.init(seed=20), TinyNet.init(seed=20, runs=1)
+        net.params["b1"], net.params["b2"] = rng.normal(size=8), np.array(rng.normal())
+        stack.params["b1"], stack.params["b2"] = net.params["b1"][None].copy(), net.params["b2"][None].copy()
+        img, up = rng.uniform(size=shape), rng.normal(size=shape)
+        got = forward(stack, img)
+        assert got.shape == (1, *shape)
+        _same_bytes(got[0], forward(net, img))
+        want = backward(net, img, up)
+        for k, v in backward(stack, img, up).items():
+            assert v.shape == (1, *net.params[k].shape)
+            _same_bytes(v[0], want[k])
+        images = img.reshape(-1, *shape[-2:])
+        val_set = [Sample(x, (rng.uniform(size=x.shape) < 0.3).astype(np.uint8)) for x in images]
+        (means, preds), (want_means, want_preds) = *evaluate(stack, val_set), evaluate(net, val_set)
+        assert means == want_means
+        assert [p.tobytes() for p in preds] == [p.tobytes() for p in want_preds]
 
 
 class TestAdam:
@@ -678,7 +710,7 @@ class TestTrain:
             train_alone(cfg, train_set, val_set)
         assert len(seen) == 2 * 3 * 3
         first, second = seen[:9], seen[9:]
-        assert [a.shape for a in first[0]] == [(2, 9, 48, 48), (2, 9, 48, 48), (2, 8, 48 * 48)]
+        assert [a.shape for a in first[0]] == [(2, 9, 48, 48), (1, 2, 9, 48, 48), (1, 2, 8, 48 * 48)]
         for call in (first, second):
             assert all(a is b for bufs in call for a, b in zip(bufs, call[0], strict=True))
         assert not any(a is b for a, b in zip(first[0], second[0]))
