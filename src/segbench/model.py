@@ -244,8 +244,8 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a batch; per run on a
-    leading axis for a net with a run axis."""
+    """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a non-empty batch; per run
+    on a leading axis for a net with a run axis."""
     if net.runs is None:
         return {k: v[0, ...] for k, v in backward(_one_run(net), image, upstream_grad).items()}
     up = np.asarray(upstream_grad, dtype=np.float64)
@@ -349,8 +349,8 @@ def evaluate(net: TinyNet, val_set):
         return evaluate(_one_run(net), val_set)[0]
     if not val_set:
         raise ValueError("validation set must be non-empty")
-    same_shape = itertools.groupby((s.image for s in val_set), key=np.shape)
-    maps = [forward(net, np.stack(list(images))) for _, images in same_shape]
+    runs = itertools.groupby((s.image for s in val_set), key=np.shape)
+    maps = [forward(net, np.stack(list(run))) for _, run in runs]
     return [_scores([p for m in maps for p in m[r]], val_set) for r in range(net.runs)]
 
 
