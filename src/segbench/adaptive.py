@@ -50,12 +50,23 @@ class AdaptiveLogParams:
 DEFAULT_PARAMS = AdaptiveLogParams()
 
 
+class BaseValueOutOfRange(ValueError):
+    """A base loss value outside [0, 1], where the wrapper is defined: ``value`` is the first such one."""
+
+    def __init__(self, value: float):
+        super().__init__(f"base loss value {value} outside [0, 1]; upstream loss is broken")
+        self.value = value
+
+    def __reduce__(self):  # ValueError would pickle only the message, which __init__ does not take
+        return type(self), (self.value,)
+
+
 def _branches(x, params: AdaptiveLogParams) -> tuple:
     """(wrapped value, slope) of a base value or an array of them; a float gives floats."""
     x = np.asarray(x, dtype=np.float64)
     outside = ~((x >= 0.0) & (x <= 1.0))  # NaN is outside too
     if outside.any():
-        raise ValueError(f"base loss value {x[outside][0]} outside [0, 1]; upstream loss is broken")
+        raise BaseValueOutOfRange(float(x[outside][0]))
     below = x < params.gamma
     value = np.where(below, params.omega * np.log(1.0 + x / params.epsilon), x - params.c)
     slope = np.where(below, params.omega / (params.epsilon + x), 1.0)

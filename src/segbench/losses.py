@@ -67,12 +67,27 @@ class Masks(np.ndarray):
     """A ``(b, *img)`` stack of masks, one per image of ``p``: ``stack.view(Masks)`` selects that call form."""
 
 
+class _CheckedMasks(Masks):
+    """Masks that :func:`_check_masks` has passed, scored against outputs known to be finite; only ``model.train``
+    makes them.  A finite sigmoid output lies in [0, 1], so a call on them skips the scans of ``p``'s range and of
+    the mask values.  The shape check and the smoothing rules stay per call."""
+
+
+def _check_masks(masks) -> None:
+    """Raise what a loss call raises on the first of ``masks`` whose values are not all 0 or 1."""
+    for g in masks:
+        error = _input_error(np.zeros(1), np.asarray(g), None, False)  # a p in range: only g's values are checked
+        if error is not None:
+            raise error
+
+
 def _check_pair(p: np.ndarray, g: np.ndarray, smooth: float | None = None) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Validate once per call; return ``p`` as rows of one image's pixels, ``g`` as its rows, ``p.shape``.
 
     An overlap loss passes its ``smooth``, which adds the smoothing rules.
     """
     per_image = isinstance(g, Masks)  # its first axis counts images, not pixels
+    checked = isinstance(g, _CheckedMasks)  # a view of the stack, so tested before np.asarray drops it
     p = np.asarray(p, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     lead = p.ndim - g.ndim  # copy axes
@@ -82,18 +97,19 @@ def _check_pair(p: np.ndarray, g: np.ndarray, smooth: float | None = None) -> tu
         raise ValueError("empty input")
     rows = p.reshape(*p.shape[: lead + per_image], -1)
     g = g.reshape(rows.shape[lead:])
-    if _input_error(rows, g, smooth) is not None:
+    if _input_error(rows, g, smooth, checked) is not None:
         # only now find the first offending copy or image, and raise what it would raise alone
-        errors = (_input_error(rows[k], g[k[lead:]], smooth) for k in np.ndindex(rows.shape[:-1]))
+        errors = (_input_error(rows[k], g[k[lead:]], smooth, checked) for k in np.ndindex(rows.shape[:-1]))
         raise next(e for e in errors if e is not None)
     return rows, g, p.shape
 
 
-def _input_error(p: np.ndarray, g: np.ndarray, smooth: float | None) -> ValueError | None:
-    """What a call on these rows raises, checked in order: ``p``'s range, ``g``'s values, the smoothing rules."""
-    if not (np.min(p) >= 0 and np.max(p) <= 1):  # written so that a NaN fails it
+def _input_error(p: np.ndarray, g: np.ndarray, smooth: float | None, checked: bool) -> ValueError | None:
+    """What a call on these rows raises, checked in order: ``p``'s range, ``g``'s values (both skipped for
+    ``checked`` masks), the smoothing rules."""
+    if not checked and not (np.min(p) >= 0 and np.max(p) <= 1):  # written so that a NaN fails it
         return ValueError("predicted probabilities must lie in [0, 1]")
-    if not np.all((g == 0) | (g == 1)):
+    if not checked and not np.all((g == 0) | (g == 1)):
         return ValueError("mask values must be exactly 0 or 1")
     if smooth is not None and smooth < 0:
         return ValueError(f"smooth must be >= 0, got {smooth}")
@@ -118,12 +134,19 @@ def _eval(value: np.ndarray, grad, shape: tuple) -> LossEval:
     return LossEval(float(value) if value.ndim == 0 else value, lambda: grad().reshape(shape))
 
 
-def _quotient_loss(num, denom, d_parts, shape: tuple) -> LossEval:
-    """1 - num/denom, with d/dp_i by the quotient rule from ``d_parts()``: each pixel's (d num, d denom)."""
+# the two values a mask pixel takes, where the overlap losses' gradients are worked out
+_MASK_LEVELS = np.array([0.0, 1.0])
+
+
+def _quotient_loss(num, denom, d_parts, g, shape: tuple) -> LossEval:
+    """1 - num/denom, with d/dp_i by the quotient rule from ``d_parts(g)``: the (d num, d denom) of pixels of mask
+    value g.  A pixel's gradient depends on it only through g_i, so each row's is worked out at the two mask values
+    and selected per pixel: the same operations on the same operands as pixel by pixel."""
 
     def grad():
-        d_num, d_denom = d_parts()
-        return -(d_num * denom - num * d_denom) / (denom * denom)
+        d_num, d_denom = d_parts(_MASK_LEVELS)
+        levels = -(d_num * denom - num * d_denom) / (denom * denom)  # (..., 2) per row
+        return np.where(g == 1.0, levels[..., 1:], levels[..., :1])
 
     return _eval(1.0 - num / denom, grad, shape)
 
@@ -133,7 +156,7 @@ def soft_dice_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     p, g, shape = _check_pair(p, g, smooth)
     inter = _row_sum(g * p)
     denom = _row_sum(g) + _row_sum(p) + smooth
-    return _quotient_loss(2.0 * inter + smooth, denom, lambda: (2.0 * g, 1.0), shape)
+    return _quotient_loss(2.0 * inter + smooth, denom, lambda m: (2.0 * m, 1.0), g, shape)
 
 
 def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
@@ -141,7 +164,7 @@ def soft_jaccard_loss(p, g, smooth: float = DEFAULT_SMOOTH) -> LossEval:
     p, g, shape = _check_pair(p, g, smooth)
     inter = _row_sum(g * p)
     denom = _row_sum(g) + _row_sum(p) - inter + smooth
-    return _quotient_loss(inter + smooth, denom, lambda: (g, 1.0 - g), shape)
+    return _quotient_loss(inter + smooth, denom, lambda m: (m, 1.0 - m), g, shape)
 
 
 def tversky_loss(
@@ -155,7 +178,8 @@ def tversky_loss(
     fn = _row_sum(g * (1.0 - p))
     fp = _row_sum((1.0 - g) * p)
     denom = inter + tversky_alpha * fn + tversky_beta * fp + smooth
-    return _quotient_loss(inter + smooth, denom, lambda: (g, g - tversky_alpha * g + tversky_beta * (1.0 - g)), shape)
+    return _quotient_loss(inter + smooth, denom, lambda m: (m, m - tversky_alpha * m + tversky_beta * (1.0 - m)), g,
+                          shape)
 
 
 def focal_loss(p, g, focal_alpha: float = 1.0, focal_gamma: float = 2.0) -> LossEval:

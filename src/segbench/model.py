@@ -19,22 +19,24 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .adaptive import AdaptiveLogParams, wrap_loss_fn
-from .losses import Masks, make_loss
+from .adaptive import AdaptiveLogParams, BaseValueOutOfRange, wrap_loss_fn
+from .losses import _check_masks, _CheckedMasks, make_loss
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
-_CENTRE = KSIZE * KSIZE // 2  # index of the unshifted tap
+TAPS = KSIZE * KSIZE
+_CENTRE = TAPS // 2  # index of the unshifted tap
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Pixels per run per chunk of images. Per pixel of its chunk, a training step holds the 9 input taps, shared by
-# every run, and per run 17 floats: the 8 hidden maps (then dz1) and the 9 taps of dz2 (first the 9 maps w2ᵀ @ h);
-# one run holds 26. A one-run forward call holds its input, its output and one chunk's taps and hidden maps
-# (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images.
+# Pixels per run per chunk of images. Per pixel of its chunk, a training step holds the 9 input taps and a one
+# (b1's row), shared by every run, and per run 17 floats: the 8 hidden maps (then dz1) and the 9 taps of dz2 (first
+# the 9 maps w2ᵀ @ h); one run holds 27. A one-run forward call holds its input, its output and one chunk's taps and
+# hidden maps (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images.
 CHUNK_PIXELS = 2 * 48 * 48
 # Pixels of runs x images per chunk of a stacked net: runs beyond it go to the chunk's next block of runs, which
 # reuses its taps. A block holds at least one run, so only an image larger than this makes a larger chunk. Of caps
@@ -44,14 +46,24 @@ GROUP_PIXELS = 2 * CHUNK_PIXELS
 
 
 class TrainingDiverged(RuntimeError):
+    """A run stopped at ``epoch`` and ``batch`` because ``what`` went wrong, as ``state`` says."""
+
+    state = "non-finite {}"
+
     def __init__(self, epoch: int, batch: int, what: str):
-        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
+        super().__init__(f"{self.state.format(what)} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
         self.what = what
 
     def __reduce__(self):  # RuntimeError would pickle only the message, which __init__ does not take
         return type(self), (self.epoch, self.batch, self.what)
+
+
+class _OutsideWrapper(TrainingDiverged):
+    """A wrapped run whose base loss value left [0, 1], where the wrapper is defined."""
+
+    state = "{} outside [0, 1]"
 
 
 @dataclass
@@ -124,11 +136,19 @@ def _stacked_taps(taps: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _input_taps(taps: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The nine taps of (b, H, W) images and a last row of ones, written into ``taps`` (b, 10, H, W) and viewed as
+    (b, 10, H*W): ``[w1 | b1]`` multiplies them as one matrix, so the product adds b1 last, as ``w1 @ T + b1``."""
+    _stacked_taps(taps[:, :TAPS], images)
+    taps[:, TAPS] = 1.0  # on every chunk: nothing else keeps the buffer's rows
+    return taps.reshape(*taps.shape[:2], -1)
+
+
 def _chunk_buffers(x: np.ndarray, runs: int, step: bool, ws: list):
     """Images per run per chunk of x, runs per block, and ``ws`` as the buffers of at least its first (largest)
-    chunk and block: the (b, 9, H, W) input taps, the (rc, b, 9, H, W) taps of w2ᵀ @ h and then of dz2, and the
-    (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over the input taps. The buffers are
-    replaced when the images' shape changes or their chunk or block is larger."""
+    chunk and block: the (b, 10, H, W) input taps and ones, the (rc, b, 9, H, W) taps of w2ᵀ @ h and then of dz2,
+    and the (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over the input taps. The
+    buffers are replaced when the images' shape changes or their chunk or block is larger."""
     hw = max(1, x[:1].size)
     # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
     b = max(1, min(len(x), CHUNK_PIXELS // hw))
@@ -136,28 +156,28 @@ def _chunk_buffers(x: np.ndarray, runs: int, step: bool, ws: list):
     one_run_forward = not step and runs == 1
     # the taps hold the chunk's images and the hidden maps, before them, the block's runs
     if len(ws) != 3 - one_run_forward or ws[0].shape[0] < b or ws[0].shape[2:] != x.shape[1:] or len(ws[-1]) < rc:
-        taps = (KSIZE * KSIZE, *x.shape[1:])
-        ws[:] = [np.empty((b, *taps)), *([] if one_run_forward else [np.empty((rc, b, *taps))]),
+        ws[:] = [np.empty((b, TAPS + 1, *x.shape[1:])),
+                 *([] if one_run_forward else [np.empty((rc, b, TAPS, *x.shape[1:]))]),
                  np.empty((rc, b, HIDDEN_CHANNELS, hw))]
     if one_run_forward:
-        return b, rc, (ws[0], ws[0][None], ws[1])
+        return b, rc, (ws[0], ws[0][None, :, :TAPS], ws[1])
     return b, rc, ws
 
 
 def _weights(params: dict[str, np.ndarray], rc: int, step: bool) -> list[tuple]:
-    """The weights as the passes multiply by them, per block of ``rc`` runs: ``(sel, runs, w1 (r, 1, 8, 9),
-    b1 (r, 1, 8, 1), w2ᵀ (r, 1, 9, 8), b2 (r, 1, 1, 1), w2 flipped (r, 1, 8, 9) for a step or None)``. ``sel``
-    slices the block's runs and ``runs`` is their range; the run axis is followed by a broadcast image axis."""
+    """The weights as the passes multiply by them, per block of ``rc`` runs: ``(sel, runs, [w1 | b1] (r, 1, 8, 10),
+    w2ᵀ (r, 1, 9, 8), b2 (r, 1, 1, 1), w2 flipped (r, 1, 8, 9) for a step or None)``. ``sel`` slices the block's runs
+    and ``runs`` is their range; the run axis is followed by a broadcast image axis."""
     n, out = len(params["b2"]), []
+    w1b = np.concatenate([params["w1"].reshape(n, HIDDEN_CHANNELS, -1), params["b1"][..., None]], axis=-1)
     for r in range(0, n, rc):
         sel, runs = slice(r, r + rc), range(r, min(r + rc, n))
         ext = (len(runs), 1)
         w2 = params["w2"][sel].reshape(*ext, HIDDEN_CHANNELS, -1)
         # Backprop through "same" cross-correlation = cross-correlation with the 180-degree-flipped kernel, whose
         # flat taps are w2's in reverse order
-        out.append((sel, runs, params["w1"][sel].reshape(*ext, HIDDEN_CHANNELS, -1),
-                    params["b1"][sel].reshape(*ext, HIDDEN_CHANNELS, 1), w2.swapaxes(-1, -2),
-                    params["b2"][sel].reshape(*ext, 1, 1), w2[..., ::-1].copy() if step else None))
+        out.append((sel, runs, w1b[sel, None], w2.swapaxes(-1, -2), params["b2"][sel].reshape(*ext, 1, 1),
+                    w2[..., ::-1].copy() if step else None))
     return out
 
 
@@ -166,10 +186,10 @@ def _one_run(net: TinyNet) -> TinyNet:
     return TinyNet({k: v[None] for k, v in net.params.items()})
 
 
-def _hidden(w1: np.ndarray, b1: np.ndarray, tb: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Hidden maps relu(w1 @ T + b1) of taps T (b, 9, H*W) into ``h``, one matmul per run and image."""
-    hb = np.matmul(w1, tb, out=h)
-    hb += b1
+def _hidden(w1b: np.ndarray, tb: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Hidden maps relu([w1 | b1] @ [T; 1]) of taps T and ones (b, 10, H*W) into ``h``, one matmul per run and
+    image."""
+    hb = np.matmul(w1b, tb, out=h)
     return np.maximum(hb, 0.0, out=hb)
 
 
@@ -190,19 +210,23 @@ def _output(w2t: np.ndarray, b2: np.ndarray, hb: np.ndarray, u: np.ndarray, out:
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image or a (B, H, W) batch; per run on a leading axis for a net
     with a run axis."""
+    if net.runs is None:
+        return _forward(_one_run(net), image)[0]
+    return _forward(net, image)
+
+
+def _forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     n = net.runs
-    if n is None:
-        return forward(_one_run(net), image)[0]
     x = _as_batch(image)
     b, rc, (t, u, h) = _chunk_buffers(x, n, False, [])
     p = np.empty((n, *x.shape))
     blocks = _weights(net.params, rc, False)
     for s in range(0, len(x), b):
         rows, xs = slice(s, s + b), x[s : s + b]
-        tb = _stacked_taps(t[: len(xs)], xs)
-        for sel, runs, w1, b1, w2t, b2, _ in blocks:
+        tb = _input_taps(t[: len(xs)], xs)
+        for sel, runs, w1b, w2t, b2, _ in blocks:
             lim = (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
-            _output(w2t, b2, _hidden(w1, b1, tb, h[lim]), u[lim], p[sel, rows])
+            _output(w2t, b2, _hidden(w1b, tb, h[lim]), u[lim], p[sel, rows])
     return p.reshape(n, *np.shape(image))
 
 
@@ -213,17 +237,23 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
     the buffers."""
     n = net.runs
     b, rc, (t, d, h) = _chunk_buffers(x, n, True, ws)
-    # per-image gradients, summed in image order at the end
-    shapes = {"w1": (HIDDEN_CHANNELS, KSIZE * KSIZE), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, KSIZE * KSIZE),
-              "b2": ()}
-    g = {k: np.empty((n, len(x), *s)) for k, s in shapes.items()}
+    # per-image gradients: the 153 of a run and image in one row of `flat`, summed in image order at the end
+    shapes = {"w1": (HIDDEN_CHANNELS, TAPS), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, TAPS), "b2": ()}
+    cuts = list(itertools.accumulate(math.prod(s) for s in shapes.values()))
+
+    def by_weight(rows: np.ndarray) -> dict[str, np.ndarray]:  # views of each weight's columns
+        parts = np.split(rows, cuts[:-1], axis=-1)
+        return {k: v.reshape(*rows.shape[:-1], *s) for (k, s), v in zip(shapes.items(), parts)}
+
+    flat = np.empty((n, len(x), cuts[-1]))
+    g = by_weight(flat)
     blocks = _weights(net.params, rc, True)
     for s in range(0, len(x), b):
         rows, xs = slice(s, s + b), x[s : s + b]
-        tb = _stacked_taps(t[: len(xs)], xs)
-        for sel, runs, w1, b1, w2t, b2, w2f in blocks:
+        tb = _input_taps(t[: len(xs)], xs)
+        for sel, runs, w1b, w2t, b2, w2f in blocks:
             at, lim = (sel, rows), (slice(len(runs)), slice(len(xs)))  # the chunk's gradients and buffers
-            hb = _hidden(w1, b1, tb, h[lim])
+            hb = _hidden(w1b, tb, h[lim])
             p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[1:]))  # T is still needed
             dz2 = np.empty_like(p)
             for i, run in enumerate(runs):
@@ -236,18 +266,23 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
             relu = hb > 0.0
             zb = np.matmul(w2f, db, out=hb)  # dz1 over the hidden maps, which only the ReLU mask still needs
             zb *= relu
-            np.matmul(zb, tb.swapaxes(-1, -2), out=g["w1"][at])
-            zb.sum(axis=-1, out=g["b1"][at])
+            np.matmul(zb, tb[:, :TAPS].swapaxes(-1, -2), out=g["w1"][at])
+            zb.sum(axis=-1, out=g["b1"][at])  # not the product's ones column: that would sum in another order
             dz2.sum(axis=(-2, -1), out=g["b2"][at])
-    g["w2"] = g["w2"][..., ::-1]  # tap k of dz2 pairs with w2's tap 8 - k
-    return {k: _sum_images(v, 1).reshape(net.params[k].shape) for k, v in g.items()}
+    out = by_weight(_sum_images(flat, 1))
+    out["w2"] = out["w2"][..., ::-1]  # tap k of dz2 pairs with w2's tap 8 - k
+    return {k: v.reshape(net.params[k].shape) for k, v in out.items()}
 
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a non-empty batch; per run
     on a leading axis for a net with a run axis."""
     if net.runs is None:
-        return {k: v[0, ...] for k, v in backward(_one_run(net), image, upstream_grad).items()}
+        return {k: v[0, ...] for k, v in _backward(_one_run(net), image, upstream_grad).items()}
+    return _backward(net, image, upstream_grad)
+
+
+def _backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     up = np.asarray(upstream_grad, dtype=np.float64)
     if up.shape != np.shape(image):
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(image)}")
@@ -346,7 +381,11 @@ def evaluate(net: TinyNet, val_set):
     For a net with a run axis, a list of them, one per run, from one forward pass over every run.
     """
     if net.runs is None:
-        return evaluate(_one_run(net), val_set)[0]
+        return _evaluate(_one_run(net), val_set)[0]
+    return _evaluate(net, val_set)
+
+
+def _evaluate(net: TinyNet, val_set) -> list:
     if not val_set:
         raise ValueError("validation set must be non-empty")
     runs = itertools.groupby((s.image for s in val_set), key=np.shape)
@@ -368,6 +407,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     if len({(c.seed, c.batch_size, c.max_epochs) for c in configs}) != 1:
         raise ValueError("train takes one or more configs that share seed, batch_size and max_epochs")
     seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
+    _check_masks(s.mask for s in train_set)  # once: every loss call on a chunk's masks then skips the scan
     net = TinyNet.init(seed=seed, runs=len(configs))
     opt = AdamState(lr=np.array([c.lr for c in configs]))
     loss_fns = [c.loss_fn() for c in configs]
@@ -394,7 +434,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
         with np.errstate(over="ignore", invalid="ignore"):
             for b_idx, start in enumerate(range(0, n, batch_size)):
                 batch = [train_set[i] for i in order[start : start + batch_size]]
-                masks = np.stack([s.mask for s in batch]).view(Masks)
+                masks = np.stack([s.mask for s in batch]).view(_CheckedMasks)
                 batch_loss = [0.0] * len(live)
                 failed = {}
 
@@ -405,7 +445,11 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
                     if not np.isfinite(p).all():
                         failed[r] = TrainingDiverged(epoch, b_idx, "network output")
                         return None
-                    ev = loss_fns[live[r]](p, masks[chunk])  # one value per image; a scalar stands for each
+                    try:
+                        ev = loss_fns[live[r]](p, masks[chunk])  # one value per image; a scalar stands for each
+                    except BaseValueOutOfRange as exc:  # a wrapped base loss that is not confined to [0, 1]
+                        failed[r] = _OutsideWrapper(epoch, b_idx, f"base loss value {exc.value}")
+                        return None
                     for value in np.broadcast_to(ev.value, len(p)).tolist():  # as Python floats, in image order
                         batch_loss[r] += value
                     return ev.grad / len(batch)

@@ -185,6 +185,29 @@ class TestTrain:
         assert "check failed: non-finite validation output at epoch 0, batch 0" in capsys.readouterr().err
 
 
+class TestBaseValueOutsideWrapper:
+    # wrapped BCE at lr 0.5: its base value leaves [0, 1], where the wrapper is defined, in epoch 0
+    FLAGS = ["--width", "16", "--height", "16", "--n-images", "12", "--epochs", "2", "--batch-size", "8",
+             "--fg-fraction", "0.2", "--lr", "0.5"]
+
+    def test_compare_records_a_diverged_run_and_keeps_its_group(self, tmp_path):
+        group, alone = tmp_path / "group.csv", tmp_path / "alone.csv"
+        for losses, out in (("dice,bce+all", group), ("dice", alone)):
+            assert main(["compare", *self.FLAGS, "--seeds", "1", "--losses", losses, "--out", str(out)]) == EXIT_OK
+        rows = read_rows(group)
+        assert [(r["loss"], r["status"]) for r in rows] == [("dice", "ok"), ("dice", "ok"),
+                                                            ("bce+all", "diverged"), ("bce+all", "diverged")]
+        assert rows[:2] == read_rows(alone)
+        assert read_rows(tmp_path / "group_epochs.csv") == read_rows(tmp_path / "alone_epochs.csv")
+
+    def test_train_is_check_failure(self, tmp_path, capsys):
+        out = str(tmp_path / "o.csv")
+        assert main(["train", *self.FLAGS, "--loss", "bce", "--all-wrap", "--out", out]) == EXIT_CHECK
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: base loss value ") and "outside [0, 1] at epoch 0, batch " in err
+        assert "Traceback" not in err
+
+
 class TestGrid:
     def test_single_cell_rows(self, tmp_path):
         out = tmp_path / "grid.csv"

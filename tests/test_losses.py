@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from segbench import losses
-from segbench.adaptive import wrap_loss_fn
+from segbench.adaptive import adaptive_log_derivative, wrap_loss_fn
 from segbench.losses import (
+    DEFAULT_SMOOTH,
     FD_BLOCK,
     LOSS_NAMES,
     LOSSES,
@@ -433,6 +434,79 @@ class TestPerImageMasks:
         p[2, 0, 3] = 0.5
         assert 1.0 < bce_loss(p[2], g[2]).value != bce_loss(p[1], g[1]).value > 1.0
         assert error_of(lambda: fn(p, g.view(Masks))) == error_of(lambda: fn(p[1], g[1]))
+
+
+def quotient_grad_by_pixel(name, p, g, smooth):
+    """An overlap loss's gradient as the quotient rule reads pixel by pixel, each pixel's (d num, d denom) from its own
+    g_i, on rows of one image each; Tversky at its default weights."""
+    g = g.astype(np.float64)
+    inter = np.add.reduce(g * p, axis=-1, keepdims=True)
+    size = np.add.reduce(g, axis=-1, keepdims=True) + np.add.reduce(p, axis=-1, keepdims=True)
+    if name == "dice":
+        num, denom, d_num, d_denom = 2.0 * inter + smooth, size + smooth, 2.0 * g, 1.0
+    elif name == "jaccard":
+        num, denom, d_num, d_denom = inter + smooth, size - inter + smooth, g, 1.0 - g
+    else:
+        a, b = 0.7, 0.3
+        fn, fp = (np.add.reduce(x, axis=-1, keepdims=True) for x in (g * (1.0 - p), (1.0 - g) * p))
+        num, denom, d_num, d_denom = inter + smooth, inter + a * fn + b * fp + smooth, g, g - a * g + b * (1.0 - g)
+    return -(d_num * denom - num * d_denom) / (denom * denom)
+
+
+class TestTwoLevelGradients:
+    @pytest.mark.parametrize("smooth", [0.0, DEFAULT_SMOOTH])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", ["dice", "jaccard", "tversky", "focal-tversky"])
+    def test_equal_the_per_pixel_formula(self, name, wrapped, smooth):
+        # images with a mixed, an all-foreground and (where smoothing defines its loss) an empty mask, and
+        # predictions at exactly 0 and 1
+        rng = np.random.default_rng(81)
+        p = rng.uniform(size=(3, 6, 7))
+        p[:, 0, :2] = 0.0, 1.0
+        g = (rng.uniform(size=p.shape) < 0.3).astype(np.uint8)
+        g[1] = 1
+        if smooth:
+            g[2] = 0
+        else:
+            p, g = p[:2], g[:2]
+        want = quotient_grad_by_pixel(name.removeprefix("focal-"), p.reshape(len(p), -1), g.reshape(len(g), -1),
+                                      smooth)
+        fn = make_loss(name, smooth=smooth)
+        if name == "focal-tversky":  # the chain rule through v ** (1 / ft_gamma), as focal_tversky_loss takes it
+            v = make_loss("tversky", smooth=smooth)(p, g.view(Masks)).value[:, None]
+            expo = 1.0 / (4.0 / 3.0)
+            want = np.where(v == 0.0, 0.0, expo * np.where(v == 0.0, 1.0, v) ** (expo - 1.0) * want)
+        if wrapped:
+            want = adaptive_log_derivative(fn(p, g.view(Masks)).value)[:, None] * want
+            fn = wrap_loss_fn(fn)
+        want = want.reshape(p.shape)
+        got = fn(p, g.view(Masks)).grad
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert got.tobytes() == want.tobytes()
+        for k in range(len(p)):
+            assert fn(p[k], g[k]).grad.tobytes() == want[k].tobytes()
+
+
+class TestCheckedMasks:
+    # the form model.train makes for masks it has checked, scoring outputs it has checked to be finite
+    def test_skips_the_range_and_mask_scans(self):
+        p, g = per_image_case((2, 4, 5), seed=91)
+        want = soft_dice_loss(p, g.view(Masks))
+        g = g.view(losses._CheckedMasks)
+        got = soft_dice_loss(p, g)
+        assert got.value.tobytes() == want.value.tobytes() and got.grad.tobytes() == want.grad.tobytes()
+        g[0, 0, 0] = 2  # not checked again: a mask stays as it was checked
+        soft_dice_loss(p, g)
+        with pytest.raises(ValueError, match="mask values"):
+            soft_dice_loss(p, np.asarray(g).view(Masks))
+
+    @pytest.mark.parametrize("name", [name for name in LOSS_NAMES if "smooth" in loss_options(name)])
+    def test_keep_the_shape_check_and_smoothing_rules(self, name):
+        p, g = per_image_case((3, 4, 5), seed=31, empty=1)
+        fn = make_loss(name, smooth=0.0)
+        assert error_of(lambda: fn(p, g.view(losses._CheckedMasks))) == error_of(lambda: fn(p[1], g[1]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fn(p, g[:2].view(losses._CheckedMasks))
 
 
 # (selector, bad options): one case per range rule, and negative smooth on every selector that reads it

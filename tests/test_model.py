@@ -461,6 +461,24 @@ def _random_samples(rng, shapes):
     return [Sample(rng.uniform(size=s), (rng.uniform(size=s) < 0.3).astype(np.int64)) for s in shapes]
 
 
+class TestBiasFold:
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("images", [1, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 13), (48, 48)], ids=lambda s: "x".join(map(str, s)))
+    def test_hidden_equals_product_plus_bias(self, runs, images, shape):
+        # [w1 | b1] @ [T; 1] against w1 @ T + b1, before and after the ReLU, byte for byte
+        rng = np.random.default_rng([19, runs, images, *shape])
+        params = {k: rng.normal(size=v.shape) for k, v in TinyNet.init(seed=0, runs=runs).params.items()}
+        x = rng.uniform(size=(images, *shape))
+        tb = model._input_taps(np.full((images, 10, *shape), np.nan), x)  # the ones row is written, not kept
+        _same_bytes(tb[:, :9], _clipped_taps(x))
+        assert (tb[:, 9] == 1.0).all()
+        ((_, _, w1b, *_),) = model._weights(params, runs, False)
+        want = np.matmul(params["w1"].reshape(runs, 1, 8, 9), tb[:, :9]) + params["b1"].reshape(runs, 1, 8, 1)
+        _same_bytes(np.matmul(w1b, tb), want)
+        _same_bytes(model._hidden(w1b, tb, np.full(want.shape, np.nan)), np.maximum(want, 0.0))
+
+
 class TestEvaluate:
     def _same_as_per_image(self, net, val_set):
         means, preds = evaluate(net, val_set)
@@ -512,6 +530,22 @@ class TestOneRunStack:
         (means, preds), (want_means, want_preds) = *evaluate(stack, val_set), evaluate(net, val_set)
         assert means == want_means
         assert [p.tobytes() for p in preds] == [p.tobytes() for p in want_preds]
+
+
+    def test_a_public_call_is_counted_once(self, monkeypatch):
+        # an unstacked net runs as a one-run stack inside the call, without calling the public function again
+        calls = []
+        for name in ("forward", "backward", "evaluate"):
+            real = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        net, (train_set, val_set) = TinyNet.init(seed=3), tiny_dataset(seed=3)
+        img = np.random.default_rng(4).uniform(size=(2, 16, 16))
+        model.forward(net, img)
+        assert calls == ["forward"]
+        model.backward(net, img, np.ones_like(img))
+        assert calls == ["forward", "backward"]
+        model.evaluate(net, val_set)  # one forward on the stacked net for its one run of same-shaped images
+        assert calls == ["forward", "backward", "evaluate", "forward"]
 
 
 class TestAdam:
@@ -647,19 +681,20 @@ class TestTrain:
         assert train_alone(cfg, samples[:4], samples[4:]).epochs == want
 
     def test_step_buffers_are_replaced_only_when_too_small(self):
-        # a step's buffers: the input taps, then per run the taps of w2ᵀ @ h and dz2, and the hidden maps and dz1
+        # a step's buffers: the input taps and their row of ones, then per run the taps of w2ᵀ @ h and dz2, and the
+        # hidden maps and dz1
         ws = []
         model._chunk_buffers(np.zeros((1, 48, 48)), 1, True, ws)  # a chunk of one image
         small = list(ws)
         model._chunk_buffers(np.zeros((5, 48, 48)), 1, True, ws)  # a chunk of two: larger buffers
-        assert ws[0].shape == (2, 9, 48, 48) and ws[0] is not small[0]
+        assert ws[0].shape == (2, 10, 48, 48) and ws[0] is not small[0]
         large = list(ws)
         model._chunk_buffers(np.zeros((1, 48, 48)), 1, True, ws)
         assert all(a is b for a, b in zip(ws, large))
         model._chunk_buffers(np.zeros((1, 40, 50)), 1, True, ws)  # another image shape
-        assert [a.shape for a in ws] == [(1, 9, 40, 50), (1, 1, 9, 40, 50), (1, 1, 8, 40 * 50)]
+        assert [a.shape for a in ws] == [(1, 10, 40, 50), (1, 1, 9, 40, 50), (1, 1, 8, 40 * 50)]
         model._chunk_buffers(np.zeros((5, 48, 48)), 2, True, ws)  # two runs: larger buffers
-        assert [a.shape for a in ws] == [(2, 9, 48, 48), (2, 2, 9, 48, 48), (2, 2, 8, 48 * 48)]
+        assert [a.shape for a in ws] == [(2, 10, 48, 48), (2, 2, 9, 48, 48), (2, 2, 8, 48 * 48)]
         large = list(ws)
         for runs in (5, 1):  # blocks of two runs; then the group's other runs have left it
             model._chunk_buffers(np.zeros((5, 48, 48)), runs, True, ws)
@@ -710,10 +745,26 @@ class TestTrain:
             train_alone(cfg, train_set, val_set)
         assert len(seen) == 2 * 3 * 3
         first, second = seen[:9], seen[9:]
-        assert [a.shape for a in first[0]] == [(2, 9, 48, 48), (1, 2, 9, 48, 48), (1, 2, 8, 48 * 48)]
+        assert [a.shape for a in first[0]] == [(2, 10, 48, 48), (1, 2, 9, 48, 48), (1, 2, 8, 48 * 48)]
         for call in (first, second):
             assert all(a is b for bufs in call for a, b in zip(bufs, call[0], strict=True))
         assert not any(a is b for a, b in zip(first[0], second[0]))
+
+    def test_bad_training_mask_is_rejected_before_the_first_step(self, monkeypatch):
+        # train checks its masks once, so a loss call on a chunk does not scan them; the error is a loss call's
+        train_set, val_set = tiny_dataset(seed=12)
+        bad = list(train_set)
+        mask = bad[-1].mask.copy()
+        mask[3, 4] = 2
+        bad[-1] = Sample(bad[-1].image, mask)
+        with pytest.raises(ValueError) as want:
+            make_loss("dice")(np.full(mask.shape, 0.5), mask)
+        steps = []
+        monkeypatch.setattr(model, "_step", lambda *a: steps.append(1))
+        with pytest.raises(ValueError) as got:
+            train([TrainConfig(lr=0.01, batch_size=4, max_epochs=2, seed=0)], bad, val_set)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+        assert str(got.value) == "mask values must be exactly 0 or 1" and not steps
 
     def test_adaptive_wrapped_training_runs(self):
         train_set, val_set = tiny_dataset(seed=6)
@@ -837,7 +888,7 @@ class TestSideBySide:
     def test_chunks_stay_within_the_group_cap(self, monkeypatch, size, runs):
         # 24 runs at 16x16 or 6 at 48x48 exceed the cap in one block; a 200x200 image alone exceeds it
         chunks, real = [], model._hidden
-        monkeypatch.setattr(model, "_hidden", lambda w1, b1, tb, h: chunks.append(h.shape) or real(w1, b1, tb, h))
+        monkeypatch.setattr(model, "_hidden", lambda w1b, tb, h: chunks.append(h.shape) or real(w1b, tb, h))
         images = np.random.default_rng(3).uniform(size=(5, size, size))
         model._step(TinyNet.init(seed=1, runs=runs), images, lambda run, rows, p: np.ones_like(p), [])
         for shape in chunks:
