@@ -111,7 +111,7 @@ def _input_error(p: np.ndarray, g: np.ndarray, smooth: float | None, checked: bo
         return ValueError("predicted probabilities must lie in [0, 1]")
     if not checked and not np.all((g == 0) | (g == 1)):
         return ValueError("mask values must be exactly 0 or 1")
-    if smooth is not None and smooth < 0:
+    if smooth is not None and not smooth >= 0:  # written so that a NaN fails it
         return ValueError(f"smooth must be >= 0, got {smooth}")
     if smooth == 0 and not _row_sum(g).all():
         return DegenerateDenominator("empty ground-truth mask with smooth=0")
@@ -171,7 +171,7 @@ def tversky_loss(
     p, g, smooth: float = DEFAULT_SMOOTH, tversky_alpha: float = 0.7, tversky_beta: float = 0.3
 ) -> LossEval:
     """1 - (TP + s) / (TP + alpha*FN + beta*FP + s) with soft TP/FN/FP."""
-    if tversky_alpha < 0 or tversky_beta < 0 or tversky_alpha + tversky_beta == 0:
+    if not (tversky_alpha >= 0 and tversky_beta >= 0 and tversky_alpha + tversky_beta > 0):  # a NaN fails it
         raise ValueError(f"invalid Tversky weights tversky_alpha={tversky_alpha}, tversky_beta={tversky_beta}")
     p, g, shape = _check_pair(p, g, smooth)
     inter = _row_sum(g * p)
@@ -186,7 +186,7 @@ def focal_loss(p, g, focal_alpha: float = 1.0, focal_gamma: float = 2.0) -> Loss
     """Mean of -alpha * (1 - p_t)^gamma * ln(p_t), p_t = p where g=1 else 1-p."""
     if not (0 < focal_alpha <= 1):
         raise ValueError(f"focal_alpha must be in (0, 1], got {focal_alpha}")
-    if focal_gamma < 0:
+    if not focal_gamma >= 0:  # written so that a NaN fails it
         raise ValueError(f"focal_gamma must be >= 0, got {focal_gamma}")
     p, g, shape = _check_pair(p, g)
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
@@ -234,7 +234,7 @@ def focal_tversky_loss(
     ft_gamma: float = 4.0 / 3.0,
 ) -> LossEval:
     """(1 - Tversky index)^(1/ft_gamma), gradient via chain rule."""
-    if ft_gamma <= 0:
+    if not ft_gamma > 0:  # written so that a NaN fails it
         raise ValueError(f"ft_gamma must be > 0, got {ft_gamma}")
     base = tversky_loss(p, g, smooth, tversky_alpha, tversky_beta)
     v = np.asarray(base.value)

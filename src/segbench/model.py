@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metrics
 from .adaptive import AdaptiveLogParams, BaseValueOutOfRange, wrap_loss_fn
-from .losses import _check_masks, _CheckedMasks, make_loss
+from .losses import _check_masks, _CheckedMasks, copy_axes, make_loss
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
@@ -309,7 +309,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
         if k not in state.m:
             state.m[k] = np.zeros_like(params[k])
             state.v[k] = np.zeros_like(params[k])
-        lr = state.lr.reshape((-1,) + (1,) * (g.ndim - 1)) if isinstance(state.lr, np.ndarray) else state.lr
+        lr = copy_axes(state.lr, g)
         state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
         state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[k] / bc1

@@ -63,7 +63,7 @@ class SynthSpec:
             raise ValueError("fg_fraction_target must be in (0, 0.5]")
         if self.n_images < 1:
             raise ValueError("n_images must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # written so that a NaN fails it
             raise ValueError("noise_sigma must be >= 0")
         lo, hi = self.blob_count_range
         if lo < 1 or hi < lo:

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from segbench import adaptive, cli, model
 from segbench.adaptive import (
     AdaptiveLogParams,
     adaptive_log_derivative,
@@ -11,7 +13,8 @@ from segbench.adaptive import (
     derivative_jump,
     wrap_loss_fn,
 )
-from segbench.losses import LossEval, finite_difference_grad, soft_dice_loss
+from segbench.losses import LOSS_NAMES, LossEval, Masks, finite_difference_grad, make_loss, soft_dice_loss
+from segbench.synthdata import SynthSpec, generate, train_val_split
 
 DEFAULTS = AdaptiveLogParams()
 
@@ -163,6 +166,101 @@ class TestWrap:
         ev = fn(p, g)
         fd = finite_difference_grad(fn, p, g, step=1e-8)
         np.testing.assert_allclose(ev.grad, fd, rtol=1e-5)
+
+
+def _misses(shape, img, seed, per_image=False):
+    """Predictions of ``shape`` over ``img``-shaped masks, each about as far from its mask as its Dice loss, from 0.02
+    (below gamma) to 0.45 (above), and the masks: one of its own per prediction, or else one for all."""
+    rng = np.random.default_rng(seed)
+    if per_image:
+        g = (rng.uniform(size=shape + img) < 0.5).astype(np.uint8)
+    else:
+        g = np.zeros(img, dtype=np.uint8)
+        g.flat[::2] = 1
+    miss = np.linspace(0.02, 0.45, math.prod(shape)).reshape(shape + (1,) * len(img))
+    return np.where(g == 1, 1.0 - miss, miss) + rng.uniform(-0.01, 0.01, shape + img), g
+
+
+def _wrapped(how, loss_fn, p, g):
+    return adaptive_log_wrap(loss_fn(p, g)) if how == "adaptive_log_wrap" else wrap_loss_fn(loss_fn)(p, g)
+
+
+@pytest.mark.parametrize("how", ["adaptive_log_wrap", "wrap_loss_fn"])
+class TestStackedBase:
+    """A stacked base wraps each copy or image on its own: bit for bit what one call per copy or image gives."""
+
+    @staticmethod
+    def _assert_as_alone(how, p, g, lead):
+        """``g`` is one mask, or one per image of ``p``, which the call views as Masks."""
+        per_image = g.ndim == p.ndim
+        stacked = g.view(Masks) if per_image else g
+        base = soft_dice_loss(p, stacked).value
+        assert (base < DEFAULTS.gamma).any() and (base > DEFAULTS.gamma).any()
+        got = _wrapped(how, soft_dice_loss, p, stacked)
+        alone = [_wrapped(how, soft_dice_loss, p[k], g[k] if per_image else g) for k in np.ndindex(lead)]
+        assert got.value.tobytes() == np.array([a.value for a in alone]).tobytes()
+        assert got.grad.tobytes() == np.stack([a.grad for a in alone]).tobytes()
+
+    @pytest.mark.parametrize("images", [5, 3])
+    def test_masks_stack(self, how, images):
+        p, g = _misses((images,), (5, 5), seed=images, per_image=True)
+        self._assert_as_alone(how, p, g, (images,))
+
+    @pytest.mark.parametrize("copies, img", [((4,), (4,)), ((2, 3), (5, 5))])
+    def test_copies_stack(self, how, copies, img):
+        p, g = _misses(copies, img, seed=len(copies))
+        self._assert_as_alone(how, p, g, copies)
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_one_image_wrap_loss_fn_is_adaptive_log_wrap(name):
+    fn = make_loss(name)
+    p, g = _misses((2,), (6, 6), seed=5)
+    for k in range(2):
+        got, want = wrap_loss_fn(fn)(p[k], g), adaptive_log_wrap(fn(p[k], g))
+        assert type(got.value) is float and np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Rebind every name a segbench module has for ``original``, as perfbench's tracer does."""
+    for name, module in list(sys.modules.items()):
+        if name == "segbench" or name.startswith("segbench."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+class TestProbeContract:
+    """perfbench's tracer rebinds ``adaptive_log_wrap`` and reads ``float(base.value)`` on each call, so only a
+    caller holding one image's base may call it by that name: gradcheck, never a wrapped loss."""
+
+    def test_wrapped_losses_and_training_do_not_call_it(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive_log_wrap called")
+
+        _rebind(monkeypatch, adaptive.adaptive_log_wrap, refuse)
+        fn = wrap_loss_fn(soft_dice_loss)
+        p, g = _misses((3,), (5, 5), seed=3, per_image=True)
+        for ev in (fn(p[0], g[0]), fn(p, g[0]), fn(p, g.view(Masks))):
+            assert np.isfinite(ev.grad).all()
+        halves = train_val_split(generate(SynthSpec(width=16, height=16, n_images=10, fg_fraction_target=0.2)), 0.8)
+        configs = [model.TrainConfig(lr=0.01, batch_size=4, max_epochs=2, adaptive_params=AdaptiveLogParams(omega=w))
+                   for w in (6.0, 10.0)]
+        assert all(isinstance(rec, model.RunRecord) for rec in model.train(configs, *halves))
+
+    def test_gradcheck_hands_it_one_float_per_checked_wrapped_trial(self, monkeypatch):
+        seen, original = [], adaptive.adaptive_log_wrap
+
+        def spy(base, params=DEFAULTS):
+            seen.append(type(base.value))
+            return original(base, params)
+
+        _rebind(monkeypatch, original, spy)
+        lines = []
+        assert cli.run_gradcheck(trials=5, tolerance=1e-6, net_tolerance=1e-4, seed=0, report=lines.append)
+        checked = sum(int(line.split()[-2]) for line in lines if "+wrap:" in line and line.endswith(" trials"))
+        assert checked > 0 and seen == [float] * checked
 
 
 class TestArrays:

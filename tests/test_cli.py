@@ -11,6 +11,7 @@ import pytest
 
 import segbench
 from segbench import cli, model
+from segbench.adaptive import AdaptiveLogParams, wrap_loss_fn
 from segbench.cli import (
     CURVE_MAX_POINTS,
     EXIT_CHECK,
@@ -24,6 +25,7 @@ from segbench.cli import (
     run_gradcheck,
     run_grid,
 )
+from segbench.losses import LOSS_NAMES, finite_difference_grad, make_loss
 
 # tiny-but-valid dataset/training flags shared by the heavier subcommands
 FAST = [
@@ -472,6 +474,60 @@ class TestGradcheckCommand:
         assert not run_gradcheck(trials=3, tolerance=1e-6, net_tolerance=1e-4, seed=0, report=lines.append)
         assert any(line.startswith("FAIL ") and not line.startswith("FAIL net/") for line in lines)
         assert any(line.startswith("FAIL net/") for line in lines)
+
+    @staticmethod
+    def _two_evaluation_reference(trials, tolerance, net_tolerance, seed):
+        """run_gradcheck's report, written with each trial's loss evaluated twice: for its base value, then through
+        the wrapped loss for the analytic gradient, compared on the pixels away from 0 and 1."""
+        rng = np.random.default_rng([seed, 13])
+        params, lines = AdaptiveLogParams(), []
+        for name in (n for n in LOSS_NAMES if n != "bce"):
+            fn = make_loss(name)
+            for wrapped in (False, True):
+                loss_fn = wrap_loss_fn(fn, params) if wrapped else fn
+                worst, checked = 0.0, 0
+                for _ in range(trials):
+                    n = int(rng.integers(4, 257))
+                    p = rng.uniform(0.01, 0.99, size=n)
+                    g = (rng.uniform(size=n) < rng.uniform(0.2, 0.8)).astype(np.int64)
+                    base_val = fn(p, g).value
+                    if wrapped and (abs(base_val - params.gamma) < 1e-4 or base_val > 1.0 - 1e-4):
+                        continue
+                    grad = loss_fn(p, g).grad
+                    fd = finite_difference_grad(loss_fn, p, g, step=1e-6)
+                    keep = (p > 1e-4) & (p < 1.0 - 1e-4)
+                    worst = max(worst, cli._max_rel_err(grad[keep], fd[keep]))
+                    checked += 1
+                passed = worst < tolerance and checked > 0
+                label = f"{name}+wrap" if wrapped else name
+                lines.append(f"{'PASS' if passed else 'FAIL'} {label}: max rel err {worst:.3e} over {checked} trials")
+        net = model.TinyNet.init(seed=seed)
+        img = rng.uniform(0.0, 1.0, size=(8, 8))
+        g = (rng.uniform(size=(8, 8)) < 0.3).astype(np.int64)
+        for label, loss_fn in (("dice", make_loss("dice")), ("dice+wrap", wrap_loss_fn(make_loss("dice"), params))):
+            analytic = model.backward(net, img, loss_fn(model.forward(net, img), g).grad)
+            worst = 0.0
+            for _ in range(20):
+                key = ("w1", "b1", "w2", "b2")[int(rng.integers(4))]
+                arr = net.params[key]
+                idx = tuple(int(rng.integers(s)) for s in arr.shape)
+                orig = arr[idx]
+                arr[idx] = orig + 1e-5
+                f_hi = loss_fn(model.forward(net, img), g).value
+                arr[idx] = orig - 1e-5
+                f_lo = loss_fn(model.forward(net, img), g).value
+                arr[idx] = orig
+                fd = (f_hi - f_lo) / (2 * 1e-5)
+                worst = max(worst, cli._max_rel_err(np.array([analytic[key][idx]]), np.array([fd])))
+            lines.append(f"{'PASS' if worst < net_tolerance else 'FAIL'} net/{label}: max rel err {worst:.3e} over 20 "
+                         "weights")
+        return lines
+
+    @pytest.mark.parametrize("seed", [0, 123])
+    def test_report_equals_the_two_evaluation_reference(self, seed):
+        lines = []
+        run_gradcheck(trials=20, tolerance=1e-6, net_tolerance=1e-4, seed=seed, report=lines.append)
+        assert lines == self._two_evaluation_reference(20, 1e-6, 1e-4, seed)
 
     def test_zero_tolerance_fails(self):
         assert not run_gradcheck(trials=1, tolerance=0.0, net_tolerance=1e-4, seed=0,

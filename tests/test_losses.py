@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from segbench import losses
-from segbench.adaptive import adaptive_log_derivative, wrap_loss_fn
+from segbench.adaptive import AdaptiveLogParams, adaptive_log_derivative, wrap_loss_fn
 from segbench.losses import (
     DEFAULT_SMOOTH,
     FD_BLOCK,
@@ -26,6 +27,7 @@ from segbench.losses import (
     soft_jaccard_loss,
     tversky_loss,
 )
+from segbench.synthdata import SynthSpec
 
 # the running four-pixel example
 P4 = np.array([0.8, 0.2, 0.6, 0.4])
@@ -585,3 +587,19 @@ class TestMakeLoss:
             soft_dice_loss([1.5, 0.5], [1, 0])
         with pytest.raises(ValueError):
             soft_dice_loss([0.5, 0.5], [2, 0])
+
+
+# the library's owners of a float option: a selector name stands for make_loss(name, ...)
+OPTION_OWNERS = {"AdaptiveLogParams": AdaptiveLogParams, "SynthSpec": SynthSpec,
+                 **{name: functools.partial(make_loss, name) for name in LOSS_NAMES}}
+
+
+@pytest.mark.parametrize("owner, option", [
+    ("AdaptiveLogParams", "omega"), ("AdaptiveLogParams", "epsilon"), ("dice", "smooth"), ("focal", "focal_gamma"),
+    ("tversky", "tversky_alpha"), ("tversky", "tversky_beta"), ("focal-tversky", "ft_gamma"),
+    ("SynthSpec", "noise_sigma"),
+])
+def test_nan_option_rejected(owner, option):
+    # a library caller passes floats unchecked: a NaN must fail the range check, not reach the arithmetic
+    with pytest.raises(ValueError, match=option):
+        OPTION_OWNERS[owner](**{option: math.nan})
