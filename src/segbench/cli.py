@@ -436,27 +436,24 @@ def run_gradcheck(trials: int, tolerance: float, net_tolerance: float, seed: int
             ok &= passed
             report(f"{'PASS' if passed else 'FAIL'} {label}: max rel err {worst:.3e} over {checked} trials")
 
-    # through the network: d(loss(forward(net, img)))/d(weights)
+    # through the network: d(loss(forward(net, img)))/d(weights), each of 20 weights perturbed up and down in its
+    # own run of one 40-run stack, so one forward and one copies-form loss call score all 40 perturbations
     net = model.TinyNet.init(seed=seed)
     img = rng.uniform(0.0, 1.0, size=(8, 8))
     g = (rng.uniform(size=(8, 8)) < 0.3).astype(np.int64)
+    step = 1e-5
     for label, loss_fn in (("dice", make_loss("dice")), ("dice+wrap", wrap_loss_fn(make_loss("dice"), params))):
-        p = model.forward(net, img)
-        analytic = model.backward(net, img, loss_fn(p, g).grad)
-        worst = 0.0
+        analytic = model.backward(net, img, loss_fn(model.forward(net, img), g).grad)
+        picks = []
         for _ in range(20):
             key = ("w1", "b1", "w2", "b2")[int(rng.integers(4))]
-            arr = net.params[key]
-            idx = tuple(int(rng.integers(s)) for s in arr.shape)
-            step = 1e-5
-            orig = arr[idx]  # idx is () for the scalar b2
-            arr[idx] = orig + step
-            f_hi = loss_fn(model.forward(net, img), g).value
-            arr[idx] = orig - step
-            f_lo = loss_fn(model.forward(net, img), g).value
-            arr[idx] = orig
-            fd = (f_hi - f_lo) / (2 * step)
-            worst = max(worst, _max_rel_err(np.array([analytic[key][idx]]), np.array([fd])))
+            picks.append((key, tuple(int(rng.integers(s)) for s in net.params[key].shape)))  # () for the scalar b2
+        stack = model.TinyNet.init(seed=seed, runs=40)
+        for r, (key, idx) in enumerate(picks * 2):
+            stack.params[key][(r, *idx)] += step if r < 20 else -step
+        f = loss_fn(model.forward(stack, img).reshape(2, 20, 8, 8), g).value
+        fd = (f[0] - f[1]) / (2 * step)
+        worst = _max_rel_err(np.array([analytic[key][idx] for key, idx in picks]), fd)
         passed = worst < net_tolerance
         ok &= passed
         report(f"{'PASS' if passed else 'FAIL'} net/{label}: max rel err {worst:.3e} over 20 weights")

@@ -27,6 +27,7 @@ import numpy as np
 from . import metrics
 from .adaptive import AdaptiveLogParams, BaseValueOutOfRange, wrap_loss_fn
 from .losses import _check_masks, _CheckedMasks, copy_axes, make_loss
+from .synthdata import _check_integers
 
 HIDDEN_CHANNELS = 8
 KSIZE = 3
@@ -182,7 +183,9 @@ def _weights(params: dict[str, np.ndarray], rc: int, step: bool) -> list[tuple]:
 
 
 def _one_run(net: TinyNet) -> TinyNet:
-    """A net without a run axis as a stack of one run, on views of its weights."""
+    """A net without a run axis as a stack of one run, on views of its weights; a stacked net as it is."""
+    if net.runs is not None:
+        return net
     return TinyNet({k: v[None] for k, v in net.params.items()})
 
 
@@ -209,25 +212,21 @@ def _output(w2t: np.ndarray, b2: np.ndarray, hb: np.ndarray, u: np.ndarray, out:
 
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image or a (B, H, W) batch; per run on a leading axis for a net
-    with a run axis."""
-    if net.runs is None:
-        return _forward(_one_run(net), image)[0]
-    return _forward(net, image)
-
-
-def _forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
-    n = net.runs
+    with a run axis. A net without one runs as a one-run stack, whose axis the map drops."""
+    stack = _one_run(net)
+    n = stack.runs
     x = _as_batch(image)
     b, rc, (t, u, h) = _chunk_buffers(x, n, False, [])
     p = np.empty((n, *x.shape))
-    blocks = _weights(net.params, rc, False)
+    blocks = _weights(stack.params, rc, False)
     for s in range(0, len(x), b):
         rows, xs = slice(s, s + b), x[s : s + b]
         tb = _input_taps(t[: len(xs)], xs)
         for sel, runs, w1b, w2t, b2, _ in blocks:
             lim = (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
             _output(w2t, b2, _hidden(w1b, tb, h[lim]), u[lim], p[sel, rows])
-    return p.reshape(n, *np.shape(image))
+    p = p.reshape(n, *np.shape(image))
+    return p if net.runs is not None else p[0]
 
 
 def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
@@ -276,20 +275,15 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
 
 def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Weight gradients given d(loss)/d(p_i) per output pixel, summed over the images of a non-empty batch; per run
-    on a leading axis for a net with a run axis."""
-    if net.runs is None:
-        return {k: v[0, ...] for k, v in _backward(_one_run(net), image, upstream_grad).items()}
-    return _backward(net, image, upstream_grad)
-
-
-def _backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
+    on a leading axis for a net with a run axis. A net without one runs as a one-run stack, whose axis they drop."""
     up = np.asarray(upstream_grad, dtype=np.float64)
     if up.shape != np.shape(image):
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(image)}")
     x = _as_batch(image)
     if not len(x):
         raise ValueError("image batch must be non-empty")
-    return _step(net, x, lambda run, rows, p: _as_batch(up)[rows], [])
+    grads = _step(_one_run(net), x, lambda run, rows, p: _as_batch(up)[rows], [])
+    return grads if net.runs is not None else {k: v[0, ...] for k, v in grads.items()}
 
 
 @dataclass
@@ -328,6 +322,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "batch_size", "max_epochs", "seed")
         if not self.lr > 0:  # written so that nan fails
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.seed < 0:
@@ -378,19 +373,16 @@ def _scores(preds: list[np.ndarray], val_set) -> tuple[dict[str, float], list[np
 def evaluate(net: TinyNet, val_set):
     """Macro-averaged metrics at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC inputs.
 
-    For a net with a run axis, a list of them, one per run, from one forward pass over every run.
+    For a net with a run axis, a list of them, one per run, from one forward pass over every run. A net without one
+    runs as a one-run stack and gets its one item.
     """
-    if net.runs is None:
-        return _evaluate(_one_run(net), val_set)[0]
-    return _evaluate(net, val_set)
-
-
-def _evaluate(net: TinyNet, val_set) -> list:
     if not val_set:
         raise ValueError("validation set must be non-empty")
+    stack = _one_run(net)
     runs = itertools.groupby((s.image for s in val_set), key=np.shape)
-    maps = [forward(net, np.stack(list(run))) for _, run in runs]
-    return [_scores([p for m in maps for p in m[r]], val_set) for r in range(net.runs)]
+    maps = [forward(stack, np.stack(list(run))) for _, run in runs]
+    results = [_scores([p for m in maps for p in m[r]], val_set) for r in range(stack.runs)]
+    return results if net.runs is not None else results[0]
 
 
 def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:

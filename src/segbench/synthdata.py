@@ -15,6 +15,7 @@ parallelism.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -46,6 +47,14 @@ class PGMHeaderError(PGMError):
     """Malformed or truncated header/payload."""
 
 
+def _check_integers(owner, *names) -> None:
+    """Raise ValueError for the first field of ``owner`` in ``names`` that is not an integer or a tuple of them."""
+    for name in names:
+        value = getattr(owner, name)
+        if not all(isinstance(v, numbers.Integral) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be integral, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     width: int = 48
@@ -57,6 +66,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "width", "height", "n_images", "blob_count_range", "seed")
         if self.width < 16 or self.height < 16:
             raise ValueError("width and height must be >= 16")
         if not (0.0 < self.fg_fraction_target <= 0.5):

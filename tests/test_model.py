@@ -786,6 +786,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("owner, field, value", [
+        (SynthSpec, "width", 16.5), (SynthSpec, "height", 20.0), (SynthSpec, "n_images", 2.5),
+        (SynthSpec, "blob_count_range", (1.5, 3)), (SynthSpec, "blob_count_range", (1, 3.0)), (SynthSpec, "seed", 1.5),
+        (TrainConfig, "batch_size", 2.5), (TrainConfig, "max_epochs", 2.0), (TrainConfig, "seed", 1.5),
+    ])
+    def test_non_integral_counts_rejected(self, owner, field, value):
+        # a count or seed that is not an integer fails at construction, not later in generate or train
+        with pytest.raises(ValueError, match=f"{field} must be integral"):
+            owner(**{field: value})
+        owner(**{field: np.int64(20) if field != "blob_count_range" else (np.int32(1), np.int64(3))})  # numpy ints pass
+
 
 def _wrapped(loss, **params):
     return {"loss": loss, "adaptive_params": AdaptiveLogParams(**params)}
