@@ -17,6 +17,7 @@ drop; with the default parameters it is about 15.667.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ class AdaptiveLogParams:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        # log1p(y) <= y, so this bounds every value, slope, c and derivative_jump
+        if not math.isfinite(max(1.0, self.omega) / self.epsilon):
+            raise ValueError(f"max(1, omega) / epsilon must be finite, got omega={self.omega}, epsilon={self.epsilon}")
 
     @property
     def c(self) -> float:
@@ -99,8 +103,12 @@ def adaptive_log_wrap(base: LossEval, params: AdaptiveLogParams = DEFAULT_PARAMS
     return _compose(base, params)
 
 
-def wrap_loss_fn(loss_fn, params: AdaptiveLogParams = DEFAULT_PARAMS):
-    """Lift a ``loss_fn(p, g) -> LossEval`` into its wrapped form, in every call form, by the same composition."""
+def _wrapped(loss_fn, params: AdaptiveLogParams, p, g) -> LossEval:
     # not through adaptive_log_wrap: perfbench's tracer rebinds that name, and its log-branch probe reads
     # float(base.value), which a stacked call does not have
-    return lambda p, g: _compose(loss_fn(p, g), params)
+    return _compose(loss_fn(p, g), params)
+
+
+def wrap_loss_fn(loss_fn, params: AdaptiveLogParams = DEFAULT_PARAMS):
+    """Lift a ``loss_fn(p, g) -> LossEval`` into its wrapped form, in every call form, by the same composition."""
+    return functools.partial(_wrapped, loss_fn, params)

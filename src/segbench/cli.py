@@ -176,19 +176,12 @@ def _adaptive_params(o: dict) -> AdaptiveLogParams:
 
 def _train_config(o: dict, loss: str, wrapped: bool) -> model.TrainConfig:
     """The run ``o`` describes: building it checks every option before any data is made."""
-    options = loss_options(loss) if loss in LOSSES else ()  # TrainConfig rejects an unknown loss
     try:
         synthdata.split_size(o["n_images"], o["split_ratio"])  # an empty half fails before data is made
         params = _adaptive_params(o)  # a plain run's --gamma/--omega/--epsilon are checked too
-        return model.TrainConfig(
-            lr=o["lr"],
-            batch_size=o["batch_size"],
-            max_epochs=o["epochs"],
-            loss=loss,
-            loss_params={k: o[k] for k in options},
-            adaptive_params=params if wrapped else None,
-            seed=o["seed"],
-        )
+        loss_fn = make_loss(loss, **{k: o[k] for k in loss_options(loss)})
+        return model.TrainConfig(lr=o["lr"], batch_size=o["batch_size"], max_epochs=o["epochs"],
+                                 loss_fn=wrap_loss_fn(loss_fn, params) if wrapped else loss_fn, seed=o["seed"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -359,7 +352,6 @@ def cmd_grid(o: dict) -> int:
 
 def parse_loss_token(tok: str) -> tuple[str, bool]:
     """'dice' -> plain dice; 'dice+all' -> wrapped dice; bare 'all' -> wrapped dice."""
-    tok = tok.strip()
     if tok == "all":
         return "dice", True
     base = tok.removesuffix("+all")
@@ -369,7 +361,7 @@ def parse_loss_token(tok: str) -> tuple[str, bool]:
 
 
 def run_compare(o: dict) -> list[dict]:
-    toks = [t for t in o["losses"].split(",") if t.strip()]
+    toks = [t.strip() for t in o["losses"].split(",") if t.strip()]
     if not toks or o["seeds"] < 1:
         raise UsageError("compare needs at least one loss in --losses and seeds >= 1")
     results = _run_matrix(o, [_train_config(o, *parse_loss_token(t)) for t in toks], o["seeds"])

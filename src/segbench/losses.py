@@ -23,6 +23,7 @@ selector's options and their defaults are read from that signature.
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -283,7 +284,7 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
 
 
 # The loss set: selector -> kernel name.  Option names double as CLI flags, config keys
-# and TrainConfig.loss_params keys.
+# and make_loss keyword arguments.
 LOSSES = {
     "jaccard": "soft_jaccard_loss",
     "dice": "soft_dice_loss",
@@ -299,8 +300,14 @@ LOSS_NAMES = tuple(LOSSES)
 
 def loss_options(name: str) -> dict:
     """The options selector ``name`` reads, mapped to their defaults, in its kernel's order."""
+    if name not in LOSSES:
+        raise ValueError(f"unknown loss selector {name!r} (known: {', '.join(LOSSES)})")
     params = list(inspect.signature(globals()[LOSSES[name]]).parameters.values())
     return {q.name: q.default for q in params[2:]}
+
+
+def _call(kernel: str, options: dict, p, g) -> LossEval:
+    return globals()[kernel](p, g, **options)  # looked up by name on every call
 
 
 def make_loss(name: str, **options):
@@ -308,15 +315,13 @@ def make_loss(name: str, **options):
 
     Keyword arguments override the selector's option defaults.  An unknown
     selector, an option the selector does not read, or an invalid option
-    value raises ValueError here, not at the first call.  ``loss_fn`` looks
-    its kernel up by module-level name at call time, so rebinding a kernel
-    takes effect.
+    value raises ValueError here, not at the first call.  ``loss_fn`` is a
+    picklable ``functools.partial`` (so is :func:`adaptive.wrap_loss_fn`'s)
+    that looks its kernel up by module-level name at call time, so rebinding
+    a kernel takes effect.
     """
-    if name not in LOSSES:
-        raise ValueError(f"unknown loss selector {name!r} (known: {', '.join(LOSSES)})")
     extra = sorted(set(options) - set(loss_options(name)))
     if extra:
         raise ValueError(f"unexpected parameters for loss {name!r}: {extra}")
-    kernel = LOSSES[name]
-    globals()[kernel](np.full(1, 0.5), np.ones(1), **options)  # a one-pixel call runs the option checks
-    return lambda p, g: globals()[kernel](p, g, **options)
+    _call(LOSSES[name], options, np.full(1, 0.5), np.ones(1))  # a one-pixel call runs the option checks
+    return functools.partial(_call, LOSSES[name], options)

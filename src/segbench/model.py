@@ -20,12 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .adaptive import AdaptiveLogParams, BaseValueOutOfRange, wrap_loss_fn
+from .adaptive import BaseValueOutOfRange
 from .losses import _check_masks, _CheckedMasks, copy_axes, make_loss
 from .synthdata import _check_integers
 
@@ -313,12 +314,13 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings. ``loss_fn`` is a built loss, as :func:`losses.make_loss` or :func:`adaptive.wrap_loss_fn`
+    returns it (plain Dice by default): its options were checked then, so neither a config nor ``train`` builds one."""
+
     lr: float = 1e-4
     batch_size: int = 16
     max_epochs: int = 50
-    loss: str = "dice"
-    loss_params: dict = field(default_factory=dict)
-    adaptive_params: AdaptiveLogParams | None = None  # the loss is wrapped exactly when these are set
+    loss_fn: Callable = make_loss("dice")
     seed: int = 0
 
     def __post_init__(self):
@@ -331,13 +333,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (1 <= self.max_epochs <= 50):
             raise ValueError("max_epochs must be in [1, 50]")
-        self.loss_fn()  # a bad loss selector or option fails here, not mid-training
-
-    def loss_fn(self):
-        fn = make_loss(self.loss, **self.loss_params)
-        if self.adaptive_params is not None:
-            fn = wrap_loss_fn(fn, self.adaptive_params)
-        return fn
 
 
 @dataclass
@@ -402,7 +397,6 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     _check_masks(s.mask for s in train_set)  # once: every loss call on a chunk's masks then skips the scan
     net = TinyNet.init(seed=seed, runs=len(configs))
     opt = AdamState(lr=np.array([c.lr for c in configs]))
-    loss_fns = [c.loss_fn() for c in configs]
     live = list(range(len(configs)))  # the config of each run the net stacks
     out: list = [None] * len(configs)
     rows = [[] for _ in configs]
@@ -438,7 +432,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
                         failed[r] = TrainingDiverged(epoch, b_idx, "network output")
                         return None
                     try:
-                        ev = loss_fns[live[r]](p, masks[chunk])  # one value per image; a scalar stands for each
+                        ev = configs[live[r]].loss_fn(p, masks[chunk])  # one value per image; a scalar stands for each
                     except BaseValueOutOfRange as exc:  # a wrapped base loss that is not confined to [0, 1]
                         failed[r] = _OutsideWrapper(epoch, b_idx, f"base loss value {exc.value}")
                         return None

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from segbench.adaptive import (
 )
 from segbench.losses import LOSS_NAMES, LossEval, Masks, finite_difference_grad, make_loss, soft_dice_loss
 from segbench.synthdata import SynthSpec, generate, train_val_split
+from test_model import built
 
 DEFAULTS = AdaptiveLogParams()
 
@@ -254,7 +256,8 @@ class TestProbeContract:
         for ev in (fn(p[0], g[0]), fn(p, g[0]), fn(p, g.view(Masks))):
             assert np.isfinite(ev.grad).all()
         halves = train_val_split(generate(SynthSpec(width=16, height=16, n_images=10, fg_fraction_target=0.2)), 0.8)
-        configs = [model.TrainConfig(lr=0.01, batch_size=4, max_epochs=2, adaptive_params=AdaptiveLogParams(omega=w))
+        configs = [model.TrainConfig(lr=0.01, batch_size=4, max_epochs=2,
+                                     loss_fn=wrap_loss_fn(make_loss("dice"), AdaptiveLogParams(omega=w)))
                    for w in (6.0, 10.0)]
         assert all(isinstance(rec, model.RunRecord) for rec in model.train(configs, *halves))
 
@@ -270,6 +273,46 @@ class TestProbeContract:
         assert cli.run_gradcheck(trials=5, tolerance=1e-6, net_tolerance=1e-4, seed=0, report=lines.append)
         checked = sum(int(line.split()[-2]) for line in lines if "+wrap:" in line and line.endswith(" trials"))
         assert checked > 0 and seen == [float] * checked
+
+
+def _built(name, wrapped):
+    return built(name, AdaptiveLogParams(omega=8.0) if wrapped else None)
+
+
+class TestBuiltLosses:
+    """``--jobs`` pickles each config's built loss into its workers, and perfbench's tracer rebinds the kernels after
+    the losses are built: a built loss survives both."""
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_pickle_round_trip(self, name, wrapped):
+        fn = _built(name, wrapped)
+        clone = pickle.loads(pickle.dumps(fn))
+        p, g = _misses((3,), (5, 5), seed=4, per_image=True)
+        for args in ((p[0], g[0]), (p, g.view(Masks))):
+            want, got = fn(*args), clone(*args)
+            assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+    def test_a_built_loss_calls_the_rebound_kernel(self, monkeypatch, wrapped):
+        fn, real, seen = _built("dice", wrapped), soft_dice_loss, []
+        _rebind(monkeypatch, real, lambda p, g, **options: seen.append(np.shape(p)) or real(p, g, **options))
+        p, g = _misses((3,), (5, 5), seed=4, per_image=True)
+        ev = fn(p, g.view(Masks))
+        assert seen == [(3, 5, 5)]
+        assert np.asarray(ev.value).tobytes() == np.asarray(_built("dice", wrapped)(p, g.view(Masks)).value).tobytes()
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+    def test_training_calls_the_rebound_kernel(self, monkeypatch, wrapped):
+        # 8 training images in batches of 4 for 2 epochs: one loss call per batch
+        halves = train_val_split(generate(SynthSpec(width=16, height=16, n_images=10, fg_fraction_target=0.2)), 0.8)
+        config = model.TrainConfig(lr=0.01, batch_size=4, max_epochs=2, loss_fn=_built("dice", wrapped))
+        real, seen = soft_dice_loss, []
+        _rebind(monkeypatch, real, lambda p, g, **options: seen.append(np.shape(p)) or real(p, g, **options))
+        (rec,) = model.train([config], *halves)
+        assert isinstance(rec, model.RunRecord)
+        assert seen == [(4, 16, 16)] * 4
 
 
 class TestArrays:

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import importlib
 import inspect
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import segbench
-from segbench import cli, model
+from segbench import cli, losses, model
 from segbench.adaptive import AdaptiveLogParams, wrap_loss_fn
 from segbench.cli import (
     CURVE_MAX_POINTS,
@@ -30,6 +31,7 @@ from segbench.cli import (
     run_grid,
 )
 from segbench.losses import LOSS_NAMES, finite_difference_grad, make_loss
+from test_adaptive import _rebind
 
 # tiny-but-valid dataset/training flags shared by the heavier subcommands
 FAST = [
@@ -259,7 +261,7 @@ class TestGrid:
 
         def diverges(config):
             # omega 8: run 1 of 3 diverges; omega 12: every run diverges
-            omega = config.adaptive_params.omega
+            omega = config.loss_fn.args[1].omega  # wrap_loss_fn's partial holds (base loss, params)
             return omega == 12 or (omega == 8 and config.seed == _derive_seed(0, 1))
 
         def train(configs, *sets):
@@ -430,6 +432,23 @@ class TestCompare:
         assert len(a) == 2
         assert {k: a[0][k] for k in a[0] if k != "loss"} == {k: a[1][k] for k in a[1] if k != "loss"}
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_labels_are_the_stripped_tokens(self, tmp_path, via_config):
+        # spaces around a token are not part of its label: the outputs equal those of "dice,all"
+        outputs = []
+        for losses_value in ("dice,all", "dice, all"):
+            d = tmp_path / str(len(outputs))
+            d.mkdir()
+            flags = ["--losses", losses_value]
+            if via_config and losses_value != "dice,all":
+                (tmp_path / "cfg.txt").write_text(f"losses = {losses_value}\n")
+                flags = ["--config", str(tmp_path / "cfg.txt")]
+            assert main(["compare", *FAST, *flags, "--seeds", "1", "--out", str(d / "cmp.csv")]) == EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert [r["loss"] for r in read_rows(tmp_path / "1" / "cmp.csv")] == ["dice", "dice", "all", "all"]
+        assert {r["loss"] for r in read_rows(tmp_path / "1" / "cmp_epochs.csv")} == {"dice", "all"}
+
     def test_loss_tokens(self):
         assert parse_loss_token("all") == ("dice", True)
         assert parse_loss_token("tversky+all") == ("tversky", True)
@@ -459,6 +478,42 @@ class TestRoc:
         train_auc = capsys.readouterr().out.split("auc ")[-1].strip()
         assert main(["roc", *flags, "--n-thresholds", "256", "--out", str(tmp_path / "roc.csv")]) == EXIT_OK
         assert capsys.readouterr().out.split()[1] == train_auc
+
+
+class TestLossBuilds:
+    """Each variant's loss is checked and built once: ``make_loss`` runs once per grid cell or compare token, and
+    neither re-seeding a config nor training it builds one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        names, real = [], losses.make_loss
+
+        def spy(name, **options):
+            names.append(name)
+            return real(name, **options)
+
+        _rebind(monkeypatch, real, spy)  # every name that binds make_loss
+        return names
+
+    def test_grid_builds_one_loss_per_cell(self, tmp_path, builds):
+        # the default grid: 6 omegas x 4 epsilons, 3 seeds
+        assert main(["grid", *FAST, "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
+        assert builds == ["dice"] * 24
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compare_builds_one_loss_per_token(self, tmp_path, builds, jobs):
+        argv = ["compare", *FAST, "--losses", "dice,all,focal,bce+all", "--seeds", "2", "--jobs", jobs]
+        assert main([*argv, "--out", str(tmp_path / "cmp.csv")]) == EXIT_OK
+        assert builds == ["dice", "dice", "focal", "bce"]
+
+    def test_replace_and_train_build_none(self, builds):
+        config = model.TrainConfig(lr=0.01, batch_size=4, max_epochs=2, loss_fn=wrap_loss_fn(make_loss("tversky")))
+        halves = cli._split_dataset(vars(build_parser().parse_args(["train", *FAST])))
+        builds.clear()
+        reseeded = dataclasses.replace(config, seed=5)
+        assert reseeded.loss_fn is config.loss_fn
+        assert all(isinstance(r, model.RunRecord) for r in model.train([config], *halves))
+        assert builds == []
 
 
 def test_perfbench_traced_names_exist():
@@ -782,6 +837,11 @@ class TestDegenerateInputs:
         (["grid", *FAST, "--config", "omegas = 8,inf"], "bad numeric list '8,inf' for --omegas: expected a finite"),
         (["gendata", "--config", "noise_sigma=inf"], "argument --noise-sigma: expected a finite number, got 'inf'"),
         (["gradcheck", "--config", "trials=0"], "--trials must be >= 1"),
+        # a wrapper whose omega / epsilon overflows float64, in every subcommand that takes the wrapper's parameters
+        (["curve", "--epsilon", "1e-320"], "max(1, omega) / epsilon must be finite, got omega=10.0, epsilon=1e-320"),
+        *[([command, *FAST, *flags, "--omega", "1e308", "--epsilon", "1e-308"], "max(1, omega) / epsilon must be")
+          for command, flags in (("train", ["--all-wrap"]), ("roc", []), ("compare", ["--losses", "dice,all"]))],
+        (["grid", *FAST, "--omegas", "1e308", "--epsilons", "1e-308"], "max(1, omega) / epsilon must be finite"),
     ])
     def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):

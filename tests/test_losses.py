@@ -538,6 +538,15 @@ class TestMakeLoss:
         with pytest.raises(ValueError):
             make_loss("hinge")
 
+    def test_unknown_selector_has_no_options(self):
+        # loss_options raises make_loss's error, not a bare KeyError
+        with pytest.raises(ValueError) as built:
+            make_loss("nope")
+        with pytest.raises(ValueError) as options:
+            loss_options("nope")
+        assert type(options.value) is ValueError and str(options.value) == str(built.value)
+        assert str(options.value) == f"unknown loss selector 'nope' (known: {', '.join(LOSSES)})"
+
     def test_extra_params_rejected(self):
         cases = [
             ("jaccard", {"tversky_alpha": 0.5}),

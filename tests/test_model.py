@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -13,12 +14,17 @@ import pytest
 
 import segbench.metrics as metrics
 import segbench.model as model
-from segbench.adaptive import AdaptiveLogParams
+from segbench.adaptive import AdaptiveLogParams, wrap_loss_fn
 from segbench.cli import EXIT_OK, main
 from segbench.losses import LOSS_NAMES, LossEval, make_loss
 from segbench.model import (AdamState, EpochRow, RunRecord, TinyNet, TrainConfig, TrainingDiverged, adam_step,
                             backward, evaluate, forward, train)
 from segbench.synthdata import Sample, SynthSpec, generate, train_val_split
+
+
+def built(name, params=None):
+    """The loss ``segbench`` builds for selector ``name``, wrapped with ``params`` when they are given."""
+    return make_loss(name) if params is None else wrap_loss_fn(make_loss(name), params)
 
 
 def train_alone(config, train_set, val_set):
@@ -133,7 +139,7 @@ def _reference_step(net, batch, loss_fn):
 
 def _reference_train(config, train_set, val_set):
     """train's record from a loop of reference steps, each epoch validated one image at a time by clipped slices."""
-    net, opt, loss_fn, rows = TinyNet.init(seed=config.seed), AdamState(lr=config.lr), config.loss_fn(), []
+    net, opt, loss_fn, rows = TinyNet.init(seed=config.seed), AdamState(lr=config.lr), config.loss_fn, []
     for epoch in range(config.max_epochs):
         order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch])))
         order = order.permutation(len(train_set))
@@ -376,7 +382,7 @@ class TestBackward:
         # one-run stack, equal forward on the whole batch, one loss call per image, then a separate backward
         net = TinyNet.init(seed=17)
         batch = _random_samples(np.random.default_rng(14), [(48, 48)] * 7)
-        loss_fn = TrainConfig(loss="dice", adaptive_params=AdaptiveLogParams() if wrapped else None).loss_fn()
+        loss_fn = built("dice", AdaptiveLogParams() if wrapped else None)
         want_loss, want = _reference_step(net, batch, loss_fn)
         values = []
         got = model._step(model._one_run(net), np.stack([s.image for s in batch]),
@@ -602,7 +608,7 @@ class TestTrain:
         # pinned to the host CPU type: OpenBLAS (DYNAMIC_ARCH) picks the GEMM kernel of forward and
         # backward per CPU
         train_set, val_set = tiny_dataset(seed=2)
-        cfg = TrainConfig(lr=0.1, batch_size=5, max_epochs=2, loss="dice", seed=5)
+        cfg = TrainConfig(lr=0.1, batch_size=5, max_epochs=2, loss_fn=built("dice"), seed=5)
         rec = train_alone(cfg, train_set, val_set)
         assert rec.epochs == [
             EpochRow(0, 0.5572122181715223, 0.2869561887254902, 0.44551993570369985, 1.0,
@@ -614,7 +620,7 @@ class TestTrain:
 
     def test_determinism(self):
         train_set, val_set = tiny_dataset(seed=2)
-        cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, loss="dice", seed=5)
+        cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, loss_fn=built("dice"), seed=5)
         a = train_alone(cfg, train_set, val_set)
         b = train_alone(cfg, train_set, val_set)
         assert a.epochs == b.epochs
@@ -624,7 +630,7 @@ class TestTrain:
         # easy synthetic blobs: final validation Jaccard > 0.8
         spec = SynthSpec(width=16, height=16, fg_fraction_target=0.3, n_images=64, noise_sigma=0.05, seed=3)
         train_set, val_set = train_val_split(generate(spec), 0.8, seed=3)
-        cfg = TrainConfig(lr=1e-2, batch_size=16, max_epochs=30, loss="dice", seed=0)
+        cfg = TrainConfig(lr=1e-2, batch_size=16, max_epochs=30, loss_fn=built("dice"), seed=0)
         rec = train_alone(cfg, train_set, val_set)
         assert rec.epochs[-1].val_jaccard > 0.8
 
@@ -637,13 +643,12 @@ class TestTrain:
         assert lines[0] == "epoch,train_loss,val_jaccard,val_dice,val_recall,val_specificity,val_f1"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
-    def test_divergence_diagnostic(self, monkeypatch):
-        def nan_loss(name, **kw):
-            return lambda p, g: LossEval(float("nan"), np.zeros_like(np.asarray(p)))
+    def test_divergence_diagnostic(self):
+        def nan_loss(p, g):
+            return LossEval(float("nan"), np.zeros_like(np.asarray(p)))
 
-        monkeypatch.setattr(model, "make_loss", nan_loss)
         train_set, val_set = tiny_dataset(seed=5)
-        cfg = TrainConfig(batch_size=8, max_epochs=2, seed=0)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, loss_fn=nan_loss, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
             train_alone(cfg, train_set, val_set)
         assert exc.value.epoch == 0
@@ -654,21 +659,19 @@ class TestTrain:
     def test_epoch_rows_equal_two_pass_loop(self, name, wrapped):
         # 48x48 batches of 5, 5 and 2 images run as chunks of 2, 2 and 1, each scored in one loss call
         train_set, val_set = tiny_dataset(seed=8, size=48)
-        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2, loss=name,
-                          adaptive_params=AdaptiveLogParams() if wrapped else None, seed=3)
+        cfg = TrainConfig(lr=0.01, batch_size=5, max_epochs=2,
+                          loss_fn=built(name, AdaptiveLogParams() if wrapped else None), seed=3)
         assert train_alone(cfg, train_set, val_set).epochs == _reference_train(cfg, train_set, val_set).epochs
 
     @pytest.mark.parametrize("size, batch_size, chunks", [(16, 8, [8, 4]), (48, 5, [2, 2, 1, 2, 2, 1, 2])],
                              ids=["16x16-batch8", "48x48-batch5"])
-    def test_one_loss_call_per_chunk(self, monkeypatch, size, batch_size, chunks):
+    def test_one_loss_call_per_chunk(self, size, batch_size, chunks):
         # 12 training images: a 16x16 batch of 8 is one chunk, and 48x48 batches of 5 run as chunks of 2, 2 and 1
         train_set, val_set = tiny_dataset(seed=11, size=size)
         assert len(train_set) == 12
-        seen = []
-        real = model.make_loss
-        monkeypatch.setattr(model, "make_loss",
-                            lambda name, **kw: lambda p, g: seen.append(len(p)) or real(name, **kw)(p, g))
-        train_alone(TrainConfig(lr=0.01, batch_size=batch_size, max_epochs=2, seed=0), train_set, val_set)
+        seen, real = [], built("dice")
+        train_alone(TrainConfig(lr=0.01, batch_size=batch_size, max_epochs=2,
+                                loss_fn=lambda p, g: seen.append(len(p)) or real(p, g), seed=0), train_set, val_set)
         assert seen == chunks * 2
 
     def test_mixed_image_shapes_equal_two_pass_loop(self):
@@ -700,7 +703,7 @@ class TestTrain:
             model._chunk_buffers(np.zeros((5, 48, 48)), runs, True, ws)
             assert all(a is b for a, b in zip(ws, large))
 
-    def test_divergence_in_a_later_chunk(self, monkeypatch):
+    def test_divergence_in_a_later_chunk(self):
         # a NaN pixel in the third image of the first batch: the batch's first chunk (two 48x48 images)
         # has run its losses and gradients before the second chunk's output fails the check
         train_set, val_set = tiny_dataset(seed=9, size=48)
@@ -714,16 +717,13 @@ class TestTrain:
         img[10, 10] = np.nan
         bad[third] = Sample(img, bad[third].mask)
         calls = []
-        real = model.make_loss
-        monkeypatch.setattr(model, "make_loss",
-                            lambda name, **kw: lambda p, g: calls.append(1) or real(name, **kw)(p, g))
+        spy = dataclasses.replace(cfg, loss_fn=lambda p, g: calls.append(1) or cfg.loss_fn(p, g))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would fail here
             with pytest.raises(TrainingDiverged) as exc:
-                train_alone(cfg, bad, val_set)
+                train_alone(spy, bad, val_set)
         assert (exc.value.epoch, exc.value.batch, exc.value.what) == (0, 0, "network output")
         assert len(calls) == 1  # the first chunk's one call
-        monkeypatch.undo()
         assert train_alone(cfg, train_set, val_set).epochs == clean  # the diverged call left nothing behind
 
     def test_one_workspace_per_train_call(self, monkeypatch):
@@ -768,10 +768,7 @@ class TestTrain:
 
     def test_adaptive_wrapped_training_runs(self):
         train_set, val_set = tiny_dataset(seed=6)
-        cfg = TrainConfig(
-            lr=1e-2, batch_size=8, max_epochs=3, loss="dice",
-            adaptive_params=AdaptiveLogParams(), seed=0,
-        )
+        cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, loss_fn=built("dice", AdaptiveLogParams()), seed=0)
         rec = train_alone(cfg, train_set, val_set)
         assert all(np.isfinite(r.train_loss) for r in rec.epochs)
 
@@ -799,13 +796,13 @@ class TestTrain:
 
 
 def _wrapped(loss, **params):
-    return {"loss": loss, "adaptive_params": AdaptiveLogParams(**params)}
+    return {"loss_fn": built(loss, AdaptiveLogParams(**params))}
 
 
 # grid cells: one loss, wrapped with each (gamma, omega, epsilon)
 GRID_VARIANTS = [_wrapped("dice", gamma=0.1, omega=w, epsilon=e) for w in (6.0, 10.0, 14.0) for e in (0.3, 1.0)]
 # compare's selectors jaccard, dice, focal, combo, focal-tversky and all (wrapped dice)
-COMPARE_VARIANTS = [*({"loss": name} for name in ("jaccard", "dice", "focal", "combo", "focal-tversky")),
+COMPARE_VARIANTS = [*({"loss_fn": built(name)} for name in ("jaccard", "dice", "focal", "combo", "focal-tversky")),
                     _wrapped("dice")]
 
 
@@ -857,24 +854,18 @@ class TestSideBySide:
             train_alone(TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7), *tiny_dataset(seed=12))
         _same_record(exc.value, solo[1])
 
-    def test_loss_divergence_and_a_group_that_all_diverges(self, monkeypatch):
+    def test_loss_divergence_and_a_group_that_all_diverges(self):
         # focal's value turns nan at the third call: its run leaves the group at that batch, the others go on
-        real, calls = model.make_loss, []
+        focal, calls = COMPARE_VARIANTS[2]["loss_fn"], []
 
-        def make(name, **kw):
-            fn = real(name, **kw)
-            if name != "focal":
-                return fn
+        def nan_third(p, g):
+            calls.append(1)
+            ev = focal(p, g)
+            return LossEval(float("nan"), ev.grad) if len(calls) == 3 else ev
 
-            def nan_third(p, g):
-                calls.append(1)
-                ev = fn(p, g)
-                return LossEval(float("nan"), ev.grad) if len(calls) == 3 else ev
-            return nan_third
-
-        monkeypatch.setattr(model, "make_loss", make)
         train_set, val_set = tiny_dataset(seed=12)
-        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=7, **v) for v in COMPARE_VARIANTS[:3]]
+        variants = [*COMPARE_VARIANTS[:2], {"loss_fn": nan_third}]
+        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=7, **v) for v in variants]
         solo = []
         for config in configs:
             calls.clear()
@@ -883,7 +874,8 @@ class TestSideBySide:
         calls.clear()
         for got, want in zip(train(configs, train_set, val_set), solo):
             _same_record(got, want)
-        configs = [TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7, loss=n) for n in ("dice", "jaccard")]
+        configs = [TrainConfig(lr=1e300, batch_size=8, max_epochs=2, seed=7, loss_fn=built(n))
+                   for n in ("dice", "jaccard")]
         assert all(isinstance(r, TrainingDiverged) for r in train(configs, train_set, val_set))
 
     def test_members_must_share_seed_batch_size_and_epochs(self):
@@ -908,23 +900,21 @@ class TestSideBySide:
         per_run = min(len(images), max(1, model.CHUNK_PIXELS // (size * size)))
         assert max(shape[1] for shape in chunks) == per_run  # a run's chunk holds as many images as alone
 
-    def test_each_run_makes_its_solo_loss_calls(self, monkeypatch):
+    def test_each_run_makes_its_solo_loss_calls(self):
         # grid-sweep's shape: 16x16, 12 training images in batches of 8 and 4, six runs side by side
-        real, calls = model.make_loss, []
+        calls, made = [], []
 
-        def make(name, **kw):  # train makes each config's loss function once, in config order
-            fn, key = real(name, **kw), len(made)
+        def spy(fn):  # each config's loss function, made once, in config order
+            key = len(made)
             made.append(key)
             return lambda p, g: calls.append((key, len(p))) or fn(p, g)
 
-        made = []
-        monkeypatch.setattr(model, "make_loss", make)
         train_set, val_set = tiny_dataset(seed=11)
         assert len(train_set) == 12
-        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in GRID_VARIANTS]
-        made.clear()
+        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, loss_fn=spy(v["loss_fn"]))
+                   for v in GRID_VARIANTS]
         train(configs, train_set, val_set)
-        assert made == list(range(6))
+        assert made == list(range(6))  # train made none
         for run in range(6):
             assert [n for k, n in calls if k == run] == [8, 4] * 3  # one call per chunk of each step
 

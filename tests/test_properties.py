@@ -3,14 +3,19 @@
 Derandomized with few examples, so the suite stays deterministic and fast.
 """
 
+import csv
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segbench.adaptive import DEFAULT_PARAMS, AdaptiveLogParams, adaptive_log_forward
+from segbench.adaptive import DEFAULT_PARAMS, AdaptiveLogParams, adaptive_log_forward, derivative_jump, wrap_loss_fn
+from segbench.cli import EXIT_OK, EXIT_USAGE, main
 from segbench.losses import LOSS_NAMES, make_loss
 from segbench.model import TrainConfig, TrainingDiverged, train
 from segbench.synthdata import PGMError, Sample, read_pgm
@@ -108,10 +113,10 @@ def groups(draw):
         if draw(st.booleans()):  # a wrapper cell, on a loss whose value lies in [0, 1]
             cell = AdaptiveLogParams(gamma=draw(st.floats(0.05, 0.5)), omega=draw(st.floats(1.0, 20.0)),
                                      epsilon=draw(st.floats(0.1, 2.0)))
-            variant = {"loss": draw(st.sampled_from(sorted(OVERLAP))), "adaptive_params": cell}
+            loss_fn = wrap_loss_fn(make_loss(draw(st.sampled_from(sorted(OVERLAP)))), cell)
         else:
-            variant = {"loss": draw(st.sampled_from(LOSS_NAMES))}
-        configs.append(TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, seed=seed, **variant))
+            loss_fn = make_loss(draw(st.sampled_from(LOSS_NAMES)))
+        configs.append(TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, loss_fn=loss_fn, seed=seed))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     samples = [Sample(rng.uniform(size=s), (rng.uniform(size=s) < 0.3).astype(np.uint8)) for s in shapes]
     return configs, samples[:n_train], samples[n_train:]
@@ -128,3 +133,36 @@ def test_group_run_equals_two_pass_reference(group):
             _same_record(got, train([config], train_set, val_set)[0])
         else:
             _same_record(got, _reference_train(config, train_set, val_set))
+
+
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), omega=positive, epsilon=positive)
+@example(gamma=0.1, omega=10.0, epsilon=1e-320)  # x / epsilon overflows before the log
+@example(gamma=0.1, omega=1e308, epsilon=1e-308)
+@example(gamma=0.999, omega=1.79e308, epsilon=1.0)
+@example(gamma=0.5, omega=1e308, epsilon=0.56)
+@example(gamma=5e-324, omega=5e-324, epsilon=5e-324)
+@example(gamma=0.5, omega=1e-300, epsilon=1e-300)
+@example(gamma=0.5, omega=1.0, epsilon=1e308)
+def test_accepted_wrapper_params_give_a_finite_curve(gamma, omega, epsilon):
+    # a parameter set is accepted exactly when max(1, omega) / epsilon is finite, and then `curve` writes finite
+    # values and slopes and a finite jump, with no numpy warning; a rejected set exits 1
+    flags = ["--gamma", repr(gamma), "--omega", repr(omega), "--epsilon", repr(epsilon), "--n-points", "11"]
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(d) / "curve.csv"
+        if not math.isfinite(max(1.0, omega) / epsilon):
+            with pytest.raises(ValueError, match="must be finite"):
+                AdaptiveLogParams(gamma, omega, epsilon)
+            assert main(["curve", *flags, "--out", str(out)]) == EXIT_USAGE
+            return
+        params = AdaptiveLogParams(gamma, omega, epsilon)
+        assert math.isfinite(params.c) and math.isfinite(derivative_jump(params))
+        assert main(["curve", *flags, "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+    assert len(rows) >= 11
+    assert all(math.isfinite(float(r[k])) for r in rows for k in ("loss", "derivative"))
