@@ -474,41 +474,43 @@ def cmd_gradcheck(o: dict) -> int:
 # dispatch
 
 
-def build_parser():
+def build_parser(command: str | None = None):
+    """The parser of every subcommand; given a known ``command``, one where only that subcommand takes options."""
+    # grid cells set gamma/omega/epsilon and always wrap; compare's --losses tokens choose loss and wrapping
+    commands = (
+        ("curve", cmd_curve, "emit the wrapper's value/derivative curve as CSV",
+         {"out": "", **WRAP_DEFAULTS, "n_points": 101}),
+        ("gendata", cmd_gendata, "materialize a synthetic dataset as PGM files + manifest",
+         {**DATASET_DEFAULTS, "out_dir": ""}),
+        ("train", cmd_train, "one training run, per-epoch metrics to CSV",
+         {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS}),
+        ("grid", cmd_grid, "hyperparameter sweep over gamma/omega/epsilon",
+         {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, "loss": LOSS_DEFAULTS["loss"], **LOSS_OPTION_DEFAULTS,
+          **TRAIN_DEFAULTS, "gammas": "0.1", "omegas": "6,8,10,12,14,16", "epsilons": "0.3,0.5,1.0,2.0", "seeds": 3}),
+        ("compare", cmd_compare, "train one model per (loss, seed), emit summary + epoch traces",
+         {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS, **TRAIN_DEFAULTS,
+          "losses": "jaccard,dice,tversky,focal,combo,all", "seeds": 5}),
+        ("roc", cmd_roc, "train then emit the pooled-pixel ROC of the validation set",
+         {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256}),
+        ("gradcheck", cmd_gradcheck, "finite-difference validation of analytic gradients",
+         {"seed": 0, "trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4}),
+    )
     parser = _Parser(prog="segbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def new_cmd(name, handler, help_text, opts):
+    every = command not in (c[0] for c in commands)
+    for name, handler, help_text, opts in commands:  # every name, for the usage line
         # no prefix matching: grid's --omega must not quietly mean --omegas
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        sp.add_argument("--config")
-        _add_opts(sp, opts)  # only the flags the command reads: any other exits 1
-        sp.set_defaults(handler=handler)
-
-    new_cmd("curve", cmd_curve, "emit the wrapper's value/derivative curve as CSV",
-            {"out": "", **WRAP_DEFAULTS, "n_points": 101})
-    new_cmd("gendata", cmd_gendata, "materialize a synthetic dataset as PGM files + manifest",
-            {**DATASET_DEFAULTS, "out_dir": ""})
-    new_cmd("train", cmd_train, "one training run, per-epoch metrics to CSV",
-            {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS})
-    # grid cells set gamma/omega/epsilon and always wrap; compare's --losses tokens choose loss and wrapping
-    new_cmd("grid", cmd_grid, "hyperparameter sweep over gamma/omega/epsilon",
-            {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, "loss": LOSS_DEFAULTS["loss"], **LOSS_OPTION_DEFAULTS,
-             **TRAIN_DEFAULTS, "gammas": "0.1", "omegas": "6,8,10,12,14,16", "epsilons": "0.3,0.5,1.0,2.0",
-             "seeds": 3})
-    new_cmd("compare", cmd_compare, "train one model per (loss, seed), emit summary + epoch traces",
-            {**RUN_DEFAULTS, "jobs": 1, **DATASET_DEFAULTS, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS,
-             **TRAIN_DEFAULTS, "losses": "jaccard,dice,tversky,focal,combo,all", "seeds": 5})
-    new_cmd("roc", cmd_roc, "train then emit the pooled-pixel ROC of the validation set",
-            {**RUN_DEFAULTS, **DATASET_DEFAULTS, **LOSS_DEFAULTS, **TRAIN_DEFAULTS, "n_thresholds": 256})
-    new_cmd("gradcheck", cmd_gradcheck, "finite-difference validation of analytic gradients",
-            {"seed": 0, "trials": 100, "tolerance": 1e-6, "net_tolerance": 1e-4})
+        if every or name == command:
+            sp.add_argument("--config")
+            _add_opts(sp, opts)  # only the flags the command reads: any other exits 1
+            sp.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)  # the options of the command argv names
     try:
         ns = parser.parse_args(argv)
         if ns.config:

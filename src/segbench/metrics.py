@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import Masks
+
 log = logging.getLogger(__name__)
 
 
@@ -16,17 +18,19 @@ class UndefinedAUC(ValueError):
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    """Pixel tallies: ints, or arrays of one shape holding each image's, as :func:`confusion` counts a stack."""
+
+    tp: int | np.ndarray
+    fp: int | np.ndarray
+    tn: int | np.ndarray
+    fn: int | np.ndarray
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+        if np.min([self.tp, self.fp, self.tn, self.fn]) < 0:
             raise ValueError("confusion counts must be non-negative")
 
     @property
-    def total(self) -> int:
+    def total(self) -> int | np.ndarray:
         return self.tp + self.fp + self.tn + self.fn
 
 
@@ -39,54 +43,77 @@ class RocCurve:
 
 
 def confusion(p, g, threshold: float = 0.5) -> ConfusionCounts:
-    """Tally pixels, classifying positive iff p_i >= threshold."""
+    """Tally pixels, classifying positive iff p_i >= threshold. Against a ``Masks`` stack of n masks, count each image
+    of ``p`` (n, H, W) or of ``p`` stacked on leading axes, say (R, n, H, W): each count is then an (n,) or (R, n)
+    array."""
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    per_image = isinstance(g, Masks)  # tested before np.asarray drops the view
     p = np.asarray(p, dtype=np.float64)
     g = np.asarray(g)
-    if p.shape != g.shape:
+    lead = p.ndim - g.ndim if per_image else 0  # the stack's leading axes
+    if lead < 0 or p.shape[lead:] != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
+    axes = tuple(range(1 - g.ndim, 0)) if per_image else None  # an image's axes; None counts into one int
     pred = p >= threshold
     truth = g == 1
-    tp, n_pred, n_true = (int(np.count_nonzero(a)) for a in (pred & truth, pred, truth))
-    return ConfusionCounts(tp=tp, fp=n_pred - tp, tn=pred.size - n_pred - n_true + tp, fn=n_true - tp)
+    tp, n_pred, n_true = (np.count_nonzero(a, axis=axes) for a in (pred & truth, pred, truth))
+    size = g[:1].size if per_image else g.size  # pixels per image
+    return ConfusionCounts(tp=tp, fp=n_pred - tp, tn=size - n_pred - n_true + tp, fn=n_true - tp)
 
 
-def _ratio(num: int, denom: int, what: str) -> float:
-    # Convention: 1.0 on an empty denominator (nothing to get wrong).
-    if denom == 0:
-        log.warning("%s has zero denominator; reporting 1.0 by convention", what)
-        return 1.0
-    return num / denom
+_RATIO = "%s has zero denominator; reporting 1.0 by convention"  # 1.0: nothing to get wrong
 
 
-def jaccard_index(c: ConfusionCounts) -> float:
-    return _ratio(c.tp, c.tp + c.fp + c.fn, "jaccard")
+def _divide(num, denom, fill: float, events: list | None, *message) -> float | np.ndarray:
+    """``num / denom`` of one image's counts or, elementwise, of arrays of them, and ``fill`` by convention where
+    ``denom`` is 0: there a score logs ``message`` once per element or, given ``events``, adds it there."""
+    zero = np.equal(denom, 0)
+    if events is None:
+        for _ in range(np.count_nonzero(zero)):
+            log.warning(*message)
+    else:
+        events.append((zero, message))
+    out = np.divide(num, denom, out=np.full(zero.shape, fill), where=~zero)
+    return float(out) if out.ndim == 0 else out
 
 
-def dice_index(c: ConfusionCounts) -> float:
-    return _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn, "dice")
+def jaccard_index(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
+    return _divide(c.tp, c.tp + c.fp + c.fn, 1.0, events, _RATIO, "jaccard")
 
 
-def recall(c: ConfusionCounts) -> float:
-    return _ratio(c.tp, c.tp + c.fn, "recall")
+def dice_index(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
+    return _divide(2 * c.tp, 2 * c.tp + c.fp + c.fn, 1.0, events, _RATIO, "dice")
 
 
-def specificity(c: ConfusionCounts) -> float:
-    return _ratio(c.tn, c.tn + c.fp, "specificity")
+def recall(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
+    return _divide(c.tp, c.tp + c.fn, 1.0, events, _RATIO, "recall")
 
 
-def precision(c: ConfusionCounts) -> float:
-    return _ratio(c.tp, c.tp + c.fp, "precision")
+def specificity(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
+    return _divide(c.tn, c.tn + c.fp, 1.0, events, _RATIO, "specificity")
 
 
-def f_measure(c: ConfusionCounts) -> float:
-    pr = precision(c)
-    rc = recall(c)
-    if pr + rc == 0:
-        log.warning("f-measure has zero denominator; reporting 0.0")
-        return 0.0
-    return 2.0 * pr * rc / (pr + rc)
+def precision(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
+    return _divide(c.tp, c.tp + c.fp, 1.0, events, _RATIO, "precision")
+
+
+def f_measure(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
+    pr, rc = precision(c, events), recall(c, events)
+    return _divide(2.0 * pr * rc, pr + rc, 0.0, events, "f-measure has zero denominator; reporting 0.0")
+
+
+SCORES = {"jaccard": jaccard_index, "dice": dice_index, "recall": recall, "specificity": specificity, "f1": f_measure}
+
+
+def scores(c: ConfusionCounts) -> dict[str, float | np.ndarray]:
+    """Every score of :data:`SCORES`, with their warnings logged element by element, as one call per element would."""
+    events = []
+    values = {name: score(c, events) for name, score in SCORES.items()}
+    held = np.stack(np.broadcast_arrays(*(zero for zero, _ in events)), axis=-1)
+    for k in np.nonzero(held)[-1].tolist():  # row-major, so the last axis orders each element's events
+        log.warning(*events[k][1])
+    return values
 
 
 def roc_auc(preds, masks, n_thresholds: int = 256) -> RocCurve:
@@ -98,27 +125,18 @@ def roc_auc(preds, masks, n_thresholds: int = 256) -> RocCurve:
     """
     if n_thresholds < 2:
         raise ValueError("n_thresholds must be >= 2")
-    scores, labels = _pool(preds, masks)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedAUC("need at least one positive and one negative pixel")
-
+    pos, neg = _pool(preds, masks)
     thresholds = np.linspace(1.0, 0.0, n_thresholds)
-    tpr = _count_at_least(scores, labels == 1, thresholds) / n_pos
-    fpr = _count_at_least(scores, labels == 0, thresholds) / n_neg
-    points = sorted({(0.0, 0.0), (1.0, 1.0), *zip(fpr.tolist(), tpr.tolist())})
-    xs = np.array([pt[0] for pt in points])
-    ys = np.array([pt[1] for pt in points])
+    for s in (pos, neg):
+        s.sort()  # in place: the pooled scores can be the largest array of a run; NaNs go last
+    # per class, the share of scores >= each threshold; a NaN score counts for none
+    tpr, fpr = ((np.searchsorted(s, np.nan) - np.searchsorted(s, thresholds, side="left")) / s.size for s in (pos, neg))
+    # both rates rise as the thresholds fall, so the points come in order: a repeated point follows its equal
+    xs, ys = (np.concatenate([[0.0], rate, [1.0]]) for rate in (fpr, tpr))
+    new = np.concatenate([[True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])])
+    xs, ys = xs[new], ys[new]
     auc = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
-    return RocCurve(points=points, auc=auc)
-
-
-def _count_at_least(scores: np.ndarray, mask: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """How many of ``scores[mask]`` are >= each threshold, from one sort; a NaN score counts for none."""
-    ordered = scores[mask]
-    ordered.sort()  # in place: the pooled scores can be the largest array of a run; NaNs go last
-    return np.searchsorted(ordered, np.nan) - np.searchsorted(ordered, thresholds, side="left")
+    return RocCurve(points=list(zip(xs.tolist(), ys.tolist())), auc=auc)
 
 
 def pair_count_auc(preds, masks) -> float:
@@ -128,11 +146,7 @@ def pair_count_auc(preds, masks) -> float:
     higher; ties count half.  Quadratic over distinct scores; intended as the
     independent cross-check on small inputs.
     """
-    scores, labels = _pool(preds, masks)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if pos.size == 0 or neg.size == 0:
-        raise UndefinedAUC("need at least one positive and one negative pixel")
+    pos, neg = _pool(preds, masks)
     wins = 0.0
     for s in pos:
         wins += float(np.sum(s > neg)) + 0.5 * float(np.sum(s == neg))
@@ -140,14 +154,17 @@ def pair_count_auc(preds, masks) -> float:
 
 
 def _pool(preds, masks) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled scores of the positive and of the negative pixels, as new arrays; any other mask value raises."""
     if isinstance(preds, np.ndarray) and preds.ndim <= 2:
         preds, masks = [preds], [masks]
-    ps, gs = [], []
-    for p, g in zip(preds, masks, strict=True):
-        p = np.asarray(p, dtype=np.float64).ravel()
-        g = np.asarray(g).ravel()
-        if p.shape != g.shape:
-            raise ValueError("prediction/mask length mismatch")
-        ps.append(p)
-        gs.append(g)
-    return np.concatenate(ps), np.concatenate(gs)
+    pairs = [(np.asarray(p, dtype=np.float64).ravel(), np.asarray(g).ravel())
+             for p, g in zip(preds, masks, strict=True)]
+    if any(p.shape != g.shape for p, g in pairs):
+        raise ValueError("prediction/mask length mismatch")
+    scores, labels = (np.concatenate(a) for a in zip(*pairs))
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    if pos.size + neg.size != labels.size:
+        raise ValueError("mask values must be exactly 0 or 1")
+    if pos.size == 0 or neg.size == 0:
+        raise UndefinedAUC("need at least one positive and one negative pixel")
+    return pos, neg

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .adaptive import BaseValueOutOfRange
-from .losses import _check_masks, _CheckedMasks, copy_axes, make_loss
+from .losses import Masks, _check_masks, _CheckedMasks, copy_axes, make_loss
 from .synthdata import _check_integers
 
 HIDDEN_CHANNELS = 8
@@ -230,6 +230,13 @@ def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     return p if net.runs is not None else p[0]
 
 
+def _by_weight(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Views of ``flat``, whose last axis holds every weight's values in ``shapes``' order, one per weight."""
+    cuts = list(itertools.accumulate(math.prod(s) for s in shapes.values()))
+    parts = np.split(flat, cuts[:-1], axis=-1)
+    return {k: v.reshape((*flat.shape[:-1], *s)) for (k, s), v in zip(shapes.items(), parts)}
+
+
 def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
     """Weight gradients of (B, H, W) images x per run, summed over the images, from one pass per chunk on the same
     taps and hidden maps. ``upstream(run, rows, p)`` is d(loss)/d(p) of ``x[rows]`` for the net's run ``run``,
@@ -239,14 +246,8 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
     b, rc, (t, d, h) = _chunk_buffers(x, n, True, ws)
     # per-image gradients: the 153 of a run and image in one row of `flat`, summed in image order at the end
     shapes = {"w1": (HIDDEN_CHANNELS, TAPS), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, TAPS), "b2": ()}
-    cuts = list(itertools.accumulate(math.prod(s) for s in shapes.values()))
-
-    def by_weight(rows: np.ndarray) -> dict[str, np.ndarray]:  # views of each weight's columns
-        parts = np.split(rows, cuts[:-1], axis=-1)
-        return {k: v.reshape(*rows.shape[:-1], *s) for (k, s), v in zip(shapes.items(), parts)}
-
-    flat = np.empty((n, len(x), cuts[-1]))
-    g = by_weight(flat)
+    flat = np.empty((n, len(x), sum(math.prod(s) for s in shapes.values())))
+    g = _by_weight(flat, shapes)
     blocks = _weights(net.params, rc, True)
     for s in range(0, len(x), b):
         rows, xs = slice(s, s + b), x[s : s + b]
@@ -269,7 +270,7 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
             np.matmul(zb, tb[:, :TAPS].swapaxes(-1, -2), out=g["w1"][at])
             zb.sum(axis=-1, out=g["b1"][at])  # not the product's ones column: that would sum in another order
             dz2.sum(axis=(-2, -1), out=g["b2"][at])
-    out = by_weight(_sum_images(flat, 1))
+    out = _by_weight(_sum_images(flat, 1), shapes)
     out["w2"] = out["w2"][..., ::-1]  # tap k of dz2 pairs with w2's tap 8 - k
     return {k: v.reshape(net.params[k].shape) for k, v in out.items()}
 
@@ -291,25 +292,27 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict
 class AdamState:
     lr: float | np.ndarray = 1e-4  # stacked weights may take one rate per run, shape (R,)
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # flat, as :func:`adam_step` makes them at the first step
+    v: np.ndarray | None = None
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    """Standard bias-corrected Adam update, in place; a per-run rate steps each run of stacked weights."""
+    """Standard bias-corrected Adam update, in place; a per-run rate steps each run of stacked weights. Every step's
+    gradients, of the same weights, are one vector in sorted key order (per run for a per-run rate), as are ``m`` and
+    ``v``; only the final subtraction is split back into the weights."""
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    for k, g in grads.items():
-        if k not in state.m:
-            state.m[k] = np.zeros_like(params[k])
-            state.v[k] = np.zeros_like(params[k])
-        lr = copy_axes(state.lr, g)
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    lead = np.shape(state.lr)  # a per-run rate keeps the run axis
+    shapes = {k: np.shape(grads[k])[len(lead) :] for k in sorted(grads)}
+    g = np.concatenate([np.reshape(grads[k], (*lead, -1)) for k in shapes], axis=-1)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    step = copy_axes(state.lr, g) * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+    for k, d in _by_weight(step, shapes).items():
+        params[k] = params[k] - d
 
 
 @dataclass(frozen=True)
@@ -354,29 +357,22 @@ class RunRecord:
     val_masks: list[np.ndarray] = field(default_factory=list)
 
 
-def _scores(preds: list[np.ndarray], val_set) -> tuple[dict[str, float], list[np.ndarray]]:
-    """Macro-averaged metrics of one run's predictions at :func:`metrics.confusion`'s default threshold."""
-    scores = {"jaccard": metrics.jaccard_index, "dice": metrics.dice_index, "recall": metrics.recall,
-              "specificity": metrics.specificity, "f1": metrics.f_measure}
-    per_image = []
-    for p, s in zip(preds, val_set):
-        c = metrics.confusion(p, s.mask)
-        per_image.append([score(c) for score in scores.values()])
-    return {k: float(np.mean(v)) for k, v in zip(scores, zip(*per_image))}, preds
-
-
 def evaluate(net: TinyNet, val_set):
-    """Macro-averaged metrics at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC inputs.
-
-    For a net with a run axis, a list of them, one per run, from one forward pass over every run. A net without one
-    runs as a one-run stack and gets its one item.
-    """
+    """Macro-averaged :data:`metrics.SCORES` at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC
+    inputs. For a net with a run axis, a list of them, one per run: each run of same-shaped images takes one forward
+    pass and one confusion count for every run. A net without one runs as a one-run stack and gets its one item."""
     if not val_set:
         raise ValueError("validation set must be non-empty")
+    bad = next((s for s in val_set if np.shape(s.mask) != np.shape(s.image)), None)
+    if bad is not None:
+        raise ValueError(f"shape mismatch: {np.shape(bad.image)} vs {np.shape(bad.mask)}")
     stack = _one_run(net)
-    runs = itertools.groupby((s.image for s in val_set), key=np.shape)
-    maps = [forward(stack, np.stack(list(run))) for _, run in runs]
-    results = [_scores([p for m in maps for p in m[r]], val_set) for r in range(stack.runs)]
+    groups = [list(group) for _, group in itertools.groupby(val_set, key=lambda s: np.shape(s.image))]
+    maps = [forward(stack, np.stack([s.image for s in group])) for group in groups]
+    counts = [metrics.confusion(m, np.stack([s.mask for s in group]).view(Masks)) for m, group in zip(maps, groups)]
+    per_image = metrics.ConfusionCounts(*(np.concatenate(f, axis=-1) for f in zip(*(vars(k).values() for k in counts))))
+    means = {k: np.mean(v, axis=-1).tolist() for k, v in metrics.scores(per_image).items()}  # per run
+    results = [({k: v[r] for k, v in means.items()}, [p for m in maps for p in m[r]]) for r in range(stack.runs)]
     return results if net.runs is not None else results[0]
 
 
@@ -394,7 +390,8 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     if len({(c.seed, c.batch_size, c.max_epochs) for c in configs}) != 1:
         raise ValueError("train takes one or more configs that share seed, batch_size and max_epochs")
     seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
-    _check_masks(s.mask for s in train_set)  # once: every loss call on a chunk's masks then skips the scan
+    # once: every loss call on a chunk's masks then skips the scan, and the final AUC takes masks of 0 and 1 only
+    _check_masks(s.mask for s in (*train_set, *val_set))
     net = TinyNet.init(seed=seed, runs=len(configs))
     opt = AdamState(lr=np.array([c.lr for c in configs]))
     live = list(range(len(configs)))  # the config of each run the net stacks
@@ -408,7 +405,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
             out[live[r]] = exc
         live[:] = [live[r] for r in keep]
         net.params, opt.lr = {k: v[keep] for k, v in net.params.items()}, opt.lr[keep]
-        opt.m, opt.v = {k: v[keep] for k, v in opt.m.items()}, {k: v[keep] for k, v in opt.v.items()}
+        opt.m, opt.v = (None, None) if opt.m is None else (opt.m[keep], opt.v[keep])
         return keep
 
     n = len(train_set)

@@ -795,6 +795,40 @@ class TestFlagsAndConfig:
         assert main(["gradcheck", "--trials", "1", "--config", str(cfg)]) == EXIT_DATA
         assert f"data error: cannot read config file {cfg}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_main_builds_only_the_named_commands_options(self, tmp_path, monkeypatch, command):
+        # the parser main builds parses its command as the full parser does, with and without a config file
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(real(*a)) or built[-1])
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda o: EXIT_OK)
+        key = next(k for k in vars(real().parse_args([command])) if k not in cli._NOT_OPTIONS)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"# one line of each kind\n{key}={getattr(real().parse_args([command]), key)}\n")
+        other = next(c for c in SUBCOMMANDS if c != command)
+        for argv in ([command], [command, "--config", str(cfg)]):
+            assert main(argv) == EXIT_OK
+            (parser,) = built
+            built.clear()
+            assert parser.parse_args(argv) == real().parse_args(argv)
+            assert vars(parser.parse_args([other])) == {"command": other}  # no other command's options
+
+    @pytest.mark.parametrize("argv,err", [
+        (["curve", "--bogus", "1"], "usage error: unrecognized arguments: --bogus 1\n"),
+        (["frobnicate"], "usage error: argument command: invalid choice: 'frobnicate' (choose from 'curve', "
+                         "'gendata', 'train', 'grid', 'compare', 'roc', 'gradcheck')\n"),
+        ([], "usage error: the following arguments are required: command\n"),
+    ])
+    def test_usage_errors_list_every_command(self, capsys, argv, err):
+        assert main(argv) == EXIT_USAGE
+        usage = "usage: segbench [-h] {curve,gendata,train,grid,compare,roc,gradcheck} ...\n"
+        assert capsys.readouterr().err == usage + err
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+
 
 class TestDegenerateInputs:
     @pytest.mark.parametrize("argv,message", [

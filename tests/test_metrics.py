@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from segbench.losses import Masks
 from segbench.metrics import (
+    SCORES,
     ConfusionCounts,
     UndefinedAUC,
     confusion,
@@ -12,6 +14,7 @@ from segbench.metrics import (
     precision,
     recall,
     roc_auc,
+    scores,
     specificity,
 )
 
@@ -63,6 +66,46 @@ class TestConfusion:
             )
             assert confusion(p, g, threshold) == want
             assert want.total == p.size
+
+
+class TestStackedConfusion:
+    SCORES = (jaccard_index, dice_index, recall, specificity, precision, f_measure)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["images", "runs", "2x2"])
+    def test_counts_each_image_as_a_call_on_it(self, lead):
+        rng = np.random.default_rng(18)
+        g = rng.choice(np.array([0, 1, 2], dtype=np.uint8), size=(5, 4, 6))
+        g[1], g[2] = 0, 1  # an empty mask and a full one
+        p = rng.choice([0.0, 0.3, 0.5, 0.9, np.nan], size=(*lead, 5, 4, 6))
+        p[..., 3, :, :] = 0.1  # nothing above the threshold
+        c = confusion(p, g.view(Masks))
+        assert all(np.shape(x) == (*lead, 5) for x in (c.tp, c.fp, c.tn, c.fn))
+        for idx in np.ndindex(*lead, 5):
+            one = confusion(p[idx], g[idx[-1]])
+            assert (c.tp[idx], c.fp[idx], c.tn[idx], c.fn[idx]) == (one.tp, one.fp, one.tn, one.fn)
+            for score in self.SCORES:
+                assert score(c)[idx].hex() == score(one).hex()
+
+    def test_warnings_are_logged_per_element_in_table_order(self, caplog):
+        rng = np.random.default_rng(19)
+        c = ConfusionCounts(*(np.where(rng.uniform(size=(4, 6)) < 0.5, 0, rng.integers(1, 9, size=(4, 6)))
+                              for _ in range(4)))
+        caplog.set_level("WARNING", logger="segbench.metrics")
+        got = scores(c)
+        got_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        for idx in np.ndindex(4, 6):
+            one = ConfusionCounts(*(int(x[idx]) for x in (c.tp, c.fp, c.tn, c.fn)))
+            for name, score in SCORES.items():
+                assert got[name][idx].hex() == score(one).hex()
+        assert got_log == [r.getMessage() for r in caplog.records]
+        assert len(set(got_log)) == 6  # every kind of event
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            confusion(np.zeros((2, 3, 4, 4)), np.zeros((3, 4, 5)).view(Masks))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            confusion(np.zeros((3, 4)), np.zeros((2, 3, 4)).view(Masks))
 
 
 class TestScalarMetrics:
@@ -186,11 +229,29 @@ class TestRocAuc:
         scores = rng.uniform(size=200)
         scores[::7] = np.nan  # a NaN score is below every threshold
         cases.append((scores, 256))
+        for n_thresholds in (2, 3, 256):
+            # scores of exactly 1.0 give (0,0)'s point or pass it; scores of exactly 0.0 reach (1,1) at the last
+            # threshold, as the endpoint already does
+            cases.append((rng.choice([0.0, 1.0], size=50), n_thresholds))
+            cases.append((rng.choice([0.0, 0.5, 1.0], size=50), n_thresholds))
+            cases.append((np.where(rng.uniform(size=80) < 0.3, 1.0, rng.uniform(size=80)), n_thresholds))
+            cases.append((np.where(rng.uniform(size=80) < 0.3, 0.0, rng.uniform(size=80)), n_thresholds))
+        cases.append((rng.uniform(size=60), 2))
         for scores, n_thresholds in cases:
             labels = (rng.uniform(size=scores.size) < 0.3).astype(int)
             labels[:2] = (0, 1)
             curve = roc_auc(scores, labels, n_thresholds=n_thresholds)
             assert (curve.points, curve.auc) == loop_roc(scores, labels, n_thresholds)
+            assert all(type(x) is float and type(y) is float for x, y in curve.points)
+
+    @pytest.mark.parametrize("auc", [roc_auc, pair_count_auc], ids=["roc_auc", "pair_count_auc"])
+    @pytest.mark.parametrize("bad", [2, -1, 255, 0.5, np.nan])
+    def test_mask_values_other_than_0_or_1_rejected(self, auc, bad):
+        # a value of neither class would count in no rate: FPR would never reach 1
+        with pytest.raises(ValueError, match="mask values must be exactly 0 or 1"):
+            auc(np.array([0.2, 0.9, 0.5]), np.array([1, 0, bad]))
+        with pytest.raises(ValueError, match="mask values must be exactly 0 or 1"):
+            auc([np.array([[0.2, 0.9]]), np.array([[0.5]])], [np.array([[1, 0]]), np.array([[bad]])])
 
     def test_bad_n_thresholds(self):
         with pytest.raises(ValueError):

@@ -513,6 +513,39 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(TinyNet.init(seed=15), [])
 
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_stacked_scoring_equals_per_image_scoring(self, caplog, runs):
+        # every run and image of a same-shaped group is scored by one confusion call; each run's means, maps and
+        # zero-denominator warnings must be those of one call per image, run after run
+        rng = np.random.default_rng([21, runs])
+        shapes = [(16, 16)] * 4 + [(12, 20)] * 2 + [(16, 16)] * 3 + [(20, 12)] + [(16, 16)] * 3  # 13: mean unrolls
+        val_set = _random_samples(rng, shapes)
+        val_set[1] = Sample(val_set[1].image, np.zeros((16, 16), dtype=np.uint8))  # an empty mask
+        val_set[5] = Sample(val_set[5].image, np.ones((12, 20), dtype=np.uint8))  # a full one
+        stack = TinyNet.init(seed=16, runs=runs)
+        stack.params["b2"][:] = [-50.0, 0.0, 50.0][:runs]  # run 0 predicts nothing above the threshold
+        caplog.set_level("WARNING", logger="segbench.metrics")
+        got = evaluate(stack, val_set)
+        got_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        want = [_per_image_evaluate(TinyNet({k: v[r] for k, v in stack.params.items()}), val_set)
+                for r in range(runs)]
+        assert got_log == [r.getMessage() for r in caplog.records]
+        assert {"precision has zero denominator; reporting 1.0 by convention",
+                "recall has zero denominator; reporting 1.0 by convention"} <= set(got_log)
+        assert len(got) == runs
+        for (means, preds), (want_means, want_preds) in zip(got, want):
+            assert list(means) == list(want_means)
+            assert [v.hex() for v in means.values()] == [v.hex() for v in want_means.values()]
+            assert [(p.shape, p.tobytes()) for p in preds] == [(p.shape, p.tobytes()) for p in want_preds]
+
+    def test_mask_of_another_shape_rejected(self):
+        val_set = _random_samples(np.random.default_rng(22), [(16, 16)] * 3)
+        val_set[1] = Sample(val_set[1].image, np.zeros((16, 15), dtype=np.uint8))
+        for net in (TinyNet.init(seed=17), TinyNet.init(seed=17, runs=2)):
+            with pytest.raises(ValueError, match=r"^shape mismatch: \(16, 16\) vs \(16, 15\)$"):
+                evaluate(net, val_set)
+
 
 class TestOneRunStack:
     # 48 images of 128x128 as eval-large evaluates them, a training batch of 48x48 images, and one 1x7 image
@@ -584,6 +617,58 @@ class TestAdam:
         state = AdamState()
         adam_step(state, {"w": np.zeros(1)}, {"w": np.ones(1)})
         assert state.step == 1
+
+    @staticmethod
+    def _per_key_step(lr, step, m, v, params, grads):
+        """Adam as one update per weight, the reference for the flat vector: new (m, v, params) dicts."""
+        bc1, bc2 = 1.0 - model.ADAM_BETA1**step, 1.0 - model.ADAM_BETA2**step
+        m, v, params = dict(m), dict(v), dict(params)
+        for k, g in grads.items():
+            m[k] = model.ADAM_BETA1 * m.get(k, np.zeros_like(g)) + (1.0 - model.ADAM_BETA1) * g
+            v[k] = model.ADAM_BETA2 * v.get(k, np.zeros_like(g)) + (1.0 - model.ADAM_BETA2) * g * g
+            lr_k = np.reshape(lr, np.shape(lr) + (1,) * (g.ndim - np.ndim(lr)))
+            params[k] = params[k] - lr_k * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + model.ADAM_EPS)
+        return m, v, params
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_flat_update_equals_per_key_update(self, stacked):
+        rng = np.random.default_rng(23)
+        if stacked:  # 3 runs, a rate each
+            params, lr = TinyNet.init(seed=18, runs=3).params, np.array([0.01, 0.3, 1e-4])
+        else:  # arbitrary keys and shapes, one rate
+            params, lr = {"w": rng.normal(size=(2, 3)), "a": rng.normal(size=4), "s": np.array(0.5)}, 0.02
+        state, m, v, want = AdamState(lr=lr), {}, {}, dict(params)
+        for step in range(1, 8):
+            grads = {k: rng.normal(size=np.shape(p)) * 10.0 ** rng.integers(-6, 3) for k, p in params.items()}
+            adam_step(state, params, grads)
+            m, v, want = self._per_key_step(lr, step, m, v, want, grads)
+            for k in want:
+                _same_bytes(params[k], want[k])
+
+    def test_flat_update_equals_per_key_update_after_a_run_leaves(self, monkeypatch):
+        # the middle of 3 runs diverges at epoch 0, batch 1 and leaves the stack; every step before and after takes
+        # the per-key update from the state train hands it
+        real, steps = model.adam_step, []
+
+        def per_key(flat, grads):  # the flat moments as one array per weight, in sorted key order
+            keys = sorted(grads)
+            cuts = itertools.accumulate(grads[k][0].size for k in keys)  # per run: the rates are per run
+            return {k: part.reshape(grads[k].shape) for k, part in zip(keys, np.split(flat, list(cuts)[:-1], axis=-1))}
+
+        def checked(state, params, grads):
+            m, v = ({}, {}) if state.m is None else (per_key(state.m, grads), per_key(state.v, grads))
+            want_m, want_v, want = self._per_key_step(state.lr, state.step + 1, m, v, params, grads)
+            real(state, params, grads)
+            for got, wanted in ((params, want), (per_key(state.m, grads), want_m), (per_key(state.v, grads), want_v)):
+                for k in grads:
+                    _same_bytes(got[k], wanted[k])
+            steps.append(len(state.lr))
+
+        monkeypatch.setattr(model, "adam_step", checked)
+        configs = [TrainConfig(lr=lr, batch_size=8, max_epochs=3, seed=7) for lr in (0.01, 1e300, 0.02)]
+        got = train(configs, *tiny_dataset(seed=12))
+        assert isinstance(got[1], TrainingDiverged) and (got[1].epoch, got[1].batch) == (0, 1)
+        assert steps == [3, 2, 2, 2, 2, 2]
 
 
 def tiny_dataset(fg=0.3, sigma=0.05, n=16, seed=0, size=16):
@@ -752,8 +837,16 @@ class TestTrain:
 
     def test_bad_training_mask_is_rejected_before_the_first_step(self, monkeypatch):
         # train checks its masks once, so a loss call on a chunk does not scan them; the error is a loss call's
-        train_set, val_set = tiny_dataset(seed=12)
-        bad = list(train_set)
+        self._rejected_before_the_first_step(monkeypatch, 0)
+
+    def test_bad_validation_mask_is_rejected_before_the_first_step(self, monkeypatch):
+        # the final AUC takes masks of 0 and 1 only, so train checks the validation masks with the training ones
+        self._rejected_before_the_first_step(monkeypatch, 1)
+
+    @staticmethod
+    def _rejected_before_the_first_step(monkeypatch, half):
+        halves = list(tiny_dataset(seed=12))
+        bad = halves[half] = list(halves[half])
         mask = bad[-1].mask.copy()
         mask[3, 4] = 2
         bad[-1] = Sample(bad[-1].image, mask)
@@ -762,7 +855,7 @@ class TestTrain:
         steps = []
         monkeypatch.setattr(model, "_step", lambda *a: steps.append(1))
         with pytest.raises(ValueError) as got:
-            train([TrainConfig(lr=0.01, batch_size=4, max_epochs=2, seed=0)], bad, val_set)
+            train([TrainConfig(lr=0.01, batch_size=4, max_epochs=2, seed=0)], *halves)
         assert (got.type, str(got.value)) == (want.type, str(want.value))
         assert str(got.value) == "mask values must be exactly 0 or 1" and not steps
 
