@@ -69,9 +69,18 @@ class Masks(np.ndarray):
 
 
 class _CheckedMasks(Masks):
-    """Masks that :func:`_check_masks` has passed, scored against outputs known to be finite; only ``model.train``
-    makes them.  A finite sigmoid output lies in [0, 1], so a call on them skips the scans of ``p``'s range and of
-    the mask values.  The shape check and the smoothing rules stay per call."""
+    """Masks of 0 and 1 scored against a ``p`` in [0, 1], so a call on them skips the scans of ``p``'s range and of
+    the mask values; the shape check and the smoothing rules stay per call.  ``model.train`` makes them for masks
+    :func:`_check_masks` has passed, scoring finite sigmoid outputs; :func:`_checked` for input a call has passed."""
+
+
+class _CheckedMask(np.ndarray):
+    """:class:`_CheckedMasks` for the one-image and copies forms: one mask, known to be 0 or 1."""
+
+
+def _checked(g) -> np.ndarray:
+    """``g`` marked as checked, in its call form: for input that a loss call on it has passed."""
+    return np.asarray(g).view(_CheckedMasks if isinstance(g, Masks) else _CheckedMask)
 
 
 def _check_masks(masks) -> None:
@@ -88,7 +97,7 @@ def _check_pair(p: np.ndarray, g: np.ndarray, smooth: float | None = None) -> tu
     An overlap loss passes its ``smooth``, which adds the smoothing rules.
     """
     per_image = isinstance(g, Masks)  # its first axis counts images, not pixels
-    checked = isinstance(g, _CheckedMasks)  # a view of the stack, so tested before np.asarray drops it
+    checked = isinstance(g, (_CheckedMasks, _CheckedMask))  # a view, so tested before np.asarray drops it
     p = np.asarray(p, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     lead = p.ndim - g.ndim  # copy axes
@@ -223,9 +232,9 @@ def combo_loss(p, g, smooth: float = DEFAULT_SMOOTH, mix: float = 0.5) -> LossEv
     if not (0 <= mix <= 1):
         raise ValueError(f"mix must be in [0, 1], got {mix}")
     # Dice first: its checks are BCE's plus the smoothing rules, so a stacked call raises what its first
-    # offending image would raise alone
+    # offending image would raise alone, and BCE need not scan the input again
     dice = soft_dice_loss(p, g, smooth)
-    bce = bce_loss(p, g)
+    bce = bce_loss(p, _checked(g))
     value = mix * bce.value + (1.0 - mix) * dice.value
     return LossEval(value, lambda: mix * bce.grad + (1.0 - mix) * dice.grad)
 
@@ -262,6 +271,12 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     It returns one value per copy, shape ``(2, k)``, as every loss here does,
     or a scalar, which stands for every copy.  Only ``.value`` is read, so
     the copies' gradients are never built.
+
+    ``loss_fn`` must score the copies it is given: one buffer, rewritten in
+    place, holds every block.  The first block holds every pixel of ``p``,
+    unperturbed or with both sides in [0, 1], and gets ``g`` as given, so it
+    raises what ``loss_fn(p, g)`` would.  Later copies differ from ``p`` only
+    by perturbations that stay in [0, 1], so they get ``g`` marked as checked.
     """
     if not (0 < step <= 0.5):
         raise ValueError("step must be in (0, 0.5]")  # above 0.5 neither side may stay in [0, 1]
@@ -273,13 +288,18 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     width = np.where(up & down, 2.0 * step, step)
     out = np.zeros_like(flat)
     k = max(1, FD_BLOCK // max(n, 1))
+    block = np.empty((2, min(k, n), n))
+    block[...] = flat
+    f = np.empty((2, k))
     for i in range(0, n, k):
-        j = min(i + k, n)
-        copy = np.arange(j - i)
-        block = np.broadcast_to(flat, (2, j - i, n)).copy()
-        block[:, copy, i + copy] = sides[:, i:j]
-        f = np.broadcast_to(loss_fn(block.reshape(2, j - i, *p.shape), g).value, (2, j - i))
-        out[i:j] = (f[0] - f[1]) / width[i:j]
+        m = min(k, n - i)
+        # copy c of each side perturbs pixel i + c: flat offset i + c * (n + 1) of that side's copies
+        diagonal = block.reshape(2, -1)[:, i : i + m * (n + 1) : n + 1]
+        diagonal[...] = sides[:, i : i + m]
+        f[:, :m] = loss_fn(block[:, :m].reshape(2, m, *p.shape), g).value
+        g = _checked(g)
+        diagonal[...] = flat[i : i + m]
+        out[i : i + m] = (f[0, :m] - f[1, :m]) / width[i : i + m]
     return out.reshape(p.shape)
 
 

@@ -57,7 +57,10 @@ def confusion(p, g, threshold: float = 0.5) -> ConfusionCounts:
     axes = tuple(range(1 - g.ndim, 0)) if per_image else None  # an image's axes; None counts into one int
     pred = p >= threshold
     truth = g == 1
-    tp, n_pred, n_true = (np.count_nonzero(a, axis=axes) for a in (pred & truth, pred, truth))
+    # per image, a 32-bit sum of the bytes: faster than count_nonzero's int64 sum along axes
+    tp, n_pred, n_true = (np.count_nonzero(a) if axes is None else
+                          a.view(np.uint8).sum(axis=axes, dtype=np.uint32).astype(np.int64)
+                          for a in (pred & truth, pred, truth))
     size = g[:1].size if per_image else g.size  # pixels per image
     return ConfusionCounts(tp=tp, fp=n_pred - tp, tn=size - n_pred - n_true + tp, fn=n_true - tp)
 

@@ -175,6 +175,16 @@ class TestCombo:
         expect = 0.25 * bce_loss(P4, G4).grad + 0.75 * soft_dice_loss(P4, G4).grad
         np.testing.assert_allclose(ev.grad, expect, rtol=1e-12)
 
+    def test_checks_its_input_once(self, monkeypatch):
+        # Dice scans p and g; BCE, whose checks are a subset of Dice's, gets g marked as checked
+        p, g = per_image_case((3, 4, 5), seed=81)
+        scans = spy_scans(monkeypatch)
+        for args in ((p[0], g[0]), (p, g[0]), (p, g.view(Masks))):
+            want = 0.5 * bce_loss(*args).value + 0.5 * soft_dice_loss(*args).value
+            scans.clear()
+            assert np.array_equal(combo_loss(*args).value, want)
+            assert scans == [False, True]
+
 
 class TestFocalTversky:
     def test_exponent_one_is_tversky(self):
@@ -238,6 +248,16 @@ def per_pixel_finite_difference(loss_fn, p, g, step=1e-6):
     return out.reshape(p.shape)
 
 
+def spy_scans(monkeypatch):
+    """The ``checked`` flag of every input check from here on: where it is True, the scans of ``p``'s range and of
+    the mask values are skipped."""
+    scans = []
+    check = losses._input_error
+    monkeypatch.setattr(losses, "_input_error", lambda p, g, smooth, checked: scans.append(checked)
+                        or check(p, g, smooth, checked))
+    return scans
+
+
 def oracle_case(shape, seed):
     """Predictions near their mask (so every base value stays in [0, 1] for the
     wrapper), with pixels at 0, 1 and 5e-7 where the size allows."""
@@ -262,6 +282,41 @@ class TestFiniteDifference:
         assert fd.shape == p.shape
         assert fd.tobytes() == per_pixel_finite_difference(fn, p, g, step=1e-6).tobytes()
 
+    @pytest.mark.parametrize("name, wrapped", [("dice", False), ("focal", True)])
+    def test_one_copy_per_block_matches_per_pixel_loop(self, name, wrapped):
+        self.test_matches_per_pixel_loop_bit_for_bit(name, wrapped, (FD_BLOCK + 1,))
+
+    @pytest.mark.parametrize("n", [257, FD_BLOCK + 1])
+    def test_foreign_loss_fn_matches_per_pixel_loop(self, n):
+        # a loss_fn that knows nothing of the mask views it is given
+        fn = lambda p, g: LossEval(np.asarray(p).sum(axis=-1) + np.asarray(g).sum(), None)  # noqa: E731
+        p, g = oracle_case((n,), seed=n)
+        assert finite_difference_grad(fn, p, g).tobytes() == per_pixel_finite_difference(fn, p, g).tobytes()
+
+    @pytest.mark.parametrize("n", [257, FD_BLOCK + 1], ids=["copies", "one-copy"])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_raises_what_the_loss_raises(self, name, wrapped, n):
+        fn = wrap_loss_fn(make_loss(name)) if wrapped else make_loss(name)
+        for at in (0, n // 2, n - 1):  # in the first, a middle and the last block
+            for bad in (-5e-7, 1.0 + 5e-7, 1.5, np.nan, "mask"):
+                p, g = oracle_case((n,), seed=n)
+                if bad == "mask":
+                    g[at] = 2
+                else:
+                    p[at] = bad
+                assert error_of(lambda: finite_difference_grad(fn, p, g)) == error_of(lambda: fn(p, g))
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_scans_its_input_on_the_first_block_only(self, name, monkeypatch):
+        fn = wrap_loss_fn(make_loss(name))
+        p, g = oracle_case((257,), seed=9)
+        blocks = -(-257 // (FD_BLOCK // 257))
+        scans = spy_scans(monkeypatch)
+        finite_difference_grad(fn, p, g)
+        checks_per_call = 2 if name == "combo" else 1
+        assert scans.count(False) == 1 and scans.count(True) == checks_per_call * blocks - 1
+
     @pytest.mark.parametrize("wrapped", [False, True])
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_stacked_call_matches_per_copy_calls(self, name, wrapped):
@@ -280,16 +335,16 @@ class TestFiniteDifference:
     def test_peak_memory_bounded_by_block(self):
         # the block size caps the loss temporaries; one stack of all 2n
         # copies peaks at 7.5 MB for this case
-        fn = wrap_loss_fn(make_loss("focal"))
         p, g = oracle_case((256,), seed=3)
-        finite_difference_grad(fn, p, g)
-        tracemalloc.start()
-        try:
+        for fn in (wrap_loss_fn(make_loss("focal")), make_loss("combo"), wrap_loss_fn(make_loss("tversky"))):
             finite_difference_grad(fn, p, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1_000_000
+            tracemalloc.start()
+            try:
+                finite_difference_grad(fn, p, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1_000_000
 
     def test_constant_loss_zero_grad(self):
         fd = finite_difference_grad(lambda p, g: LossEval(0.42, None), P4, G4)

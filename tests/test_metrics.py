@@ -79,7 +79,7 @@ class TestStackedConfusion:
         p = rng.choice([0.0, 0.3, 0.5, 0.9, np.nan], size=(*lead, 5, 4, 6))
         p[..., 3, :, :] = 0.1  # nothing above the threshold
         c = confusion(p, g.view(Masks))
-        assert all(np.shape(x) == (*lead, 5) for x in (c.tp, c.fp, c.tn, c.fn))
+        assert all(np.shape(x) == (*lead, 5) and x.dtype == np.int64 for x in (c.tp, c.fp, c.tn, c.fn))
         for idx in np.ndindex(*lead, 5):
             one = confusion(p[idx], g[idx[-1]])
             assert (c.tp[idx], c.fp[idx], c.tn[idx], c.fn[idx]) == (one.tp, one.fp, one.tn, one.fn)
