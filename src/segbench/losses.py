@@ -272,6 +272,9 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     or a scalar, which stands for every copy.  Only ``.value`` is read, so
     the copies' gradients are never built.
 
+    ``p`` is one image and ``g`` its mask; a :class:`Masks` ``g`` (one mask
+    per image) raises ValueError before any loss call.
+
     ``loss_fn`` must score the copies it is given: one buffer, rewritten in
     place, holds every block.  The first block holds every pixel of ``p``,
     unperturbed or with both sides in [0, 1], and gets ``g`` as given, so it
@@ -280,6 +283,9 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     """
     if not (0 < step <= 0.5):
         raise ValueError("step must be in (0, 0.5]")  # above 0.5 neither side may stay in [0, 1]
+    if isinstance(g, Masks):  # a loss would return one value per copy and image, where one per copy fits
+        raise ValueError("finite_difference_grad takes one image and its mask, and scores the image's perturbed "
+                         "copies over that mask (the copies form); it does not take one mask per image (Masks)")
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
     n = flat.size
@@ -328,6 +334,15 @@ def loss_options(name: str) -> dict:
 
 def _call(kernel: str, options: dict, p, g) -> LossEval:
     return globals()[kernel](p, g, **options)  # looked up by name on every call
+
+
+def loss_key(loss_fn):
+    """What tells a loss function's results apart: a :func:`make_loss` partial's kernel and options as given, or
+    another function itself.  Functions with equal keys score the same input with the same bits."""
+    if isinstance(loss_fn, functools.partial) and loss_fn.func is _call:
+        kernel, options = loss_fn.args
+        return kernel, tuple(sorted(options.items()))
+    return id(loss_fn)
 
 
 def make_loss(name: str, **options):

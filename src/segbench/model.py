@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .adaptive import BaseValueOutOfRange
-from .losses import Masks, _check_masks, _CheckedMasks, copy_axes, make_loss
+from .adaptive import BaseValueOutOfRange, RowParams, _compose, split_wrapped
+from .losses import LossEval, Masks, _check_masks, _CheckedMasks, copy_axes, loss_key, make_loss
 from .synthdata import _check_integers
 
 HIDDEN_CHANNELS = 8
@@ -239,9 +239,9 @@ def _by_weight(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarr
 
 def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
     """Weight gradients of (B, H, W) images x per run, summed over the images, from one pass per chunk on the same
-    taps and hidden maps. ``upstream(run, rows, p)`` is d(loss)/d(p) of ``x[rows]`` for the net's run ``run``,
-    given its output p, or None for a run that has stopped: its gradients are then left undefined. ``ws`` holds
-    the buffers."""
+    taps and hidden maps. ``upstream(runs, rows, p)`` is d(loss)/d(p) of ``x[rows]`` for a block of the net's runs,
+    the range ``runs``, given their outputs p (runs, images, H, W): one call per chunk and block. The rows of a run
+    that has stopped may hold anything: its gradients are then left undefined. ``ws`` holds the buffers."""
     n = net.runs
     b, rc, (t, d, h) = _chunk_buffers(x, n, True, ws)
     # per-image gradients: the 153 of a run and image in one row of `flat`, summed in image order at the end
@@ -256,10 +256,7 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
             at, lim = (sel, rows), (slice(len(runs)), slice(len(xs)))  # the chunk's gradients and buffers
             hb = _hidden(w1b, tb, h[lim])
             p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[1:]))  # T is still needed
-            dz2 = np.empty_like(p)
-            for i, run in enumerate(runs):
-                u = upstream(run, rows, p[i])
-                np.multiply(0.0 if u is None else u, p[i], out=dz2[i])
+            dz2 = upstream(runs, rows, p) * p
             dz2 *= 1.0 - p
             db = _stacked_taps(d[lim], dz2)
             # Each image's products are its own matmul, so a batch sums what per-image calls return.
@@ -284,7 +281,7 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict
     x = _as_batch(image)
     if not len(x):
         raise ValueError("image batch must be non-empty")
-    grads = _step(_one_run(net), x, lambda run, rows, p: _as_batch(up)[rows], [])
+    grads = _step(_one_run(net), x, lambda runs, rows, p: _as_batch(up)[rows], [])
     return grads if net.runs is not None else {k: v[0, ...] for k, v in grads.items()}
 
 
@@ -376,13 +373,37 @@ def evaluate(net: TinyNet, val_set):
     return results if net.runs is not None else results[0]
 
 
+def _shared_loss(split: list[tuple], p: np.ndarray, g) -> tuple[LossEval, dict[int, float]]:
+    """The loss of runs that share a base loss, each given as the ``(base, params)`` of :func:`split_wrapped`, on
+    their outputs p (runs, images, H, W): one value per run and image, or a scalar that stands for each. It takes
+    one call of the base and one composition, which gives each wrapped run its own parameters and each plain run
+    the identity; a lone run scores its (images, H, W) output as when it trains alone. Also returns, by row, each
+    wrapped run whose base value left [0, 1], with its first such value; the loss of its row is left undefined."""
+    base, params = split[0][0], tuple(q for _, q in split)
+    if len(split) == 1:
+        ev = base(p[0], g)
+        try:
+            return (ev if params[0] is None else _compose(ev, params[0])), {}
+        except BaseValueOutOfRange as exc:
+            return ev, {0: exc.value}
+    ev = base(p, g)
+    if all(q is None for q in params):
+        return ev, {}
+    try:
+        return _compose(ev, RowParams.of(params)), {}
+    except BaseValueOutOfRange as exc:  # those rows compose with the identity instead
+        return _compose(ev, RowParams.of(tuple(None if i in exc.rows else q for i, q in enumerate(params)))), exc.rows
+
+
 def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     """Mini-batch Adam training; per-epoch validation at threshold 0.5.
 
     ``configs`` share a seed, a batch size and an epoch count, and train side by side on one net with a run axis
     (one config on a stack of one run). Returns, per config, its record or the :class:`TrainingDiverged` it
     would raise if trained alone: a run that diverges leaves the stack, and the others go on with the bits they
-    would have alone.
+    would have alone. Each chunk and block of runs takes one finiteness check and one loss call per shared base
+    loss (:func:`losses.loss_key`): plain and wrapped runs of one base share it, and the wrapper's composition
+    gives each wrapped run its own parameters.
     """
     configs = list(configs)
     if not train_set or not val_set:
@@ -392,6 +413,8 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
     # once: every loss call on a chunk's masks then skips the scan, and the final AUC takes masks of 0 and 1 only
     _check_masks(s.mask for s in (*train_set, *val_set))
+    split = [split_wrapped(c.loss_fn) for c in configs]  # each config's base loss and wrapper parameters
+    keys = [loss_key(base) for base, _ in split]
     net = TinyNet.init(seed=seed, runs=len(configs))
     opt = AdamState(lr=np.array([c.lr for c in configs]))
     live = list(range(len(configs)))  # the config of each run the net stacks
@@ -418,29 +441,35 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
             for b_idx, start in enumerate(range(0, n, batch_size)):
                 batch = [train_set[i] for i in order[start : start + batch_size]]
                 masks = np.stack([s.mask for s in batch]).view(_CheckedMasks)
-                batch_loss = [0.0] * len(live)
+                values = np.zeros((len(live), 1 + len(batch)))  # per run: 0.0, then the batch's loss values
                 failed = {}
 
-                def upstream(r, chunk, p):  # r is the stack row
-                    if r in failed:
-                        return None
-                    # checked before the loss sees it, so plain and wrapped losses diverge the same way
-                    if not np.isfinite(p).all():
-                        failed[r] = TrainingDiverged(epoch, b_idx, "network output")
-                        return None
-                    try:
-                        ev = configs[live[r]].loss_fn(p, masks[chunk])  # one value per image; a scalar stands for each
-                    except BaseValueOutOfRange as exc:  # a wrapped base loss that is not confined to [0, 1]
-                        failed[r] = _OutsideWrapper(epoch, b_idx, f"base loss value {exc.value}")
-                        return None
-                    for value in np.broadcast_to(ev.value, len(p)).tolist():  # as Python floats, in image order
-                        batch_loss[r] += value
-                    return ev.grad / len(batch)
+                def upstream(runs, chunk, p):  # runs are the block's stack rows
+                    up, g = np.empty_like(p), masks[chunk]
+                    # checked before a loss sees it, so plain and wrapped losses diverge the same way; a sigmoid output
+                    # is NaN or in [0, 1], so a run's sum is finite exactly when its output is
+                    finite = np.isfinite(np.add.reduce(p.reshape(len(p), -1), axis=1))
+                    shared = {}  # base key -> the block rows of the live runs that score with that base
+                    for i, r in enumerate(runs):
+                        if r not in failed and not finite[i]:
+                            failed[r] = TrainingDiverged(epoch, b_idx, "network output")
+                        if r in failed:
+                            up[i] = 0.0  # a stopped run's gradients are dropped
+                        else:
+                            shared.setdefault(keys[live[r]], []).append(i)
+                    for idx in shared.values():
+                        at = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view if it can
+                        ev, outside = _shared_loss([split[live[runs[i]]] for i in idx], p[at], g)
+                        for j, value in outside.items():  # a wrapped base loss that is not confined to [0, 1]
+                            failed[runs[idx[j]]] = _OutsideWrapper(epoch, b_idx, f"base loss value {value}")
+                        values[runs.start : runs.stop, 1 + chunk.start : 1 + chunk.stop][at] = ev.value
+                        up[at] = ev.grad / len(batch)
+                    return up
 
                 grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
+                batch_loss = (_sum_images(values, 1) / len(batch)).tolist()  # each run's values added in image order
                 for r in range(len(live)):
-                    batch_loss[r] /= len(batch)
-                    if r not in failed and not np.isfinite(batch_loss[r]):  # a finite p can still give 0/0
+                    if r not in failed and not math.isfinite(batch_loss[r]):  # a finite p can still give 0/0
                         failed[r] = TrainingDiverged(epoch, b_idx, f"loss {batch_loss[r]}")
                 if failed:
                     keep = drop(failed)

@@ -223,6 +223,46 @@ class TestStackedBase:
         self._assert_as_alone(how, p, g, copies)
 
 
+class TestRowParams:
+    """Per-row parameters compose each row of a (runs, images) stack as its own scalar parameters do, bit for bit;
+    a plain run's row (None) composes with the identity."""
+
+    PARAMS = (AdaptiveLogParams(0.1, 10.0, 0.5), None, AdaptiveLogParams(0.3, 6.0, 1.0), None)
+    # rows at exactly gamma and at 0 on both branches; the plain rows hold values above 1, NaN and inf
+    X = np.array([[0.1, 0.0, 0.05, 0.7, 1.0],
+                  [0.0, 1.5, np.nan, 0.3, 7.0],
+                  [0.3, 0.0, np.nextafter(0.3, 0.0), 0.2, 1.0],
+                  [np.inf, 0.05, 0.0, 1e300, np.nan]])
+
+    def test_each_row_composes_as_alone(self):
+        grad = np.random.default_rng(3).normal(size=(*self.X.shape, 2, 3))
+        with np.errstate(all="raise"):  # the identity rows raise no numpy warning, whatever their values
+            got = adaptive._compose(LossEval(self.X, grad), adaptive.RowParams.of(self.PARAMS))
+            assert got.value.shape == self.X.shape and got.grad.shape == grad.shape
+            for i, params in enumerate(self.PARAMS):
+                want = LossEval(self.X[i], grad[i]) if params is None else adaptive._compose(
+                    LossEval(self.X[i], grad[i]), params)
+                assert got.value[i].tobytes() == want.value.tobytes()
+                assert got.grad[i].tobytes() == want.grad.tobytes()
+
+    def test_the_range_check_reports_each_wrapped_row_that_left(self):
+        x = np.array([[0.2, 1.5, 2.0], [3.0, np.nan, 0.1], [0.5, -0.25, 2.5], [0.1, 0.2, 0.3]])
+        params = (DEFAULTS, None, DEFAULTS, DEFAULTS)
+        with pytest.raises(adaptive.BaseValueOutOfRange) as exc:
+            adaptive._compose(LossEval(x, None), adaptive.RowParams.of(params))
+        assert exc.value.value == 1.5 and exc.value.rows == {0: 1.5, 2: -0.25}
+        for i, v in exc.value.rows.items():  # what each row raises alone
+            with pytest.raises(adaptive.BaseValueOutOfRange, match=f"base loss value {v} outside"):
+                adaptive._compose(LossEval(x[i], None), DEFAULTS)
+        clone = pickle.loads(pickle.dumps(exc.value))
+        assert (clone.value, clone.rows, str(clone)) == (exc.value.value, exc.value.rows, str(exc.value))
+
+    def test_split_wrapped(self):
+        base = make_loss("dice")
+        assert adaptive.split_wrapped(wrap_loss_fn(base, DEFAULTS)) == (base, DEFAULTS)
+        assert adaptive.split_wrapped(base) == (base, None)
+
+
 @pytest.mark.parametrize("name", LOSS_NAMES)
 def test_one_image_wrap_loss_fn_is_adaptive_log_wrap(name):
     fn = make_loss(name)

@@ -208,6 +208,24 @@ class TestBaseValueOutsideWrapper:
         assert rows[:2] == read_rows(alone)
         assert read_rows(tmp_path / "group_epochs.csv") == read_rows(tmp_path / "alone_epochs.csv")
 
+    def test_a_wrapped_run_fails_alone_in_a_shared_base_call(self, tmp_path):
+        # bce and bce+all share one bce call per chunk: the wrapped run leaves with what it raises alone, and the
+        # plain run's rows, whose base values go above 1, are those of a bce-only compare
+        group, alone = tmp_path / "group.csv", tmp_path / "alone.csv"
+        for losses, out in (("bce,bce+all", group), ("bce", alone)):
+            assert main(["compare", *self.FLAGS, "--seeds", "2", "--losses", losses, "--out", str(out)]) == EXIT_OK
+        rows = read_rows(group)
+        assert [(r["loss"], r["status"]) for r in rows] == [("bce", "ok")] * 3 + [("bce+all", "diverged")] * 3
+        assert rows[:3] == read_rows(alone)
+        assert read_rows(tmp_path / "group_epochs.csv") == read_rows(tmp_path / "alone_epochs.csv")
+        o = vars(build_parser().parse_args(["compare", *self.FLAGS]))
+        configs = [cli._train_config(o, "bce", wrapped) for wrapped in (False, True)]
+        halves = cli._split_dataset(o)
+        (solo,) = model.train(configs[1:], *halves)
+        plain, wrapped = model.train(configs, *halves)
+        assert isinstance(plain, model.RunRecord) and type(wrapped) is type(solo) is model._OutsideWrapper
+        assert (wrapped.epoch, wrapped.batch, str(wrapped)) == (solo.epoch, solo.batch, str(solo))
+
     def test_train_is_check_failure(self, tmp_path, capsys):
         out = str(tmp_path / "o.csv")
         assert main(["train", *self.FLAGS, "--loss", "bce", "--all-wrap", "--out", out]) == EXIT_CHECK

@@ -356,6 +356,15 @@ class TestFiniteDifference:
         fd = finite_difference_grad(soft_dice_loss, p, g, step=1e-6)
         assert np.all(np.isfinite(fd))
 
+    def test_one_mask_per_image_is_refused_before_any_loss_call(self):
+        calls = []
+        p, g = oracle_case((2, 3, 3), seed=5)
+        with pytest.raises(ValueError, match=r"takes one image and its mask, .* \(the copies form\); it does not take "
+                                             r"one mask per image \(Masks\)"):
+            finite_difference_grad(lambda pp, gg: calls.append(1) or soft_dice_loss(pp, gg), p, g.view(Masks))
+        assert calls == []
+        assert finite_difference_grad(soft_dice_loss, p[0], g[0]).shape == (3, 3)
+
     def test_bad_step(self):
         for step in (0, 0.6):  # above 0.5 neither side of a pixel at 0.5 stays in [0, 1]
             with pytest.raises(ValueError):
@@ -645,6 +654,15 @@ class TestMakeLoss:
         ref = focal_tversky_loss(P4, G4, tversky_alpha=0.4, tversky_beta=0.6, ft_gamma=2.0, smooth=0.0)
         assert ev.value == ref.value
         np.testing.assert_array_equal(ev.grad, ref.grad)
+
+    def test_loss_key(self):
+        # one selector with equal options gives one key however often it is built; another function is its own key
+        assert losses.loss_key(make_loss("tversky", tversky_alpha=0.4, smooth=0.0)) == losses.loss_key(
+            make_loss("tversky", smooth=0.0, tversky_alpha=0.4))
+        keys = [losses.loss_key(fn) for fn in (make_loss("dice"), make_loss("dice", smooth=0.0), make_loss("jaccard"),
+                                               soft_dice_loss)]
+        assert len(set(keys)) == len(keys)
+        assert losses.loss_key(soft_dice_loss) == losses.loss_key(soft_dice_loss)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import segbench.losses as losses
 import segbench.metrics as metrics
 import segbench.model as model
 from segbench.adaptive import AdaptiveLogParams, wrap_loss_fn
@@ -160,13 +161,15 @@ def _reference_train(config, train_set, val_set):
 
 
 def _loss_upstream(masks, loss_fn, values):
-    """A training step's ``upstream`` for model._step: one loss call per image, its value appended to ``values``."""
-    def upstream(run, rows, p):
+    """A training step's ``upstream`` for model._step on a one-run stack: one loss call per image of the block's one
+    run, its value appended to ``values``."""
+    def upstream(runs, rows, p):
+        assert len(runs) == len(p) == 1
         up = np.empty_like(p)
         for k, g in enumerate(masks[rows]):
-            ev = loss_fn(p[k], g)
+            ev = loss_fn(p[0, k], g)
             values.append(ev.value)
-            up[k] = ev.grad / len(masks)
+            up[0, k] = ev.grad / len(masks)
         return up
     return upstream
 
@@ -971,6 +974,16 @@ class TestSideBySide:
                    for n in ("dice", "jaccard")]
         assert all(isinstance(r, TrainingDiverged) for r in train(configs, train_set, val_set))
 
+    def test_a_wrapped_run_leaves_a_shared_base_call_alone(self):
+        # four runs share each block's bce call; at lr 10 the output saturates and the wrapped run's base value
+        # leaves [0, 1], while the plain run at lr 10 and the wrapped runs at lr 0.01 go on as they do alone
+        variants = [{"loss_fn": built("bce", params)} for params in
+                    (AdaptiveLogParams(), None, AdaptiveLogParams(), AdaptiveLogParams(gamma=0.3))]
+        solo, group = self._solo_and_group(variants, 16, 8, lrs=(10.0, 10.0, 0.01, 0.01))
+        assert [type(r) for r in solo] == [model._OutsideWrapper, RunRecord, RunRecord, RunRecord]
+        for got, want in zip(group, solo):
+            _same_record(got, want)
+
     def test_members_must_share_seed_batch_size_and_epochs(self):
         train_set, val_set = tiny_dataset(seed=12)
         base = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=7)
@@ -986,7 +999,7 @@ class TestSideBySide:
         chunks, real = [], model._hidden
         monkeypatch.setattr(model, "_hidden", lambda w1b, tb, h: chunks.append(h.shape) or real(w1b, tb, h))
         images = np.random.default_rng(3).uniform(size=(5, size, size))
-        model._step(TinyNet.init(seed=1, runs=runs), images, lambda run, rows, p: np.ones_like(p), [])
+        model._step(TinyNet.init(seed=1, runs=runs), images, lambda runs, rows, p: np.ones_like(p), [])
         for shape in chunks:
             assert np.prod(shape[:-2]) * size * size <= max(model.GROUP_PIXELS, size * size)
         assert sum(np.prod(shape[:-2]) for shape in chunks) == runs * len(images)  # each run's images, once
@@ -1010,6 +1023,28 @@ class TestSideBySide:
         assert made == list(range(6))  # train made none
         for run in range(6):
             assert [n for k, n in calls if k == run] == [8, 4] * 3  # one call per chunk of each step
+
+    @pytest.mark.parametrize("variants, want", [
+        # grid-sweep's six wrapped-dice runs: blocks of 4 and 2 runs on a batch of 8 images, one of 6 on a batch of 4
+        (GRID_VARIANTS, {"soft_dice_loss": [(4, 8, 16, 16), (2, 8, 16, 16), (6, 4, 16, 16)] * 3}),
+        # plain and wrapped dice share their base; dice and focal do not, and each calls its own as it does alone
+        ([{"loss_fn": built("dice")}, {"loss_fn": built("dice", AdaptiveLogParams())}],
+         {"soft_dice_loss": [(2, 8, 16, 16), (2, 4, 16, 16)] * 3}),
+        ([{"loss_fn": built("dice")}, {"loss_fn": built("focal")}],
+         {"soft_dice_loss": [(8, 16, 16), (4, 16, 16)] * 3, "focal_loss": [(8, 16, 16), (4, 16, 16)] * 3}),
+    ], ids=["grid", "dice+all", "dice+focal"])
+    def test_a_block_makes_one_base_call_per_shared_base(self, monkeypatch, variants, want):
+        # 12 training images in batches of 8 and 4 at 16x16, for 3 epochs; the kernels are spied on through the
+        # name make_loss's functions look up on every call
+        calls = {}
+        for kernel in ("soft_dice_loss", "focal_loss"):
+            real = getattr(losses, kernel)
+            monkeypatch.setattr(losses, kernel, lambda p, g, real=real, seen=calls.setdefault(kernel, []), **options:
+                                seen.append(np.shape(p)) or real(p, g, **options))
+        train_set, val_set = tiny_dataset(seed=11)
+        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in variants]
+        assert all(isinstance(r, RunRecord) for r in train(configs, train_set, val_set))
+        assert {k: v for k, v in calls.items() if v} == want
 
 
 def _raise_diverged(epoch):
