@@ -295,8 +295,8 @@ def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int) -> lis
     if o["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
     halves = _split_dataset(o)  # variants differ only in loss and wrapper parameters: one dataset serves all
-    # run seed depends on the run index only, so variants are seed-paired and a
-    # swept parameter with no effective influence reproduces bit-identical runs
+    # run seed depends on the run index only, so variants are seed-paired; runs whose swept parameter has no
+    # effective influence take bit-identical steps, and train once, on one shared row of their group's stack
     seeded = [[dataclasses.replace(config, seed=_derive_seed(o["seed"], ri)) for config in variants]
               for ri in range(n_seeds)]
     groups = [(ri, list(range(len(variants)))) for ri in range(n_seeds)]  # (seed index, variant indices)

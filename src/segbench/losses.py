@@ -50,12 +50,12 @@ class LossEval:
     a function, which runs on the first read of ``.grad``; that read keeps the
     array, so later reads return the same object.  The function works on the
     arrays passed to the call, so a caller must not modify ``p`` or ``g`` in
-    place before reading ``.grad``.
+    place before reading ``.grad``.  A wrapped loss also carries its ``slope``,
+    d(value)/d(base value) per value (see :func:`adaptive._compose`); None elsewhere.
     """
 
-    def __init__(self, value: float | np.ndarray, grad):
-        self.value = value
-        self._grad = grad
+    def __init__(self, value: float | np.ndarray, grad, slope=None):
+        self.value, self._grad, self.slope = value, grad, slope
 
     @property
     def grad(self) -> np.ndarray:
@@ -272,8 +272,9 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     or a scalar, which stands for every copy.  Only ``.value`` is read, so
     the copies' gradients are never built.
 
-    ``p`` is one image and ``g`` its mask; a :class:`Masks` ``g`` (one mask
-    per image) raises ValueError before any loss call.
+    ``p`` is one image and ``g`` its mask; copies of ``p`` over one mask, or
+    a :class:`Masks` ``g`` (one mask per image), raise ValueError before any
+    loss call.
 
     ``loss_fn`` must score the copies it is given: one buffer, rewritten in
     place, holds every block.  The first block holds every pixel of ``p``,
@@ -283,9 +284,10 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     """
     if not (0 < step <= 0.5):
         raise ValueError("step must be in (0, 0.5]")  # above 0.5 neither side may stay in [0, 1]
-    if isinstance(g, Masks):  # a loss would return one value per copy and image, where one per copy fits
+    if isinstance(g, Masks) or np.ndim(p) > np.ndim(g):  # a loss would return several values per copy, not one
         raise ValueError("finite_difference_grad takes one image and its mask, and scores the image's perturbed "
-                         "copies over that mask (the copies form); it does not take one mask per image (Masks)")
+                         "copies over that mask (the copies form); it does not take one mask per image (Masks) or "
+                         "copies of p over one mask")
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
     n = flat.size

@@ -109,7 +109,7 @@ def _shifts(hgt: int, wid: int) -> tuple:
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows: the argument is at most 0
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+    return np.divide(np.maximum(e, z >= 0), 1.0 + e, out=out)  # 1 where z >= 0, as e <= 1; NaN passes through
 
 
 def _as_batch(image) -> np.ndarray:
@@ -354,45 +354,59 @@ class RunRecord:
     val_masks: list[np.ndarray] = field(default_factory=list)
 
 
-def evaluate(net: TinyNet, val_set):
+def evaluate(net: TinyNet, val_set, runs=None):
     """Macro-averaged :data:`metrics.SCORES` at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC
-    inputs. For a net with a run axis, a list of them, one per run: each run of same-shaped images takes one forward
-    pass and one confusion count for every run. A net without one runs as a one-run stack and gets its one item."""
+    inputs. For a net with a run axis, a list of them, one per item of ``runs`` (by default each run once, in order),
+    each scoring that run of the stack: each run of same-shaped images takes one forward pass and one confusion count
+    for every run, and each run's counts are scored once per item that names it. A net without one runs as a one-run
+    stack and gets its one item."""
     if not val_set:
         raise ValueError("validation set must be non-empty")
     bad = next((s for s in val_set if np.shape(s.mask) != np.shape(s.image)), None)
     if bad is not None:
         raise ValueError(f"shape mismatch: {np.shape(bad.image)} vs {np.shape(bad.mask)}")
     stack = _one_run(net)
+    runs = list(range(stack.runs) if runs is None else runs)
     groups = [list(group) for _, group in itertools.groupby(val_set, key=lambda s: np.shape(s.image))]
     maps = [forward(stack, np.stack([s.image for s in group])) for group in groups]
     counts = [metrics.confusion(m, np.stack([s.mask for s in group]).view(Masks)) for m, group in zip(maps, groups)]
-    per_image = metrics.ConfusionCounts(*(np.concatenate(f, axis=-1) for f in zip(*(vars(k).values() for k in counts))))
-    means = {k: np.mean(v, axis=-1).tolist() for k, v in metrics.scores(per_image).items()}  # per run
-    results = [({k: v[r] for k, v in means.items()}, [p for m in maps for p in m[r]]) for r in range(stack.runs)]
+    per_image = metrics.ConfusionCounts(*(np.concatenate(f, axis=-1)[runs]
+                                          for f in zip(*(vars(k).values() for k in counts))))
+    means = {k: np.mean(v, axis=-1).tolist() for k, v in metrics.scores(per_image).items()}  # per item
+    results = [({k: v[i] for k, v in means.items()}, [p for m in maps for p in m[r]]) for i, r in enumerate(runs)]
     return results if net.runs is not None else results[0]
 
 
-def _shared_loss(split: list[tuple], p: np.ndarray, g) -> tuple[LossEval, dict[int, float]]:
-    """The loss of runs that share a base loss, each given as the ``(base, params)`` of :func:`split_wrapped`, on
-    their outputs p (runs, images, H, W): one value per run and image, or a scalar that stands for each. It takes
-    one call of the base and one composition, which gives each wrapped run its own parameters and each plain run
-    the identity; a lone run scores its (images, H, W) output as when it trains alone. Also returns, by row, each
-    wrapped run whose base value left [0, 1], with its first such value; the loss of its row is left undefined."""
+def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g) -> tuple:
+    """The loss of runs that share a base loss, on the outputs p (rows, images, H, W) of their stack rows: per run,
+    in row order, its ``(base, params)`` of :func:`split_wrapped` and its row of p. One call of the base (on ``p[0]``
+    for one row, as a run alone makes it) and one composition give each wrapped run its values and slopes, and each
+    plain run the identity's (slope 1). Returns the runs' values (runs, images), or a scalar that stands for each;
+    p's upstream gradient, each row's through the slope of its first run; by run, each wrapped run whose base value
+    left [0, 1], with its first such value, which leaves the other runs; and by row, when its runs' slopes differ,
+    its runs of each slope in turn: the row's gradient is then left undefined."""
     base, params = split[0][0], tuple(q for _, q in split)
-    if len(split) == 1:
-        ev = base(p[0], g)
-        try:
-            return (ev if params[0] is None else _compose(ev, params[0])), {}
-        except BaseValueOutOfRange as exc:
-            return ev, {0: exc.value}
-    ev = base(p, g)
+    ev = base(p[0], g) if len(p) == 1 else base(p, g)
+    value = ev.value if len(p) == 1 or np.ndim(ev.value) == 0 else ev.value[rows]
     if all(q is None for q in params):
-        return ev, {}
+        return value, ev.grad, {}, {}
+    own = len(rows) == len(p)  # one run per row: the runs' composition is the rows'
+    scored = ev if own else LossEval(value, None)  # whose gradient, one per run, is never read
     try:
-        return _compose(ev, RowParams.of(params)), {}
-    except BaseValueOutOfRange as exc:  # those rows compose with the identity instead
-        return _compose(ev, RowParams.of(tuple(None if i in exc.rows else q for i, q in enumerate(params)))), exc.rows
+        outside, runs = {}, _compose(scored, RowParams.of(params))
+    except BaseValueOutOfRange as exc:  # those runs compose with the identity instead
+        outside = exc.rows
+        runs = _compose(scored, RowParams.of(tuple(q if i not in outside else None for i, q in enumerate(params))))
+    if own:
+        return runs.value, runs.grad, outside, {}
+    slopes = {}  # row -> slope bytes -> the runs in range with that slope
+    for i, j in enumerate(rows):
+        if i not in outside:
+            slopes.setdefault(j, {}).setdefault(runs.slope[i].tobytes(), []).append(i)
+    first = tuple(params[next(iter(slopes[j].values()))[0]] if j in slopes else None for j in range(len(p)))
+    if any(q is not None for q in first):
+        ev = _compose(ev, RowParams.of(first))
+    return runs.value, ev.grad, outside, {j: list(c.values()) for j, c in slopes.items() if len(c) > 1}
 
 
 def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
@@ -401,9 +415,11 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     ``configs`` share a seed, a batch size and an epoch count, and train side by side on one net with a run axis
     (one config on a stack of one run). Returns, per config, its record or the :class:`TrainingDiverged` it
     would raise if trained alone: a run that diverges leaves the stack, and the others go on with the bits they
-    would have alone. Each chunk and block of runs takes one finiteness check and one loss call per shared base
-    loss (:func:`losses.loss_key`): plain and wrapped runs of one base share it, and the wrapper's composition
-    gives each wrapped run its own parameters.
+    would have alone. Configs that share an ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of
+    the stack, which trains their one trajectory while their upstream gradients are equal, that is while their
+    wrapper slopes are equal on every image (a plain run's slope is 1, as is the linear branch's). A step where
+    they differ is rerun with the row copied once per slope. Each chunk and block of rows takes one finiteness check and one loss call per
+    shared base loss, and the wrapper's composition gives each wrapped run its own parameters.
     """
     configs = list(configs)
     if not train_set or not val_set:
@@ -415,21 +431,56 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     _check_masks(s.mask for s in (*train_set, *val_set))
     split = [split_wrapped(c.loss_fn) for c in configs]  # each config's base loss and wrapper parameters
     keys = [loss_key(base) for base, _ in split]
-    net = TinyNet.init(seed=seed, runs=len(configs))
-    opt = AdamState(lr=np.array([c.lr for c in configs]))
-    live = list(range(len(configs)))  # the config of each run the net stacks
+    members = {}  # the configs of each row the net stacks, in config order
+    for c, (config, key) in enumerate(zip(configs, keys)):
+        members.setdefault((config.lr, key), []).append(c)
+    members = list(members.values())
+    net = TinyNet.init(seed=seed, runs=len(members))
+    opt = AdamState(lr=np.array([configs[ms[0]].lr for ms in members]))
     out: list = [None] * len(configs)
-    rows = [[] for _ in configs]
+    epoch_rows = [[] for _ in configs]
+
+    def restack(rows: list[tuple[int, list[int]]]) -> list[int]:
+        """Stack, per ``(row, configs)`` of ``rows``, a copy of that row with those configs; returns the rows."""
+        index = [r for r, _ in rows]
+        members[:] = [ms for _, ms in rows]
+        net.params, opt.lr = {k: v[index] for k, v in net.params.items()}, opt.lr[index]
+        opt.m, opt.v = (None, None) if opt.m is None else (opt.m[index], opt.v[index])
+        return index
 
     def drop(failed: dict[int, TrainingDiverged]) -> list[int]:
-        """Record the failed runs and take them off the stack; returns the stack rows kept."""
-        keep = [r for r in range(len(live)) if r not in failed]
-        for r, exc in failed.items():
-            out[live[r]] = exc
-        live[:] = [live[r] for r in keep]
-        net.params, opt.lr = {k: v[keep] for k, v in net.params.items()}, opt.lr[keep]
-        opt.m, opt.v = (None, None) if opt.m is None else (opt.m[keep], opt.v[keep])
-        return keep
+        """Record the failed configs and take them off the stack; returns the stack rows kept."""
+        for c, exc in failed.items():
+            out[c] = exc
+        kept = [(r, [c for c in ms if c not in failed]) for r, ms in enumerate(members)]
+        return restack([(r, ms) for r, ms in kept if ms])
+
+    def upstream(runs, chunk, p):  # runs are the block's stack rows
+        up, g = np.empty_like(p), masks[chunk]
+        # checked before a loss sees it, so plain and wrapped losses diverge the same way; a sigmoid output is NaN
+        # or in [0, 1], so a row's sum is finite exactly when its output is
+        finite = np.isfinite(np.add.reduce(p.reshape(len(p), -1), axis=1))
+        shared = {}  # base key -> the block rows of the rows that have a live config
+        for i, r in enumerate(runs):
+            for c in members[r] if not finite[i] else ():
+                failed.setdefault(c, TrainingDiverged(epoch, b_idx, "network output"))
+            if all(c in failed for c in members[r]):
+                up[i] = 0.0  # a stopped row's gradients are dropped
+            else:
+                shared.setdefault(keys[members[r][0]], []).append(i)
+        for idx in shared.values():
+            at = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view if it can
+            cs, at_rows = zip(*((c, j) for j, i in enumerate(idx) for c in members[runs[i]] if c not in failed))
+            value, grad, outside, slopes = _shared_loss([split[c] for c in cs], list(at_rows), p[at], g)
+            for k, v in outside.items():  # a wrapped base loss that is not confined to [0, 1]
+                failed[cs[k]] = _OutsideWrapper(epoch, b_idx, f"base loss value {v}")
+            for j, classes in slopes.items():  # the first part takes the row's failed configs too
+                r, parts = runs[idx[j]], [[cs[k] for k in ks] for ks in classes]
+                rest = set(itertools.chain(*parts[1:]))
+                splits.setdefault(r, [[c for c in members[r] if c not in rest], *parts[1:]])
+            values[list(cs), 1 + chunk.start : 1 + chunk.stop] = value
+            up[at] = grad / len(batch)
+        return up
 
     n = len(train_set)
     ws = []  # the step's chunk buffers: allocated at the first (largest) batch, reused by every step of this call
@@ -441,61 +492,42 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
             for b_idx, start in enumerate(range(0, n, batch_size)):
                 batch = [train_set[i] for i in order[start : start + batch_size]]
                 masks = np.stack([s.mask for s in batch]).view(_CheckedMasks)
-                values = np.zeros((len(live), 1 + len(batch)))  # per run: 0.0, then the batch's loss values
-                failed = {}
-
-                def upstream(runs, chunk, p):  # runs are the block's stack rows
-                    up, g = np.empty_like(p), masks[chunk]
-                    # checked before a loss sees it, so plain and wrapped losses diverge the same way; a sigmoid output
-                    # is NaN or in [0, 1], so a run's sum is finite exactly when its output is
-                    finite = np.isfinite(np.add.reduce(p.reshape(len(p), -1), axis=1))
-                    shared = {}  # base key -> the block rows of the live runs that score with that base
-                    for i, r in enumerate(runs):
-                        if r not in failed and not finite[i]:
-                            failed[r] = TrainingDiverged(epoch, b_idx, "network output")
-                        if r in failed:
-                            up[i] = 0.0  # a stopped run's gradients are dropped
-                        else:
-                            shared.setdefault(keys[live[r]], []).append(i)
-                    for idx in shared.values():
-                        at = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view if it can
-                        ev, outside = _shared_loss([split[live[runs[i]]] for i in idx], p[at], g)
-                        for j, value in outside.items():  # a wrapped base loss that is not confined to [0, 1]
-                            failed[runs[idx[j]]] = _OutsideWrapper(epoch, b_idx, f"base loss value {value}")
-                        values[runs.start : runs.stop, 1 + chunk.start : 1 + chunk.stop][at] = ev.value
-                        up[at] = ev.grad / len(batch)
-                    return up
-
-                grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
-                batch_loss = (_sum_images(values, 1) / len(batch)).tolist()  # each run's values added in image order
-                for r in range(len(live)):
-                    if r not in failed and not math.isfinite(batch_loss[r]):  # a finite p can still give 0/0
-                        failed[r] = TrainingDiverged(epoch, b_idx, f"loss {batch_loss[r]}")
+                while True:  # a step where a row's configs part is rerun, with one row more at least
+                    values = np.zeros((len(configs), 1 + len(batch)))  # per config: 0.0, then the batch's loss values
+                    failed, splits = {}, {}  # by config; by row, its configs of each slope
+                    grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
+                    if not splits:
+                        break
+                    restack([(r, part) for r, ms in enumerate(members) for part in splits.get(r, [ms])])
+                batch_loss = (_sum_images(values, 1) / len(batch)).tolist()  # each config's values in image order
+                for c in itertools.chain(*members):
+                    if c not in failed and not math.isfinite(batch_loss[c]):  # a finite p can still give 0/0
+                        failed[c] = TrainingDiverged(epoch, b_idx, f"loss {batch_loss[c]}")
                 if failed:
                     keep = drop(failed)
-                    if not live:
+                    if not members:
                         return out
                     grads = {k: v[keep] for k, v in grads.items()}
-                    batch_loss = [batch_loss[r] for r in keep]
                 adam_step(opt, net.params, grads)
-                for c, value in zip(live, batch_loss):
-                    epoch_losses[c].append(value)
-            results = dict(zip(live, evaluate(net, val_set)))
-        failed = {r: TrainingDiverged(epoch, b_idx, "validation output") for r, c in enumerate(live)
-                  if not all(np.isfinite(p).all() for p in results[c][1])}  # the epoch's last step diverged
+                for c in itertools.chain(*members):
+                    epoch_losses[c].append(batch_loss[c])
+            row_of = {c: r for r, ms in enumerate(members) for c in ms}
+            results = dict(zip(sorted(row_of), evaluate(net, val_set, [row_of[c] for c in sorted(row_of)])))
+        failed = {c: TrainingDiverged(epoch, b_idx, "validation output") for ms in members
+                  if not all(np.isfinite(p).all() for p in results[ms[0]][1]) for c in ms}  # the last step diverged
         if failed:
             drop(failed)
-            if not live:
+            if not members:
                 return out
-        for c in live:
+        for c in itertools.chain(*members):
             means = {f"val_{k}": v for k, v in results[c][0].items()}
-            rows[c].append(EpochRow(epoch, float(np.mean(epoch_losses[c])), **means))
+            epoch_rows[c].append(EpochRow(epoch, float(np.mean(epoch_losses[c])), **means))
     masks = [s.mask for s in val_set]
-    for c in live:
-        preds = results[c][1]
-        try:
-            auc = metrics.roc_auc(preds, masks).auc
+    for ms in members:
+        try:  # once per row: its configs have the same predictions
+            auc = metrics.roc_auc(results[ms[0]][1], masks).auc
         except metrics.UndefinedAUC:
             auc = float("nan")
-        out[c] = RunRecord(epochs=rows[c], final_auc=auc, val_preds=preds, val_masks=masks)
+        for c in ms:
+            out[c] = RunRecord(epochs=epoch_rows[c], final_auc=auc, val_preds=results[c][1], val_masks=masks)
     return out

@@ -321,6 +321,9 @@ class TestJobs:
         ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2", *DIVERGING_LR],
         # one seed group: two workers split it
         ["compare", "--losses", "dice,all,focal", "--seeds", "1"],
+        # dice and all share a row until its second step, where a base value falls below gamma 0.68; two workers
+        # split the group, so nothing is shared there
+        ["compare", "--losses", "dice,all", "--seeds", "1", "--gamma", "0.68"],
     ])
     def test_jobs_do_not_change_results(self, tmp_path, args):
         outputs = []

@@ -365,6 +365,16 @@ class TestFiniteDifference:
         assert calls == []
         assert finite_difference_grad(soft_dice_loss, p[0], g[0]).shape == (3, 3)
 
+    def test_copies_over_one_mask_are_refused_before_any_loss_call(self):
+        # p of (2, 3, 3) over a (3, 3) mask would make each block's loss return (2, k, 2) values, not (2, k)
+        calls = []
+        p, g = oracle_case((2, 3, 3), seed=5)
+        for mask in (g[0], g.view(Masks)):
+            with pytest.raises(ValueError, match=r"takes one image and its mask, .* \(the copies form\); it does not "
+                                                 r"take one mask per image \(Masks\) or copies of p over one mask"):
+                finite_difference_grad(lambda pp, gg: calls.append(1) or soft_dice_loss(pp, gg), p, mask)
+        assert calls == []
+
     def test_bad_step(self):
         for step in (0, 0.6):  # above 0.5 neither side of a pixel at 0.5 stays in [0, 1]
             with pytest.raises(ValueError):

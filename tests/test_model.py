@@ -15,7 +15,7 @@ import pytest
 import segbench.losses as losses
 import segbench.metrics as metrics
 import segbench.model as model
-from segbench.adaptive import AdaptiveLogParams, wrap_loss_fn
+from segbench.adaptive import AdaptiveLogParams, split_wrapped, wrap_loss_fn
 from segbench.cli import EXIT_OK, main
 from segbench.losses import LOSS_NAMES, LossEval, make_loss
 from segbench.model import (AdamState, EpochRow, RunRecord, TinyNet, TrainConfig, TrainingDiverged, adam_step,
@@ -262,6 +262,14 @@ class TestForward:
         got = backward(net, img, up)
         for k in want:
             _same_bytes(got[k], want[k])
+
+    def test_sigmoid_bytes_equal_the_where_form(self):
+        # the numerator max(e, z >= 0) is np.where(z >= 0, 1.0, e): e <= 1, and a NaN passes through
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan,
+                          5e-324, -5e-324, 2.2e-308, -2.2e-308])
+        for z in (edges, np.random.default_rng(14).normal(scale=30.0, size=(2, 2, 48, 48))):
+            e = np.exp(-np.abs(z))
+            assert model._sigmoid(z).tobytes() == (np.where(z >= 0, 1.0, e) / (1.0 + e)).tobytes()
 
     def test_sigmoid_bytes_equal_masked_form(self):
         edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf, 5e-324, -5e-324])
@@ -541,6 +549,24 @@ class TestEvaluate:
             assert list(means) == list(want_means)
             assert [v.hex() for v in means.values()] == [v.hex() for v in want_means.values()]
             assert [(p.shape, p.tobytes()) for p in preds] == [(p.shape, p.tobytes()) for p in want_preds]
+
+    def test_runs_name_the_row_each_result_scores(self, caplog):
+        # a row named twice is forwarded and counted once, and each result scores it with its own warnings
+        val_set = _random_samples(np.random.default_rng(22), [(16, 16)] * 3)
+        stack = TinyNet.init(seed=16, runs=2)
+        stack.params["b2"][:] = [-50.0, 0.0]  # row 0 predicts nothing above the threshold
+        caplog.set_level("WARNING", logger="segbench.metrics")
+        want = []
+        for r in (1, 0, 0):
+            caplog.clear()
+            alone = evaluate(TinyNet({k: v[r] for k, v in stack.params.items()}), val_set)
+            want.append((alone, [m.getMessage() for m in caplog.records]))
+        caplog.clear()
+        got = evaluate(stack, val_set, [1, 0, 0])
+        assert [m.getMessage() for m in caplog.records] == [m for _, log in want for m in log] != []
+        for (means, preds), ((want_means, want_preds), _) in zip(got, want, strict=True):
+            assert [v.hex() for v in means.values()] == [v.hex() for v in want_means.values()]
+            assert [p.tobytes() for p in preds] == [p.tobytes() for p in want_preds]
 
     def test_mask_of_another_shape_rejected(self):
         val_set = _random_samples(np.random.default_rng(22), [(16, 16)] * 3)
@@ -1025,14 +1051,20 @@ class TestSideBySide:
             assert [n for k, n in calls if k == run] == [8, 4] * 3  # one call per chunk of each step
 
     @pytest.mark.parametrize("variants, want", [
-        # grid-sweep's six wrapped-dice runs: blocks of 4 and 2 runs on a batch of 8 images, one of 6 on a batch of 4
-        (GRID_VARIANTS, {"soft_dice_loss": [(4, 8, 16, 16), (2, 8, 16, 16), (6, 4, 16, 16)] * 3}),
-        # plain and wrapped dice share their base; dice and focal do not, and each calls its own as it does alone
+        # grid-sweep's six wrapped-dice runs stay in the linear branch, so they train on one row: one call of the
+        # row's (images, H, W) output per chunk, on a batch of 8 images and then of 4
+        (GRID_VARIANTS, {"soft_dice_loss": [(8, 16, 16), (4, 16, 16)] * 3}),
+        # plain and wrapped dice share their base, and here their row too; dice and focal do not, and each calls its
+        # own as it does alone
         ([{"loss_fn": built("dice")}, {"loss_fn": built("dice", AdaptiveLogParams())}],
-         {"soft_dice_loss": [(2, 8, 16, 16), (2, 4, 16, 16)] * 3}),
+         {"soft_dice_loss": [(8, 16, 16), (4, 16, 16)] * 3}),
         ([{"loss_fn": built("dice")}, {"loss_fn": built("focal")}],
          {"soft_dice_loss": [(8, 16, 16), (4, 16, 16)] * 3, "focal_loss": [(8, 16, 16), (4, 16, 16)] * 3}),
-    ], ids=["grid", "dice+all", "dice+focal"])
+        # at gamma 0.99 the wrapped run's slope exceeds 1 on the first chunk: the row's call, then the rerun's
+        # stacked call on the two rows it split into
+        ([{"loss_fn": built("dice")}, _wrapped("dice", gamma=0.99)],
+         {"soft_dice_loss": [(8, 16, 16), (2, 8, 16, 16), (2, 4, 16, 16)] + [(2, 8, 16, 16), (2, 4, 16, 16)] * 2}),
+    ], ids=["grid", "dice+all", "dice+focal", "dice+split"])
     def test_a_block_makes_one_base_call_per_shared_base(self, monkeypatch, variants, want):
         # 12 training images in batches of 8 and 4 at 16x16, for 3 epochs; the kernels are spied on through the
         # name make_loss's functions look up on every call
@@ -1045,6 +1077,55 @@ class TestSideBySide:
         configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in variants]
         assert all(isinstance(r, RunRecord) for r in train(configs, train_set, val_set))
         assert {k: v for k, v in calls.items() if v} == want
+
+
+    @staticmethod
+    def _rows_per_step(monkeypatch, variants):
+        """The stack rows of each ``_step`` call of one train call at grid-sweep's shape, and its records."""
+        seen, real = [], model._step
+        monkeypatch.setattr(model, "_step", lambda net, *args: seen.append(net.runs) or real(net, *args))
+        train_set, val_set = tiny_dataset(seed=11)
+        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in variants]
+        records = train(configs, train_set, val_set)
+        monkeypatch.setattr(model, "_step", real)
+        for got, config in zip(records, configs):
+            _same_record(got, train_alone(config, train_set, val_set))
+        return seen
+
+    def test_grid_cells_at_one_lr_train_on_one_row(self, monkeypatch):
+        # every base value stays above gamma, so each cell's slope is 1, as a plain run's: one trajectory
+        assert self._rows_per_step(monkeypatch, GRID_VARIANTS) == [1] * 6  # batches of 8 and 4, three epochs
+
+    def test_a_row_splits_where_the_slopes_differ(self, monkeypatch):
+        # below gamma 0.99 from the first chunk on, the wrapped run's slope exceeds 1: that step is rerun on two rows
+        seen = self._rows_per_step(monkeypatch, [{"loss_fn": built("dice")}, _wrapped("dice", gamma=0.99)])
+        assert seen == [1] + [2] * 6
+
+    def test_shared_rows_change_no_record_or_warning(self, monkeypatch, caplog):
+        # a duplicate, a wrapped run that leaves the row at its third step (gamma 0.87), one that stays (gamma 0.1)
+        # and one at another lr; then each loss behind a function of its own, whose loss_key no config shares
+        variants = [{"loss_fn": built("dice")}, {"loss_fn": built("dice")}, _wrapped("dice", gamma=0.87),
+                    _wrapped("dice", omega=6.0), {"loss_fn": built("dice")}, {"loss_fn": built("focal")}]
+
+        def opaque(loss_fn):
+            base, params = split_wrapped(loss_fn)
+            fn = lambda p, g: base(p, g)  # noqa: E731
+            return fn if params is None else wrap_loss_fn(fn, params)
+
+        train_set, val_set = tiny_dataset(fg=0.05, seed=11)
+        seen, real, got = [], model._step, []
+        monkeypatch.setattr(model, "_step", lambda net, *args: seen.append(net.runs) or real(net, *args))
+        caplog.set_level("WARNING", logger="segbench.metrics")
+        for wrap in (lambda fn: fn, opaque):
+            caplog.clear()
+            configs = [TrainConfig(lr=0.02 if i == 4 else 0.01, batch_size=8, max_epochs=3, seed=0,
+                                   loss_fn=wrap(v["loss_fn"])) for i, v in enumerate(variants)]
+            got.append((train(configs, train_set, val_set), [r.getMessage() for r in caplog.records]))
+        # rows of dice at 0.01 with both wrapped runs, of dice at 0.02 and of focal; the third step is rerun
+        assert seen == [3, 3, 3] + [4] * 4 + [6] * 6
+        assert got[0][1] == got[1][1] and got[0][1]
+        for shared, alone in zip(got[0][0], got[1][0]):
+            _same_record(shared, alone)
 
 
 def _raise_diverged(epoch):
