@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import LossEval
+from .losses import LossEval, copy_axes
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,7 @@ def derivative_jump(params: AdaptiveLogParams = DEFAULT_PARAMS) -> float:
 
 def _compose(base: LossEval, params: AdaptiveLogParams | RowParams) -> LossEval:
     value, slope = _branches(base.value, params)
-    # the slope's axes are the rows' and then the base value's: the gradient adds each value's pixel axes
-    return LossEval(value, lambda: np.reshape(slope, np.shape(slope) + (1,) * (base.grad.ndim - np.ndim(base.value)))
-                    * base.grad, slope)
+    return LossEval(value, lambda: copy_axes(slope, base.grad) * base.grad, slope)
 
 
 def adaptive_log_wrap(base: LossEval, params: AdaptiveLogParams = DEFAULT_PARAMS) -> LossEval:

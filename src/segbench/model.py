@@ -390,22 +390,19 @@ def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g) -> tuple
     value = ev.value if len(p) == 1 or np.ndim(ev.value) == 0 else ev.value[rows]
     if all(q is None for q in params):
         return value, ev.grad, {}, {}
-    own = len(rows) == len(p)  # one run per row: the runs' composition is the rows'
-    scored = ev if own else LossEval(value, None)  # whose gradient, one per run, is never read
+    scored = LossEval(value, None)  # whose gradient, one per run, is never read
     try:
         outside, runs = {}, _compose(scored, RowParams.of(params))
     except BaseValueOutOfRange as exc:  # those runs compose with the identity instead
         outside = exc.rows
         runs = _compose(scored, RowParams.of(tuple(q if i not in outside else None for i, q in enumerate(params))))
-    if own:
-        return runs.value, runs.grad, outside, {}
     slopes = {}  # row -> slope bytes -> the runs in range with that slope
     for i, j in enumerate(rows):
         if i not in outside:
             slopes.setdefault(j, {}).setdefault(runs.slope[i].tobytes(), []).append(i)
     first = tuple(params[next(iter(slopes[j].values()))[0]] if j in slopes else None for j in range(len(p)))
-    if any(q is not None for q in first):
-        ev = _compose(ev, RowParams.of(first))
+    if any(q is not None for q in first):  # one row's value has no row axis, so it takes its run's parameters
+        ev = _compose(ev, first[0] if len(p) == 1 else RowParams.of(first))
     return runs.value, ev.grad, outside, {j: list(c.values()) for j, c in slopes.items() if len(c) > 1}
 
 
@@ -418,8 +415,9 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     would have alone. Configs that share an ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of
     the stack, which trains their one trajectory while their upstream gradients are equal, that is while their
     wrapper slopes are equal on every image (a plain run's slope is 1, as is the linear branch's). A step where
-    they differ is rerun with the row copied once per slope. Each chunk and block of rows takes one finiteness check and one loss call per
-    shared base loss, and the wrapper's composition gives each wrapped run its own parameters.
+    they differ is rerun with the row copied once per slope. Each chunk and block of rows takes one finiteness
+    check and one loss call per shared base loss, and the wrapper's composition gives each wrapped run its own
+    parameters.
     """
     configs = list(configs)
     if not train_set or not val_set:

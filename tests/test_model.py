@@ -921,6 +921,11 @@ def _wrapped(loss, **params):
     return {"loss_fn": built(loss, AdaptiveLogParams(**params))}
 
 
+def _scalar_dice(p, g):
+    """Dice's gradient with one value that stands for every image and row, as a stacked call may return."""
+    return LossEval(0.5, make_loss("dice")(p, g).grad)
+
+
 # grid cells: one loss, wrapped with each (gamma, omega, epsilon)
 GRID_VARIANTS = [_wrapped("dice", gamma=0.1, omega=w, epsilon=e) for w in (6.0, 10.0, 14.0) for e in (0.3, 1.0)]
 # compare's selectors jaccard, dice, focal, combo, focal-tversky and all (wrapped dice)
@@ -1096,9 +1101,12 @@ class TestSideBySide:
         # every base value stays above gamma, so each cell's slope is 1, as a plain run's: one trajectory
         assert self._rows_per_step(monkeypatch, GRID_VARIANTS) == [1] * 6  # batches of 8 and 4, three epochs
 
-    def test_a_row_splits_where_the_slopes_differ(self, monkeypatch):
-        # below gamma 0.99 from the first chunk on, the wrapped run's slope exceeds 1: that step is rerun on two rows
-        seen = self._rows_per_step(monkeypatch, [{"loss_fn": built("dice")}, _wrapped("dice", gamma=0.99)])
+    @pytest.mark.parametrize("base", [make_loss("dice"), _scalar_dice], ids=["dice", "scalar"])
+    def test_a_row_splits_where_the_slopes_differ(self, monkeypatch, base):
+        # below gamma 0.99 from the first chunk on, the wrapped run's slope exceeds 1: that step is rerun on two rows,
+        # whose stacked call the plain and the wrapped run share
+        seen = self._rows_per_step(monkeypatch, [{"loss_fn": base},
+                                                 {"loss_fn": wrap_loss_fn(base, AdaptiveLogParams(gamma=0.99))}])
         assert seen == [1] + [2] * 6
 
     def test_shared_rows_change_no_record_or_warning(self, monkeypatch, caplog):

@@ -104,9 +104,9 @@ def groups(draw):
     size and epoch count, and training and validation images, of mixed shapes only in batches of one. In about half
     the groups every run has one base selector, so its runs share one base call per block; there a wrapped BCE,
     focal or combo run, whose base value is not confined to [0, 1], can leave the group (at lr 10 its output
-    saturates) while its plain and wrapped partners go on. Runs draw from at most two rates, so runs of one base
-    and rate share a stack row, and some runs repeat an earlier config; a wrapper cell's gamma goes up to 0.99, so
-    a wrapped run and a plain one of its base part at the first chunk, at a later one or not at all."""
+    saturates) while its plain and wrapped partners go on. About half the runs take an earlier run's rate, so runs
+    of one base and rate share a stack row, and some runs repeat an earlier config; a wrapper cell's gamma goes up to
+    0.99, so a wrapped run and a plain one of its base part at the first chunk, at a later one or not at all."""
     configs, seed, epochs = [], draw(st.integers(0, 3)), draw(st.integers(1, 2))
     n_train, n_val = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     if draw(st.booleans()):
@@ -114,12 +114,14 @@ def groups(draw):
     else:
         shapes, batch_size = [draw(IMAGE_SHAPES)] * (n_train + n_val), draw(st.integers(1, n_train + 1))
     shared = draw(st.sampled_from(LOSS_NAMES)) if draw(st.booleans()) else None  # the group's one base selector
-    lrs = draw(st.lists(st.one_of(st.sampled_from([1e300, 10.0]), st.floats(1e-3, 0.1)), min_size=1, max_size=2))
     for _ in range(draw(st.integers(1, 4))):
         if configs and draw(st.integers(0, 3)) == 0:  # a duplicate
             configs.append(draw(st.sampled_from(configs)))
             continue
-        lr = draw(st.sampled_from(lrs))
+        if configs and draw(st.booleans()):  # an earlier run's rate, so runs of one base can share a row
+            lr = draw(st.sampled_from([c.lr for c in configs]))
+        else:
+            lr = draw(st.one_of(st.sampled_from([1e300, 10.0]), st.floats(1e-3, 0.1)))
         if draw(st.booleans()):  # a wrapper cell; outside a shared group, on a loss whose value lies in [0, 1]
             cell = AdaptiveLogParams(gamma=draw(st.floats(0.05, 0.99)), omega=draw(st.floats(1.0, 20.0)),
                                      epsilon=draw(st.floats(0.1, 2.0)))
