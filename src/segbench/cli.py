@@ -279,42 +279,43 @@ def _run_row(run_idx: int, rec: model.RunRecord | model.TrainingDiverged) -> dic
 
 
 def _matrix_worker(args) -> list[dict]:
-    configs, run_idx, halves = args
+    pairs, configs, halves = args
     for s in (*halves[0], *halves[1]):  # every run shares them; a pool worker's unpickled copy is writable
         s.image.setflags(write=False)
         s.mask.setflags(write=False)
-    return [_run_row(run_idx, rec) for rec in model.train(configs, *halves)]
+    return [_run_row(run_idx, rec) for (run_idx, _), rec in zip(pairs, model.train(configs, *halves))]
 
 
 def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int) -> list[list[dict]]:
     """Train every (variant, seed index) pair; per variant, its run records then a mean record.
 
-    The variants of one seed index train side by side. A diverged run is recorded with status "diverged" and nan
-    metrics; the mean record averages the variant's "ok" runs.
+    Each task's runs train side by side in one ``model.train`` call. A diverged run is recorded with status
+    "diverged" and nan metrics; the mean record averages the variant's "ok" runs.
     """
     if o["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
     halves = _split_dataset(o)  # variants differ only in loss and wrapper parameters: one dataset serves all
     # run seed depends on the run index only, so variants are seed-paired; runs whose swept parameter has no
-    # effective influence take bit-identical steps, and train once, on one shared row of their group's stack
+    # effective influence take bit-identical steps, and train once, on one shared row of their seed's stack rows
     seeded = [[dataclasses.replace(config, seed=_derive_seed(o["seed"], ri)) for config in variants]
               for ri in range(n_seeds)]
-    groups = [(ri, list(range(len(variants)))) for ri in range(n_seeds)]  # (seed index, variant indices)
+    groups = [[(ri, vi) for vi in range(len(variants))] for ri in range(n_seeds)]  # per seed index, its runs
     workers = min(o["jobs"], len(variants) * n_seeds)  # a pool starts all its workers up front, so no more than runs
     while len(groups) < workers:  # split the largest group until every worker has one
-        i = max(range(len(groups)), key=lambda i: len(groups[i][1]))
-        ri, vis = groups[i]
-        groups[i : i + 1] = [(ri, vis[: len(vis) // 2]), (ri, vis[len(vis) // 2 :])]
-    tasks = [([seeded[ri][vi] for vi in vis], ri, halves) for ri, vis in groups]
+        i = max(range(len(groups)), key=lambda i: len(groups[i]))
+        groups[i : i + 1] = [groups[i][: len(groups[i]) // 2], groups[i][len(groups[i]) // 2 :]]
+    # the groups dealt to one task per worker
+    tasks = [[pair for group in groups[k::workers] for pair in group] for k in range(workers)]
+    args = [(pairs, [seeded[ri][vi] for ri, vi in pairs], halves) for pairs in tasks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_matrix_worker, tasks))
+            results = list(pool.map(_matrix_worker, args))
     else:
-        results = [_matrix_worker(t) for t in tasks]
-    records = {(vi, ri): row for (ri, vis), rows in zip(groups, results) for vi, row in zip(vis, rows)}
+        results = [_matrix_worker(a) for a in args]
+    records = {pair: row for pairs, rows in zip(tasks, results) for pair, row in zip(pairs, rows)}
     out = []
     for vi in range(len(variants)):
-        runs = [records[vi, ri] for ri in range(n_seeds)]
+        runs = [records[ri, vi] for ri in range(n_seeds)]
         ok = [r for r in runs if r["status"] == "ok"]
         mean = _diverged("mean")
         if ok:

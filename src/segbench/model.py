@@ -8,11 +8,11 @@ All arithmetic is float64 numpy. Training is deterministic given the config seed
 Reductions are sequential sums or BLAS contractions, one per image. Bits repeat exactly on one host but depend on
 its BLAS kernel and on numpy's SIMD exp and log; across hosts, the CSVs as printed are what is promised.
 
-Every pass works on weights stacked on a leading run axis. Runs that share a seed, a batch size and an epoch count
-see the same images in the same order, so :func:`train` trains them side by side: each chunk's input taps are
-stacked once for every run, each run's products are still its own matrix products, and each run gets the bits it
-would get alone. One config trains as a stack of one run, and :func:`forward`, :func:`backward` and
-:func:`evaluate` run a net without a run axis as a one-run stack.
+Every pass works on weights stacked on a leading run axis. Runs that share a batch size and an epoch count take
+steps of the same sizes, so :func:`train` trains them side by side, whatever their seeds: each chunk's input taps
+are stacked once per seed for that seed's runs, each run's products are still its own matrix products, and each
+run gets the bits it would get alone. One config trains as a stack of one run, and :func:`forward`,
+:func:`backward` and :func:`evaluate` run a net without a run axis as a one-run stack.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ KSIZE = 3
 TAPS = KSIZE * KSIZE
 _CENTRE = TAPS // 2  # index of the unshifted tap
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Pixels per run per chunk of images. Per pixel of its chunk, a training step holds the 9 input taps and a one
-# (b1's row), shared by every run, and per run 17 floats: the 8 hidden maps (then dz1) and the 9 taps of dz2 (first
-# the 9 maps w2ᵀ @ h); one run holds 27. A one-run forward call holds its input, its output and one chunk's taps and
-# hidden maps (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images.
+# Pixels per run per chunk of images. Per pixel of its chunk, a training step holds per seed the 9 input taps and a
+# one (b1's row), shared by that seed's runs, and per run 17 floats: the 8 hidden maps (then dz1) and the 9 taps of
+# dz2 (first the 9 maps w2ᵀ @ h); one run holds 27. A block whose runs mix seeds other than one per seed in seed
+# order reads a gathered copy of their taps. A one-run forward call holds its input, its output and one chunk's taps
+# and hidden maps (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images.
 CHUNK_PIXELS = 2 * 48 * 48
 # Pixels of runs x images per chunk of a stacked net: runs beyond it go to the chunk's next block of runs, which
 # reuses its taps. A block holds at least one run, so only an image larger than this makes a larger chunk. Of caps
@@ -139,27 +140,31 @@ def _stacked_taps(taps: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 
 def _input_taps(taps: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The nine taps of (b, H, W) images and a last row of ones, written into ``taps`` (b, 10, H, W) and viewed as
-    (b, 10, H*W): ``[w1 | b1]`` multiplies them as one matrix, so the product adds b1 last, as ``w1 @ T + b1``."""
-    _stacked_taps(taps[:, :TAPS], images)
-    taps[:, TAPS] = 1.0  # on every chunk: nothing else keeps the buffer's rows
-    return taps.reshape(*taps.shape[:2], -1)
+    """The nine taps of (..., b, H, W) images and a last row of ones, written into ``taps`` (..., b, 10, H, W) and
+    viewed as (..., b, 10, H*W): ``[w1 | b1]`` multiplies them as one matrix, so the product adds b1 last, as
+    ``w1 @ T + b1``."""
+    _stacked_taps(taps[..., :TAPS, :, :], images)
+    taps[..., TAPS, :, :] = 1.0  # on every chunk: nothing else keeps the buffer's rows
+    return taps.reshape(*taps.shape[:-2], -1)
 
 
 def _chunk_buffers(x: np.ndarray, runs: int, step: bool, ws: list):
-    """Images per run per chunk of x, runs per block, and ``ws`` as the buffers of at least its first (largest)
-    chunk and block: the (b, 10, H, W) input taps and ones, the (rc, b, 9, H, W) taps of w2ᵀ @ h and then of dz2,
-    and the (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over the input taps. The
-    buffers are replaced when the images' shape changes or their chunk or block is larger."""
-    hw = max(1, x[:1].size)
+    """Images per run per chunk of (..., B, H, W) images x, runs per block, and ``ws`` as the buffers of at least its
+    first (largest) chunk and block: the (..., b, 10, H, W) input taps and ones, the (rc, b, 9, H, W) taps of
+    w2ᵀ @ h and then of dz2, and the (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over
+    the input taps. The buffers are replaced when the images' shape or leading axes change or their chunk or block is
+    larger."""
+    lead, img = x.shape[:-3], x.shape[-2:]
+    hw = math.prod(img) if x.size else 1
     # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
-    b = max(1, min(len(x), CHUNK_PIXELS // hw))
+    b = max(1, min(x.shape[-3], CHUNK_PIXELS // hw))
     rc = max(1, min(runs, GROUP_PIXELS // (b * hw)))
     one_run_forward = not step and runs == 1
     # the taps hold the chunk's images and the hidden maps, before them, the block's runs
-    if len(ws) != 3 - one_run_forward or ws[0].shape[0] < b or ws[0].shape[2:] != x.shape[1:] or len(ws[-1]) < rc:
-        ws[:] = [np.empty((b, TAPS + 1, *x.shape[1:])),
-                 *([] if one_run_forward else [np.empty((rc, b, TAPS, *x.shape[1:]))]),
+    if (len(ws) != 3 - one_run_forward or ws[0].shape[:-4] != lead or ws[0].shape[-4] < b
+            or ws[0].shape[-2:] != img or len(ws[-1]) < rc):
+        ws[:] = [np.empty((*lead, b, TAPS + 1, *img)),
+                 *([] if one_run_forward else [np.empty((rc, b, TAPS, *img))]),
                  np.empty((rc, b, HIDDEN_CHANNELS, hw))]
     if one_run_forward:
         return b, rc, (ws[0], ws[0][None, :, :TAPS], ws[1])
@@ -237,25 +242,40 @@ def _by_weight(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarr
     return {k: v.reshape((*flat.shape[:-1], *s)) for (k, s), v in zip(shapes.items(), parts)}
 
 
-def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarray]:
+def _seed_taps(seeds: list[int]):
+    """What reads a block's input taps from a chunk's (seeds, b, 10, H*W), given its runs' seed indices: a view of
+    one seed's taps, which every run reads, or of consecutive seeds' taps, one per run; any other mix a gathered
+    copy."""
+    if len(set(seeds)) == 1:
+        return seeds[0]
+    if seeds == list(range(seeds[0], seeds[0] + len(seeds))):
+        return slice(seeds[0], seeds[0] + len(seeds))
+    return seeds
+
+
+def _step(net: TinyNet, x: np.ndarray, upstream, ws: list, seed_of=None) -> dict[str, np.ndarray]:
     """Weight gradients of (B, H, W) images x per run, summed over the images, from one pass per chunk on the same
-    taps and hidden maps. ``upstream(runs, rows, p)`` is d(loss)/d(p) of ``x[rows]`` for a block of the net's runs,
-    the range ``runs``, given their outputs p (runs, images, H, W): one call per chunk and block. The rows of a run
-    that has stopped may hold anything: its gradients are then left undefined. ``ws`` holds the buffers."""
-    n = net.runs
+    taps and hidden maps; for (seeds, B, H, W) images x, each run takes those of its seed index ``seed_of[run]``.
+    ``upstream(runs, rows, p)`` is d(loss)/d(p) of the images ``rows`` for a block of the net's runs, the range
+    ``runs``, given their outputs p (runs, images, H, W): one call per chunk and block. The rows of a run that has
+    stopped may hold anything: its gradients are then left undefined. ``ws`` holds the buffers."""
+    n, count = net.runs, x.shape[-3]
     b, rc, (t, d, h) = _chunk_buffers(x, n, True, ws)
     # per-image gradients: the 153 of a run and image in one row of `flat`, summed in image order at the end
     shapes = {"w1": (HIDDEN_CHANNELS, TAPS), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, TAPS), "b2": ()}
-    flat = np.empty((n, len(x), sum(math.prod(s) for s in shapes.values())))
+    flat = np.empty((n, count, sum(math.prod(s) for s in shapes.values())))
     g = _by_weight(flat, shapes)
-    blocks = _weights(net.params, rc, True)
-    for s in range(0, len(x), b):
-        rows, xs = slice(s, s + b), x[s : s + b]
-        tb = _input_taps(t[: len(xs)], xs)
-        for sel, runs, w1b, w2t, b2, w2f in blocks:
-            at, lim = (sel, rows), (slice(len(runs)), slice(len(xs)))  # the chunk's gradients and buffers
-            hb = _hidden(w1b, tb, h[lim])
-            p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[1:]))  # T is still needed
+    blocks = [(_seed_taps(seed_of[sel]) if x.ndim == 4 else ..., sel, *rest)
+              for sel, *rest in _weights(net.params, rc, True)]
+    for s in range(0, count, b):
+        rows, xs = slice(s, s + b), x[..., s : s + b, :, :]
+        size = xs.shape[-3]
+        tb = _input_taps(t[..., :size, :, :, :], xs)
+        for pick, sel, runs, w1b, w2t, b2, w2f in blocks:
+            at, lim = (sel, rows), (slice(len(runs)), slice(size))  # the chunk's gradients and buffers
+            tk = tb[pick]  # the block's taps
+            hb = _hidden(w1b, tk, h[lim])
+            p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[-2:]))  # T is still needed
             dz2 = upstream(runs, rows, p) * p
             dz2 *= 1.0 - p
             db = _stacked_taps(d[lim], dz2)
@@ -264,7 +284,7 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list) -> dict[str, np.ndarr
             relu = hb > 0.0
             zb = np.matmul(w2f, db, out=hb)  # dz1 over the hidden maps, which only the ReLU mask still needs
             zb *= relu
-            np.matmul(zb, tb[:, :TAPS].swapaxes(-1, -2), out=g["w1"][at])
+            np.matmul(zb, tk[..., :TAPS, :].swapaxes(-1, -2), out=g["w1"][at])
             zb.sum(axis=-1, out=g["b1"][at])  # not the product's ones column: that would sum in another order
             dz2.sum(axis=(-2, -1), out=g["b2"][at])
     out = _by_weight(_sum_images(flat, 1), shapes)
@@ -384,9 +404,15 @@ def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g) -> tuple
     plain run the identity's (slope 1). Returns the runs' values (runs, images), or a scalar that stands for each;
     p's upstream gradient, each row's through the slope of its first run; by run, each wrapped run whose base value
     left [0, 1], with its first such value, which leaves the other runs; and by row, when its runs' slopes differ,
-    its runs of each slope in turn: the row's gradient is then left undefined."""
+    its runs of each slope in turn: the row's gradient is then left undefined. Masks g of p's shape give each row
+    its own: the base then scores rows x images as the images of one call."""
     base, params = split[0][0], tuple(q for _, q in split)
-    ev = base(p[0], g) if len(p) == 1 else base(p, g)
+    if g.ndim == p.ndim:
+        per_image = base(p.reshape(-1, *p.shape[2:]), g.reshape(-1, *g.shape[2:]))
+        ev = LossEval(per_image.value if np.ndim(per_image.value) == 0 else per_image.value.reshape(p.shape[:2]),
+                      lambda: per_image.grad.reshape(p.shape))
+    else:
+        ev = base(p[0], g) if len(p) == 1 else base(p, g)
     value = ev.value if len(p) == 1 or np.ndim(ev.value) == 0 else ev.value[rows]
     if all(q is None for q in params):
         return value, ev.grad, {}, {}
@@ -409,31 +435,38 @@ def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g) -> tuple
 def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     """Mini-batch Adam training; per-epoch validation at threshold 0.5.
 
-    ``configs`` share a seed, a batch size and an epoch count, and train side by side on one net with a run axis
-    (one config on a stack of one run). Returns, per config, its record or the :class:`TrainingDiverged` it
-    would raise if trained alone: a run that diverges leaves the stack, and the others go on with the bits they
-    would have alone. Configs that share an ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of
-    the stack, which trains their one trajectory while their upstream gradients are equal, that is while their
-    wrapper slopes are equal on every image (a plain run's slope is 1, as is the linear branch's). A step where
-    they differ is rerun with the row copied once per slope. Each chunk and block of rows takes one finiteness
-    check and one loss call per shared base loss, and the wrapper's composition gives each wrapped run its own
-    parameters.
+    ``configs`` share a batch size and an epoch count, and train side by side on one net with a run axis (one
+    config on a stack of one run); configs of different seeds need training images of one shape. Each stack row
+    carries its seed: it starts from that seed's weights, and each epoch and step takes that seed's batch. Returns,
+    per config, its record or the :class:`TrainingDiverged` it would raise if trained alone: a run that diverges
+    leaves the stack, and the others go on with the bits they would have alone. Configs that share a seed, an
+    ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of the stack, which trains their one
+    trajectory while their upstream gradients are equal, that is while their wrapper slopes are equal on every
+    image (a plain run's slope is 1, as is the linear branch's). A step where they differ is rerun with the row
+    copied once per slope. Each chunk builds each seed's input taps once. Each chunk and block of rows takes one
+    finiteness check and one loss call per shared base loss, on each row's own masks, and the wrapper's composition
+    gives each wrapped run its own parameters. Validation, the final AUC and Adam take one call for every row.
     """
     configs = list(configs)
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
-    if len({(c.seed, c.batch_size, c.max_epochs) for c in configs}) != 1:
-        raise ValueError("train takes one or more configs that share seed, batch_size and max_epochs")
-    seed, batch_size, max_epochs = configs[0].seed, configs[0].batch_size, configs[0].max_epochs
+    if len({(c.batch_size, c.max_epochs) for c in configs}) != 1:
+        raise ValueError("train takes one or more configs that share batch_size and max_epochs")
+    seeds = list(dict.fromkeys(c.seed for c in configs))  # a row's seed is its index here
+    if len(seeds) > 1 and len({np.shape(s.image) for s in train_set}) > 1:
+        raise ValueError("configs of different seeds need training images of one shape")
+    batch_size, max_epochs = configs[0].batch_size, configs[0].max_epochs
     # once: every loss call on a chunk's masks then skips the scan, and the final AUC takes masks of 0 and 1 only
     _check_masks(s.mask for s in (*train_set, *val_set))
     split = [split_wrapped(c.loss_fn) for c in configs]  # each config's base loss and wrapper parameters
     keys = [loss_key(base) for base, _ in split]
     members = {}  # the configs of each row the net stacks, in config order
     for c, (config, key) in enumerate(zip(configs, keys)):
-        members.setdefault((config.lr, key), []).append(c)
+        members.setdefault((config.seed, config.lr, key), []).append(c)
     members = list(members.values())
-    net = TinyNet.init(seed=seed, runs=len(members))
+    seed_of = [seeds.index(configs[ms[0]].seed) for ms in members]  # each row's seed index
+    weights = [TinyNet.init(seed).params for seed in seeds]
+    net = TinyNet({k: np.stack([weights[i][k] for i in seed_of]) for k in weights[0]})
     opt = AdamState(lr=np.array([configs[ms[0]].lr for ms in members]))
     out: list = [None] * len(configs)
     epoch_rows = [[] for _ in configs]
@@ -441,7 +474,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     def restack(rows: list[tuple[int, list[int]]]) -> list[int]:
         """Stack, per ``(row, configs)`` of ``rows``, a copy of that row with those configs; returns the rows."""
         index = [r for r, _ in rows]
-        members[:] = [ms for _, ms in rows]
+        members[:], seed_of[:] = [ms for _, ms in rows], [seed_of[r] for r in index]
         net.params, opt.lr = {k: v[index] for k, v in net.params.items()}, opt.lr[index]
         opt.m, opt.v = (None, None) if opt.m is None else (opt.m[index], opt.v[index])
         return index
@@ -454,7 +487,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
         return restack([(r, ms) for r, ms in kept if ms])
 
     def upstream(runs, chunk, p):  # runs are the block's stack rows
-        up, g = np.empty_like(p), masks[chunk]
+        up = np.empty_like(p)
         # checked before a loss sees it, so plain and wrapped losses diverge the same way; a sigmoid output is NaN
         # or in [0, 1], so a row's sum is finite exactly when its output is
         finite = np.isfinite(np.add.reduce(p.reshape(len(p), -1), axis=1))
@@ -469,6 +502,9 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
         for idx in shared.values():
             at = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view if it can
             cs, at_rows = zip(*((c, j) for j, i in enumerate(idx) for c in members[runs[i]] if c not in failed))
+            seed_at = [seed_of[runs[i]] for i in idx]
+            # the chunk's masks of the rows' one seed, or each row's own where the rows span seeds
+            g = masks[seed_at[0], chunk] if len(set(seed_at)) == 1 else masks[:, chunk][seed_at]
             value, grad, outside, slopes = _shared_loss([split[c] for c in cs], list(at_rows), p[at], g)
             for k, v in outside.items():  # a wrapped base loss that is not confined to [0, 1]
                 failed[cs[k]] = _OutsideWrapper(epoch, b_idx, f"base loss value {v}")
@@ -477,27 +513,31 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
                 rest = set(itertools.chain(*parts[1:]))
                 splits.setdefault(r, [[c for c in members[r] if c not in rest], *parts[1:]])
             values[list(cs), 1 + chunk.start : 1 + chunk.stop] = value
-            up[at] = grad / len(batch)
+            up[at] = grad / m
         return up
 
     n = len(train_set)
     ws = []  # the step's chunk buffers: allocated at the first (largest) batch, reused by every step of this call
     for epoch in range(max_epochs):
-        order = np.random.default_rng([seed, 11, epoch]).permutation(n)
+        orders = [np.random.default_rng([seed, 11, epoch]).permutation(n) for seed in seeds]
         epoch_losses = [[] for _ in configs]
         # a divergence is reported by the isfinite checks, not by numpy's overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for b_idx, start in enumerate(range(0, n, batch_size)):
-                batch = [train_set[i] for i in order[start : start + batch_size]]
-                masks = np.stack([s.mask for s in batch]).view(_CheckedMasks)
+                batch = [train_set[i] for order in orders for i in order[start : start + batch_size]]
+                m = len(batch) // len(seeds)  # images per seed
+                shape = (len(seeds), m, *np.shape(batch[0].image))  # per seed, its batch
+                images = np.stack([s.image for s in batch]).reshape(shape)
+                masks = np.stack([s.mask for s in batch]).reshape(shape).view(_CheckedMasks)
                 while True:  # a step where a row's configs part is rerun, with one row more at least
-                    values = np.zeros((len(configs), 1 + len(batch)))  # per config: 0.0, then the batch's loss values
+                    values = np.zeros((len(configs), 1 + m))  # per config: 0.0, then the batch's loss values
                     failed, splits = {}, {}  # by config; by row, its configs of each slope
-                    grads = _step(net, np.stack([s.image for s in batch]), upstream, ws)
+                    # one seed's images without the seed axis, so every block reads its taps as they are
+                    grads = _step(net, images if len(seeds) > 1 else images[0], upstream, ws, seed_of)
                     if not splits:
                         break
                     restack([(r, part) for r, ms in enumerate(members) for part in splits.get(r, [ms])])
-                batch_loss = (_sum_images(values, 1) / len(batch)).tolist()  # each config's values in image order
+                batch_loss = (_sum_images(values, 1) / m).tolist()  # each config's values in image order
                 for c in itertools.chain(*members):
                     if c not in failed and not math.isfinite(batch_loss[c]):  # a finite p can still give 0/0
                         failed[c] = TrainingDiverged(epoch, b_idx, f"loss {batch_loss[c]}")

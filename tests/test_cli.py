@@ -334,6 +334,31 @@ class TestJobs:
             outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
         assert outputs[0] == outputs[1]
 
+    # three seeds on one, two or three workers: one worker trains them all on one stack, two deal them out 2 + 1.
+    # At lr 1e300 some runs diverge and others do not; BCE's cells print zero-denominator warnings
+    @pytest.mark.parametrize("args", [
+        ["grid", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "3", *DIVERGING_LR],
+        ["grid", "--loss", "bce", "--gammas", "0.1", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "3"],
+    ], ids=["diverging", "warnings"])
+    def test_three_seeds_on_one_two_or_three_workers(self, tmp_path, args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(segbench.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs, stderr = [], []
+        for jobs in ("1", "2", "3"):
+            d = tmp_path / jobs
+            d.mkdir()
+            done = subprocess.run([sys.executable, "-m", "segbench", args[0], *FAST, *args[1:], "--jobs", jobs,
+                                   "--out", str(d / "out.csv")], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+            stderr.append(sorted(done.stderr.splitlines()))  # each task prints its runs' lines in its own order
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert stderr[0] == stderr[1] == stderr[2]
+        if "bce" in args:
+            assert stderr[0]  # lines to compare, not only their absence
+        else:
+            assert {r["status"] for r in read_rows(tmp_path / "1" / "out.csv")} == {"ok", "diverged"}
+
 
 @pytest.fixture
 def inline_pool(monkeypatch):
@@ -394,11 +419,25 @@ class TestRunMatrix:
                             lambda configs, *sets: seen.append((len(configs), sets)) or real_train(configs, *sets))
         args = MATRICES[command]
         assert main([args[0], *FAST, *args[1:], "--jobs", jobs, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
-        assert [n for n, _ in seen] == [2, 2]  # each seed's two variants side by side, in one worker or two
+        # two seeds of two variants: all four in one call, or each seed's two in a worker of its own
+        assert [n for n, _ in seen] == ([4] if jobs == "1" else [2, 2])
         arrays = [a for _, sets in seen for half in sets for s in half for a in (s.image, s.mask)]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             seen[0][1][0][0].image[0, 0] = 0.5
+
+    def test_one_train_call_stacks_every_seed(self, tmp_path, monkeypatch):
+        # grid-sweep's shape: 18 runs of 3 seeds in one call, whose 6 cells of a seed share one row at every step
+        calls, rows, real_train, real_step = [], [], model.train, model._step
+        monkeypatch.setattr(model, "train",
+                            lambda configs, *sets: calls.append(len(configs)) or real_train(configs, *sets))
+        monkeypatch.setattr(model, "_step", lambda net, *args: rows.append(net.runs) or real_step(net, *args))
+        assert main(["grid", "--width", "16", "--height", "16", "--n-images", "16", "--fg-fraction", "0.2",
+                     "--noise-sigma", "0.05", "--epochs", "3", "--batch-size", "8", "--lr", "0.01", "--gammas", "0.1",
+                     "--omegas", "6,10,14", "--epsilons", "0.3,1.0", "--seeds", "3", "--jobs", "1",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert calls == [18]
+        assert rows == [3] * 6  # 3 epochs of 2 batches
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched train")
     def test_pool_workers_receive_read_only_samples(self, tmp_path, monkeypatch):

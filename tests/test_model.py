@@ -946,10 +946,13 @@ def _same_record(got, want):
 
 
 class TestSideBySide:
-    def _solo_and_group(self, variants, size, batch_size, lrs=(0.01,)):
+    def _solo_and_group(self, variants, size, batch_size, lrs=(0.01,), seeds=(7,)):
+        """Each variant's run alone and the runs side by side; with several ``seeds``, each variant at each seed
+        (the variant's ``lr`` cycles through ``lrs``), one seed's runs after another's, as the CLI deals them."""
         train_set, val_set = tiny_dataset(seed=12, size=size)
-        configs = [TrainConfig(lr=lrs[i % len(lrs)], batch_size=batch_size, max_epochs=2, seed=7, **v)
-                   for i, v in enumerate(variants)]
+        configs = [TrainConfig(**{"lr": lrs[i % len(lrs)], "batch_size": batch_size, "max_epochs": 2, "seed": seed,
+                                  **v})
+                   for seed in seeds for i, v in enumerate(variants)]
         return [train([c], train_set, val_set)[0] for c in configs], train(configs, train_set, val_set)
 
     # at 16x16 a chunk of 8 images per run makes blocks of 4 and 2 runs; at 48x48 batches of 5 make chunks of 2, 2
@@ -959,6 +962,30 @@ class TestSideBySide:
     def test_group_trains_like_its_runs_alone(self, variants, size, batch_size):
         solo, group = self._solo_and_group(variants, size, batch_size, lrs=(0.01, 0.003, 0.02))
         assert len(group) == len(variants)
+        for got, want in zip(group, solo):
+            _same_record(got, want)
+
+    # three seeds of each variant, in the CLI's order: at 16x16 blocks of 4 rows span seeds, and so do some blocks of
+    # 2 at 48x48; in the interleaved order a block's rows mix seeds out of order and read gathered taps
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["seed-major", "interleaved"])
+    @pytest.mark.parametrize("size, batch_size", [(16, 8), (48, 5)], ids=["16x16", "48x48"])
+    @pytest.mark.parametrize("variants", [GRID_VARIANTS, COMPARE_VARIANTS], ids=["grid", "compare"])
+    def test_runs_of_several_seeds_train_like_their_runs_alone(self, variants, size, batch_size, interleaved):
+        seeds, lrs = (7, 8, 3), (0.01, 0.003, 0.02)
+        if interleaved:  # each variant at every seed in turn
+            variants = [{**v, "seed": seed} for v in variants for seed in seeds]
+            seeds, lrs = (0,), [lr for lr in lrs for _ in range(3)]
+        solo, group = self._solo_and_group(variants, size, batch_size, lrs=lrs, seeds=seeds)
+        assert len(group) == len(solo) == 18
+        for got, want in zip(group, solo):
+            _same_record(got, want)
+
+    def test_a_run_diverges_in_one_seed_only(self):
+        # at lr 1e300 the second variant's output turns nan at seed 7 (epoch 0, batch 1) but not at seed 8: one run
+        # leaves the stack, and seed 8's run of that variant and every other run go on
+        solo, group = self._solo_and_group(COMPARE_VARIANTS[:3], 16, 8, lrs=(0.01, 1e300, 0.02), seeds=(7, 8))
+        assert [type(r) for r in solo] == [RunRecord, TrainingDiverged] + [RunRecord] * 4
+        assert solo[1].what == "network output"
         for got, want in zip(group, solo):
             _same_record(got, want)
 
@@ -1015,14 +1042,23 @@ class TestSideBySide:
         for got, want in zip(group, solo):
             _same_record(got, want)
 
-    def test_members_must_share_seed_batch_size_and_epochs(self):
+    def test_members_must_share_batch_size_and_epochs(self):
         train_set, val_set = tiny_dataset(seed=12)
         base = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=7)
-        for other in ({"seed": 8}, {"batch_size": 4}, {"max_epochs": 1}):
-            with pytest.raises(ValueError, match="share seed, batch_size and max_epochs"):
+        for other in ({"batch_size": 4}, {"max_epochs": 1}):
+            with pytest.raises(ValueError, match="share batch_size and max_epochs"):
                 train([base, TrainConfig(**{**vars(base), **other})], train_set, val_set)
         with pytest.raises(ValueError, match="one or more configs"):
             train([], train_set, val_set)
+        other_seed = TrainConfig(**{**vars(base), "seed": 8})
+        for got, config in zip(train([base, other_seed], train_set, val_set), (base, other_seed)):
+            _same_record(got, train_alone(config, train_set, val_set))
+        # each seed takes its own batches, which stack only when every training image has one shape
+        samples = _random_samples(np.random.default_rng(15), [(16, 16), (12, 20), (16, 16), (16, 16)])
+        one_batch = TrainConfig(**{**vars(base), "batch_size": 1})
+        with pytest.raises(ValueError, match="different seeds need training images of one shape"):
+            train([one_batch, TrainConfig(**{**vars(one_batch), "seed": 8})], samples[:3], samples[3:])
+        train([one_batch, TrainConfig(**{**vars(one_batch), "lr": 0.02})], samples[:3], samples[3:])  # one seed
 
     @pytest.mark.parametrize("size, runs", [(16, 6), (16, 24), (48, 2), (48, 6), (200, 3)])
     def test_chunks_stay_within_the_group_cap(self, monkeypatch, size, runs):
@@ -1069,7 +1105,11 @@ class TestSideBySide:
         # stacked call on the two rows it split into
         ([{"loss_fn": built("dice")}, _wrapped("dice", gamma=0.99)],
          {"soft_dice_loss": [(8, 16, 16), (2, 8, 16, 16), (2, 4, 16, 16)] + [(2, 8, 16, 16), (2, 4, 16, 16)] * 2}),
-    ], ids=["grid", "dice+all", "dice+focal", "dice+split"])
+        # grid-sweep's runs of three seeds train on one row per seed, and their block's one call scores each row on
+        # its own masks: rows x images, as the images of one call
+        ([{**v, "seed": seed} for seed in (0, 1, 2) for v in GRID_VARIANTS],
+         {"soft_dice_loss": [(24, 16, 16), (12, 16, 16)] * 3}),
+    ], ids=["grid", "dice+all", "dice+focal", "dice+split", "grid-3-seeds"])
     def test_a_block_makes_one_base_call_per_shared_base(self, monkeypatch, variants, want):
         # 12 training images in batches of 8 and 4 at 16x16, for 3 epochs; the kernels are spied on through the
         # name make_loss's functions look up on every call
@@ -1079,7 +1119,7 @@ class TestSideBySide:
             monkeypatch.setattr(losses, kernel, lambda p, g, real=real, seen=calls.setdefault(kernel, []), **options:
                                 seen.append(np.shape(p)) or real(p, g, **options))
         train_set, val_set = tiny_dataset(seed=11)
-        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in variants]
+        configs = [TrainConfig(**{"lr": 0.01, "batch_size": 8, "max_epochs": 3, "seed": 0, **v}) for v in variants]
         assert all(isinstance(r, RunRecord) for r in train(configs, train_set, val_set))
         assert {k: v for k, v in calls.items() if v} == want
 
@@ -1090,7 +1130,7 @@ class TestSideBySide:
         seen, real = [], model._step
         monkeypatch.setattr(model, "_step", lambda net, *args: seen.append(net.runs) or real(net, *args))
         train_set, val_set = tiny_dataset(seed=11)
-        configs = [TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=0, **v) for v in variants]
+        configs = [TrainConfig(**{"lr": 0.01, "batch_size": 8, "max_epochs": 3, "seed": 0, **v}) for v in variants]
         records = train(configs, train_set, val_set)
         monkeypatch.setattr(model, "_step", real)
         for got, config in zip(records, configs):
@@ -1108,6 +1148,15 @@ class TestSideBySide:
         seen = self._rows_per_step(monkeypatch, [{"loss_fn": base},
                                                  {"loss_fn": wrap_loss_fn(base, AdaptiveLogParams(gamma=0.99))}])
         assert seen == [1] + [2] * 6
+
+    def test_a_row_splits_in_one_seed_only(self, monkeypatch):
+        # seed 0's wrapped run (gamma 0.99) parts from its plain partner at the first chunk; seed 5's (gamma 0.1)
+        # stays on its row: from the rerun on, seed 0 has two rows and seed 5 one
+        dice, variants = make_loss("dice"), []
+        for seed, gamma in ((0, 0.99), (5, 0.1)):
+            variants += [{"loss_fn": dice, "seed": seed},
+                         {"loss_fn": wrap_loss_fn(dice, AdaptiveLogParams(gamma=gamma)), "seed": seed}]
+        assert self._rows_per_step(monkeypatch, variants) == [2] + [3] * 6
 
     def test_shared_rows_change_no_record_or_warning(self, monkeypatch, caplog):
         # a duplicate, a wrapped run that leaves the row at its third step (gamma 0.87), one that stays (gamma 0.1)

@@ -100,20 +100,24 @@ IMAGE_SHAPES = st.one_of(st.sampled_from([(1, 1), (1, 7), (7, 1), (1, 5000), (48
 
 @st.composite
 def groups(draw):
-    """A seed group: per run a loss selector or a wrapper cell and an ``lr`` (1e300 diverges), a shared seed, batch
-    size and epoch count, and training and validation images, of mixed shapes only in batches of one. In about half
-    the groups every run has one base selector, so its runs share one base call per block; there a wrapped BCE,
-    focal or combo run, whose base value is not confined to [0, 1], can leave the group (at lr 10 its output
-    saturates) while its plain and wrapped partners go on. About half the runs take an earlier run's rate, so runs
-    of one base and rate share a stack row, and some runs repeat an earlier config; a wrapper cell's gamma goes up to
-    0.99, so a wrapped run and a plain one of its base part at the first chunk, at a later one or not at all."""
+    """A group of runs: per run a loss selector or a wrapper cell and an ``lr`` (1e300 diverges), a shared batch size
+    and epoch count, and training and validation images, of mixed shapes only in batches of one. The runs share a
+    seed where the shapes mix; where they do not, about half the groups alternate their runs between two seeds, so
+    one stack holds rows of both, in seed order or mixed. In about half the groups every run has one base selector,
+    so its runs share one base call per block; there a wrapped BCE, focal or combo run, whose base value is not
+    confined to [0, 1], can leave the group (at lr 10 its output saturates) while its plain and wrapped partners go
+    on. About half the runs take an earlier run's rate, so runs of one seed, base and rate share a stack row, and
+    some runs repeat an earlier config; a wrapper cell's gamma goes up to 0.99, so a wrapped run and a plain one of
+    its base part at the first chunk, at a later one or not at all."""
     configs, seed, epochs = [], draw(st.integers(0, 3)), draw(st.integers(1, 2))
     n_train, n_val = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    if draw(st.booleans()):
+    mixed = draw(st.booleans())
+    if mixed:
         shapes, batch_size = draw(st.lists(IMAGE_SHAPES, min_size=n_train + n_val, max_size=n_train + n_val)), 1
     else:
         shapes, batch_size = [draw(IMAGE_SHAPES)] * (n_train + n_val), draw(st.integers(1, n_train + 1))
     shared = draw(st.sampled_from(LOSS_NAMES)) if draw(st.booleans()) else None  # the group's one base selector
+    spread = not mixed and draw(st.booleans())  # runs alternate between two seeds
     for _ in range(draw(st.integers(1, 4))):
         if configs and draw(st.integers(0, 3)) == 0:  # a duplicate
             configs.append(draw(st.sampled_from(configs)))
@@ -128,7 +132,8 @@ def groups(draw):
             loss_fn = wrap_loss_fn(make_loss(shared or draw(st.sampled_from(sorted(OVERLAP)))), cell)
         else:
             loss_fn = make_loss(shared or draw(st.sampled_from(LOSS_NAMES)))
-        configs.append(TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, loss_fn=loss_fn, seed=seed))
+        configs.append(TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, loss_fn=loss_fn,
+                                   seed=seed + len(configs) % 2 * spread))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     samples = [Sample(rng.uniform(size=s), (rng.uniform(size=s) < 0.3).astype(np.uint8)) for s in shapes]
     return configs, samples[:n_train], samples[n_train:]
