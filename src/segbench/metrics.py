@@ -120,20 +120,23 @@ def scores(c: ConfusionCounts) -> dict[str, float | np.ndarray]:
 
 
 def roc_auc(preds, masks, n_thresholds: int = 256) -> RocCurve:
-    """Micro-averaged ROC: pool all pixels, sweep evenly spaced thresholds.
+    """Micro-averaged ROC over the pooled pixels at evenly spaced thresholds, held one block of images at a time.
 
-    ``preds``/``masks`` are matching sequences of probability maps and binary
-    masks (single arrays also accepted).  The area is the trapezoidal
-    integral of TPR against FPR.
+    ``preds``/``masks`` are matching sequences of probability maps and binary masks (single arrays also accepted).
+    Each block of consecutive images with at least ``n_thresholds`` pixels sorts its own scores, so the threshold
+    searches never cost more than the sorts; the counts add up as integers, so the points are the pooled pixels',
+    bit for bit. The area is the trapezoidal integral of TPR against FPR.
     """
     if n_thresholds < 2:
         raise ValueError("n_thresholds must be >= 2")
-    pos, neg = _pool(preds, masks)
     thresholds = np.linspace(1.0, 0.0, n_thresholds)
-    for s in (pos, neg):
-        s.sort()  # in place: the pooled scores can be the largest array of a run; NaNs go last
-    # per class, the share of scores >= each threshold; a NaN score counts for none
-    tpr, fpr = ((np.searchsorted(s, np.nan) - np.searchsorted(s, thresholds, side="left")) / s.size for s in (pos, neg))
+    hits, sizes = np.zeros((2, n_thresholds), dtype=np.int64), [0, 0]  # per class: scores >= each threshold; all
+    for block in _pool(preds, masks, n_thresholds):
+        for k, s in enumerate(block):
+            s.sort()  # in place: it is the block's own copy; NaNs go last
+            hits[k] += np.searchsorted(s, np.nan) - np.searchsorted(s, thresholds, side="left")  # a NaN counts for none
+            sizes[k] += s.size
+    tpr, fpr = hits[0] / sizes[0], hits[1] / sizes[1]
     # both rates rise as the thresholds fall, so the points come in order: a repeated point follows its equal
     xs, ys = (np.concatenate([[0.0], rate, [1.0]]) for rate in (fpr, tpr))
     new = np.concatenate([[True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])])
@@ -149,25 +152,34 @@ def pair_count_auc(preds, masks) -> float:
     higher; ties count half.  Quadratic over distinct scores; intended as the
     independent cross-check on small inputs.
     """
-    pos, neg = _pool(preds, masks)
+    ((pos, neg),) = _pool(preds, masks)
     wins = 0.0
     for s in pos:
         wins += float(np.sum(s > neg)) + 0.5 * float(np.sum(s == neg))
     return wins / (pos.size * neg.size)
 
 
-def _pool(preds, masks) -> tuple[np.ndarray, np.ndarray]:
-    """The pooled scores of the positive and of the negative pixels, as new arrays; any other mask value raises."""
+def _pool(preds, masks, pixels: float = float("inf")):
+    """The scores of the positive and of the negative pixels, as new arrays, per block of consecutive images that
+    holds at least ``pixels`` pixels (or the rest); by default, one block. A length mismatch in any pair raises before
+    the first block, a mask value other than 0 or 1 at its block, and a class without pixels after the last."""
     if isinstance(preds, np.ndarray) and preds.ndim <= 2:
         preds, masks = [preds], [masks]
-    pairs = [(np.asarray(p, dtype=np.float64).ravel(), np.asarray(g).ravel())
-             for p, g in zip(preds, masks, strict=True)]
-    if any(p.shape != g.shape for p, g in pairs):
+    pairs = list(zip(preds, masks, strict=True))
+    if any(np.size(p) != np.size(g) for p, g in pairs):
         raise ValueError("prediction/mask length mismatch")
-    scores, labels = (np.concatenate(a) for a in zip(*pairs))
-    pos, neg = scores[labels == 1], scores[labels == 0]
-    if pos.size + neg.size != labels.size:
-        raise ValueError("mask values must be exactly 0 or 1")
-    if pos.size == 0 or neg.size == 0:
+    start, held, sizes = 0, 0, np.zeros(2, dtype=np.int64)
+    for i, (p, _) in enumerate(pairs):
+        held += np.size(p)
+        if held < pixels and i + 1 < len(pairs):
+            continue
+        block, start, held = pairs[start : i + 1], i + 1, 0
+        scores = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p, _ in block])
+        labels = np.concatenate([np.ravel(g) for _, g in block])
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        if pos.size + neg.size != labels.size:
+            raise ValueError("mask values must be exactly 0 or 1")
+        sizes += pos.size, neg.size
+        yield pos, neg
+    if not sizes.all():
         raise UndefinedAUC("need at least one positive and one negative pixel")
-    return pos, neg

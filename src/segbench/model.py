@@ -38,8 +38,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Pixels per run per chunk of images. Per pixel of its chunk, a training step holds per seed the 9 input taps and a
 # one (b1's row), shared by that seed's runs, and per run 17 floats: the 8 hidden maps (then dz1) and the 9 taps of
 # dz2 (first the 9 maps w2ᵀ @ h); one run holds 27. A block whose runs mix seeds other than one per seed in seed
-# order reads a gathered copy of their taps. A one-run forward call holds its input, its output and one chunk's taps
-# and hidden maps (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images.
+# order reads a gathered copy of their taps. A one-run forward call holds its output and one chunk's images, taps
+# and hidden maps (w2ᵀ @ h overwrites the taps), so evaluate hands it every run of same-shaped images as a list.
 CHUNK_PIXELS = 2 * 48 * 48
 # Pixels of runs x images per chunk of a stacked net: runs beyond it go to the chunk's next block of runs, which
 # reuses its taps. A block holds at least one run, so only an image larger than this makes a larger chunk. Of caps
@@ -113,12 +113,15 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.maximum(e, z >= 0), 1.0 + e, out=out)  # 1 where z >= 0, as e <= 1; NaN passes through
 
 
-def _as_batch(image) -> np.ndarray:
-    """A (B, H, W) float64 view of one (H, W) image or a (B, H, W) batch."""
+def _as_batch(image) -> tuple:
+    """One (H, W) image or a (B, H, W) batch as a (B, H, W) float64 view, or a list of arrays of one 2-D shape as
+    itself, whose chunks the caller stacks one at a time; and the shape the images came in."""
+    if isinstance(image, list) and len({np.shape(a) for a in image}) == 1 and np.ndim(image[0]) == 2:
+        return image, (len(image), *np.shape(image[0]))
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError("image must be 2-D (H, W) or 3-D (B, H, W)")
-    return image.reshape((-1,) + image.shape[-2:])
+    return image.reshape((-1,) + image.shape[-2:]), image.shape
 
 
 def _sum_images(per_image: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -148,16 +151,16 @@ def _input_taps(taps: np.ndarray, images: np.ndarray) -> np.ndarray:
     return taps.reshape(*taps.shape[:-2], -1)
 
 
-def _chunk_buffers(x: np.ndarray, runs: int, step: bool, ws: list):
-    """Images per run per chunk of (..., B, H, W) images x, runs per block, and ``ws`` as the buffers of at least its
-    first (largest) chunk and block: the (..., b, 10, H, W) input taps and ones, the (rc, b, 9, H, W) taps of
-    w2ᵀ @ h and then of dz2, and the (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes w2ᵀ @ h over
-    the input taps. The buffers are replaced when the images' shape or leading axes change or their chunk or block is
-    larger."""
-    lead, img = x.shape[:-3], x.shape[-2:]
-    hw = math.prod(img) if x.size else 1
+def _chunk_buffers(shape: tuple, runs: int, step: bool, ws: list):
+    """Images per run per chunk of (..., B, H, W) images of that ``shape``, runs per block, and ``ws`` as the buffers
+    of at least its first (largest) chunk and block: the (..., b, 10, H, W) input taps and ones, the (rc, b, 9, H, W)
+    taps of w2ᵀ @ h and then of dz2, and the (rc, b, 8, H*W) hidden maps and then dz1. A one-run forward writes
+    w2ᵀ @ h over the input taps. The buffers are replaced when the images' shape or leading axes change or their
+    chunk or block is larger."""
+    lead, img = shape[:-3], shape[-2:]
+    hw = math.prod(img) if math.prod(shape) else 1
     # one image at least; every chunk reuses the buffers, as fresh buffers per chunk re-fault their pages
-    b = max(1, min(x.shape[-3], CHUNK_PIXELS // hw))
+    b = max(1, min(shape[-3], CHUNK_PIXELS // hw))
     rc = max(1, min(runs, GROUP_PIXELS // (b * hw)))
     one_run_forward = not step and runs == 1
     # the taps hold the chunk's images and the hidden maps, before them, the block's runs
@@ -217,21 +220,22 @@ def _output(w2t: np.ndarray, b2: np.ndarray, hb: np.ndarray, u: np.ndarray, out:
 
 
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
-    """Predicted probability map for one (H, W) image or a (B, H, W) batch; per run on a leading axis for a net
-    with a run axis. A net without one runs as a one-run stack, whose axis the map drops."""
+    """Predicted probability map for one (H, W) image, a (B, H, W) batch or a list of B same-shaped (H, W) arrays,
+    which it stacks one chunk at a time; per run on a leading axis for a net with a run axis. A net without one
+    runs as a one-run stack, whose axis the map drops."""
     stack = _one_run(net)
     n = stack.runs
-    x = _as_batch(image)
-    b, rc, (t, u, h) = _chunk_buffers(x, n, False, [])
-    p = np.empty((n, *x.shape))
+    x, shape = _as_batch(image)
+    b, rc, (t, u, h) = _chunk_buffers((len(x), *shape[-2:]), n, False, [])
+    p = np.empty((n, len(x), *shape[-2:]))
     blocks = _weights(stack.params, rc, False)
     for s in range(0, len(x), b):
-        rows, xs = slice(s, s + b), x[s : s + b]
+        rows, xs = slice(s, s + b), np.asarray(x[s : s + b], dtype=np.float64)  # stacks a list's chunk
         tb = _input_taps(t[: len(xs)], xs)
         for sel, runs, w1b, w2t, b2, _ in blocks:
             lim = (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
             _output(w2t, b2, _hidden(w1b, tb, h[lim]), u[lim], p[sel, rows])
-    p = p.reshape(n, *np.shape(image))
+    p = p.reshape(n, *shape)
     return p if net.runs is not None else p[0]
 
 
@@ -260,7 +264,7 @@ def _step(net: TinyNet, x: np.ndarray, upstream, ws: list, seed_of=None) -> dict
     ``runs``, given their outputs p (runs, images, H, W): one call per chunk and block. The rows of a run that has
     stopped may hold anything: its gradients are then left undefined. ``ws`` holds the buffers."""
     n, count = net.runs, x.shape[-3]
-    b, rc, (t, d, h) = _chunk_buffers(x, n, True, ws)
+    b, rc, (t, d, h) = _chunk_buffers(x.shape, n, True, ws)
     # per-image gradients: the 153 of a run and image in one row of `flat`, summed in image order at the end
     shapes = {"w1": (HIDDEN_CHANNELS, TAPS), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, TAPS), "b2": ()}
     flat = np.empty((n, count, sum(math.prod(s) for s in shapes.values())))
@@ -298,10 +302,10 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict
     up = np.asarray(upstream_grad, dtype=np.float64)
     if up.shape != np.shape(image):
         raise ValueError(f"upstream grad shape {up.shape} != output shape {np.shape(image)}")
-    x = _as_batch(image)
+    x = np.asarray(_as_batch(image)[0], dtype=np.float64)
     if not len(x):
         raise ValueError("image batch must be non-empty")
-    grads = _step(_one_run(net), x, lambda runs, rows, p: _as_batch(up)[rows], [])
+    grads = _step(_one_run(net), x, lambda runs, rows, p: up.reshape(x.shape)[rows], [])
     return grads if net.runs is not None else {k: v[0, ...] for k, v in grads.items()}
 
 
@@ -377,9 +381,9 @@ class RunRecord:
 def evaluate(net: TinyNet, val_set, runs=None):
     """Macro-averaged :data:`metrics.SCORES` at :func:`metrics.confusion`'s default threshold, plus pooled-pixel AUC
     inputs. For a net with a run axis, a list of them, one per item of ``runs`` (by default each run once, in order),
-    each scoring that run of the stack: each run of same-shaped images takes one forward pass and one confusion count
-    for every run, and each run's counts are scored once per item that names it. A net without one runs as a one-run
-    stack and gets its one item."""
+    each scoring that run of the stack: each run of same-shaped images takes one forward pass, which stacks one chunk
+    of their images at a time, and one confusion count for every run, and each run's counts are scored once per item
+    that names it. A net without one runs as a one-run stack and gets its one item."""
     if not val_set:
         raise ValueError("validation set must be non-empty")
     bad = next((s for s in val_set if np.shape(s.mask) != np.shape(s.image)), None)
@@ -388,7 +392,7 @@ def evaluate(net: TinyNet, val_set, runs=None):
     stack = _one_run(net)
     runs = list(range(stack.runs) if runs is None else runs)
     groups = [list(group) for _, group in itertools.groupby(val_set, key=lambda s: np.shape(s.image))]
-    maps = [forward(stack, np.stack([s.image for s in group])) for group in groups]
+    maps = [forward(stack, [s.image for s in group]) for group in groups]  # forward stacks one chunk at a time
     counts = [metrics.confusion(m, np.stack([s.mask for s in group]).view(Masks)) for m, group in zip(maps, groups)]
     per_image = metrics.ConfusionCounts(*(np.concatenate(f, axis=-1)[runs]
                                           for f in zip(*(vars(k).values() for k in counts))))
@@ -472,9 +476,12 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     epoch_rows = [[] for _ in configs]
 
     def restack(rows: list[tuple[int, list[int]]]) -> list[int]:
-        """Stack, per ``(row, configs)`` of ``rows``, a copy of that row with those configs; returns the rows."""
+        """Stack, per ``(row, configs)`` of ``rows``, a copy of that row with those configs; returns the rows. A seed
+        left without a row leaves ``seeds`` and the epoch's orders."""
         index = [r for r, _ in rows]
-        members[:], seed_of[:] = [ms for _, ms in rows], [seed_of[r] for r in index]
+        live = sorted({seed_of[r] for r in index})  # seed indices, so the seeds keep their order
+        members[:], seed_of[:] = [ms for _, ms in rows], [live.index(seed_of[r]) for r in index]
+        seeds[:], orders[:] = [seeds[i] for i in live], [orders[i] for i in live]
         net.params, opt.lr = {k: v[index] for k, v in net.params.items()}, opt.lr[index]
         opt.m, opt.v = (None, None) if opt.m is None else (opt.m[index], opt.v[index])
         return index

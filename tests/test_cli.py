@@ -509,6 +509,21 @@ class TestCompare:
         assert [r["loss"] for r in read_rows(tmp_path / "1" / "cmp.csv")] == ["dice", "dice", "all", "all"]
         assert {r["loss"] for r in read_rows(tmp_path / "1" / "cmp_epochs.csv")} == {"dice", "all"}
 
+    def test_a_seed_without_rows_builds_no_taps(self, tmp_path, monkeypatch):
+        # at this step size every run of seeds 1 and 2 diverges in epoch 0: epoch 1's steps build seed 0's taps only,
+        # without a seed axis, as a one-seed group does
+        seen, real_taps, real_evaluate = [], model._input_taps, model.evaluate
+        monkeypatch.setattr(model, "_input_taps", lambda t, images: seen.append(images.shape) or real_taps(t, images))
+        monkeypatch.setattr(model, "evaluate", lambda *a, **k: seen.append("evaluate") or real_evaluate(*a, **k))
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", *FAST, *DIVERGING_LR, "--losses", "dice,all,focal", "--seeds", "3",
+                     "--out", str(out)]) == EXIT_OK
+        status = [r["status"] for r in read_rows(out) if r["seed"] != "mean"]
+        assert status == ["ok", "diverged", "diverged"] * 2 + ["diverged"] * 3  # dice, all, focal at seeds 0-2
+        # per epoch: two steps' taps, then validation's forward on the 3 validation images
+        assert seen == [(3, 8, 16, 16), (3, 1, 16, 16), "evaluate", (3, 16, 16),
+                        (8, 16, 16), (1, 16, 16), "evaluate", (3, 16, 16)]
+
     def test_loss_tokens(self):
         assert parse_loss_token("all") == ("dice", True)
         assert parse_loss_token("tversky+all") == ("tversky", True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,46 @@ class TestScalarMetrics:
             assert jaccard_index(c) <= dice_index(c) + 1e-15
 
 
+def _threshold_loop_cases():
+    """``(scores, labels, n_thresholds)``: random, tied and on-threshold scores, few thresholds, NaN scores, and
+    scores of exactly 0.0 or 1.0, each with both classes."""
+    rng = np.random.default_rng(6)
+    on_thresholds = np.linspace(1.0, 0.0, 256)
+    cases = []
+    for _ in range(20):
+        n = int(rng.integers(20, 400))
+        cases.append((rng.uniform(size=n), 256))  # random
+        cases.append((np.round(rng.uniform(size=n), 1), 256))  # tied
+        cases.append((rng.choice(on_thresholds, size=n), 256))  # exactly on a threshold
+        cases.append((rng.choice(np.linspace(0.0, 1.0, 7), size=n), int(rng.integers(2, 30))))  # few thresholds
+    scores = rng.uniform(size=200)
+    scores[::7] = np.nan  # a NaN score is below every threshold
+    cases.append((scores, 256))
+    for n_thresholds in (2, 3, 256):
+        # scores of exactly 1.0 give (0,0)'s point or pass it; scores of exactly 0.0 reach (1,1) at the last
+        # threshold, as the endpoint already does
+        cases.append((rng.choice([0.0, 1.0], size=50), n_thresholds))
+        cases.append((rng.choice([0.0, 0.5, 1.0], size=50), n_thresholds))
+        cases.append((np.where(rng.uniform(size=80) < 0.3, 1.0, rng.uniform(size=80)), n_thresholds))
+        cases.append((np.where(rng.uniform(size=80) < 0.3, 0.0, rng.uniform(size=80)), n_thresholds))
+    cases.append((rng.uniform(size=60), 2))
+    out = []
+    for scores, n_thresholds in cases:
+        labels = (rng.uniform(size=scores.size) < 0.3).astype(int)
+        labels[:2] = (0, 1)
+        out.append((scores, labels, n_thresholds))
+    return out
+
+
+def _as_images(rng, scores, labels):
+    """``scores`` and ``labels`` cut at random points into runs of images of mixed sizes: 2-D where a piece has an
+    even length, some empty, many of one class."""
+    cuts = np.sort(rng.integers(0, scores.size + 1, size=rng.integers(1, 12)))
+    pieces = [(p.reshape(2, -1), g.reshape(2, -1)) if p.size % 2 == 0 else (p, g)
+              for p, g in zip(np.split(scores, cuts), np.split(labels, cuts))]
+    return [p for p, _ in pieces], [g for _, g in pieces]
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         scores = np.array([0.1, 0.2, 0.8, 0.9])
@@ -217,32 +259,50 @@ class TestRocAuc:
             ys = np.array([pt[1] for pt in points])
             return points, float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
 
-        rng = np.random.default_rng(6)
-        on_thresholds = np.linspace(1.0, 0.0, 256)
-        cases = []
-        for _ in range(20):
-            n = int(rng.integers(20, 400))
-            cases.append((rng.uniform(size=n), 256))  # random
-            cases.append((np.round(rng.uniform(size=n), 1), 256))  # tied
-            cases.append((rng.choice(on_thresholds, size=n), 256))  # exactly on a threshold
-            cases.append((rng.choice(np.linspace(0.0, 1.0, 7), size=n), int(rng.integers(2, 30))))  # few thresholds
-        scores = rng.uniform(size=200)
-        scores[::7] = np.nan  # a NaN score is below every threshold
-        cases.append((scores, 256))
-        for n_thresholds in (2, 3, 256):
-            # scores of exactly 1.0 give (0,0)'s point or pass it; scores of exactly 0.0 reach (1,1) at the last
-            # threshold, as the endpoint already does
-            cases.append((rng.choice([0.0, 1.0], size=50), n_thresholds))
-            cases.append((rng.choice([0.0, 0.5, 1.0], size=50), n_thresholds))
-            cases.append((np.where(rng.uniform(size=80) < 0.3, 1.0, rng.uniform(size=80)), n_thresholds))
-            cases.append((np.where(rng.uniform(size=80) < 0.3, 0.0, rng.uniform(size=80)), n_thresholds))
-        cases.append((rng.uniform(size=60), 2))
-        for scores, n_thresholds in cases:
-            labels = (rng.uniform(size=scores.size) < 0.3).astype(int)
-            labels[:2] = (0, 1)
+        for scores, labels, n_thresholds in _threshold_loop_cases():
             curve = roc_auc(scores, labels, n_thresholds=n_thresholds)
             assert (curve.points, curve.auc) == loop_roc(scores, labels, n_thresholds)
             assert all(type(x) is float and type(y) is float for x, y in curve.points)
+
+    def test_a_run_of_images_scores_as_its_pooled_pixels(self):
+        # roc_auc counts per block of images with at least n_thresholds pixels: the same points and area, bit for
+        # bit, as the pixels in one array, for blocks of one image or of many (1e4 thresholds exceed every image)
+        rng = np.random.default_rng(10)
+        for scores, labels, n_thresholds in _threshold_loop_cases():
+            order = np.argsort(labels, kind="stable")  # also with the classes in two runs: one-class images
+            for s, g in ((scores, labels), (scores[order], labels[order])):
+                for n in (n_thresholds, 10_000):
+                    got, want = roc_auc(*_as_images(rng, s, g), n), roc_auc(s, g, n)
+                    assert repr((got.points, got.auc)) == repr((want.points, want.auc))
+
+    @pytest.mark.parametrize("n_thresholds", [2, 256])
+    @pytest.mark.parametrize("auc", [roc_auc, pair_count_auc], ids=["roc_auc", "pair_count_auc"])
+    def test_errors_come_in_order(self, auc, n_thresholds):
+        # a length mismatch in any pair, then a mask value (here in a later block of two one-pixel images), then a
+        # class without pixels
+        one_class, bad = (np.array([[0.5]]), np.array([[1]])), (np.array([[0.5]]), np.array([[2]]))
+        short = (np.array([[0.5, 0.6]]), np.array([[1]]))
+        kwargs = {"n_thresholds": n_thresholds} if auc is roc_auc else {}
+        for images, error in (([bad, one_class, short], "prediction/mask length mismatch"),
+                              ([one_class, one_class, bad], "mask values must be exactly 0 or 1"),
+                              ([one_class] * 3, "need at least one positive and one negative pixel")):
+            with pytest.raises(ValueError, match=error) as exc:
+                auc(*(list(a) for a in zip(*images)), **kwargs)
+            assert isinstance(exc.value, UndefinedAUC) == error.startswith("need")
+
+    def test_peak_memory_a_block_at_a_time(self):
+        # eval-large's shape, 48 maps of 128x128: each image is a block, so the call holds one image's sorted
+        # scores and labels, not a pooled copy of every score
+        rng = np.random.default_rng(11)
+        preds = [rng.uniform(size=(128, 128)) for _ in range(48)]
+        masks = [(rng.uniform(size=(128, 128)) < 0.3).astype(np.uint8) for _ in range(48)]
+        tracemalloc.start()
+        try:
+            roc_auc(preds, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(p.nbytes for p in preds) / 8
 
     @pytest.mark.parametrize("auc", [roc_auc, pair_count_auc], ids=["roc_auc", "pair_count_auc"])
     @pytest.mark.parametrize("bad", [2, -1, 255, 0.5, np.nan])

@@ -141,17 +141,19 @@ def _reference_step(net, batch, loss_fn):
 def _reference_train(config, train_set, val_set):
     """train's record from a loop of reference steps, each epoch validated one image at a time by clipped slices."""
     net, opt, loss_fn, rows = TinyNet.init(seed=config.seed), AdamState(lr=config.lr), config.loss_fn, []
-    for epoch in range(config.max_epochs):
-        order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch])))
-        order = order.permutation(len(train_set))
-        losses = []
-        for start in range(0, len(train_set), config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            loss, grads = _reference_step(net, batch, loss_fn)
-            adam_step(opt, net.params, grads)
-            losses.append(loss)
-        means, preds = _per_image_evaluate(net, val_set, lambda net, image: _clipped_forward(net, image[None])[0])
-        rows.append(EpochRow(epoch, float(np.mean(losses)), **{f"val_{k}": v for k, v in means.items()}))
+    # as train does: a divergence shows in the records, not in numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11, epoch])))
+            order = order.permutation(len(train_set))
+            losses = []
+            for start in range(0, len(train_set), config.batch_size):
+                batch = [train_set[i] for i in order[start : start + config.batch_size]]
+                loss, grads = _reference_step(net, batch, loss_fn)
+                adam_step(opt, net.params, grads)
+                losses.append(loss)
+            means, preds = _per_image_evaluate(net, val_set, lambda net, image: _clipped_forward(net, image[None])[0])
+            rows.append(EpochRow(epoch, float(np.mean(losses)), **{f"val_{k}": v for k, v in means.items()}))
     masks = [s.mask for s in val_set]
     try:
         auc = metrics.roc_auc(preds, masks).auc
@@ -277,8 +279,9 @@ class TestForward:
             assert model._sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
 
     def test_peak_memory_near_output_size(self):
-        # evaluate hands forward a whole run of same-shaped images (eval-large's 48 at 128x128): beside its
-        # output, a call may hold one chunk's buffers, not a batch-sized z2 or sigmoid temporaries
+        # a batch of eval-large's shape, 48 images of 128x128: beside its input and output, a call may hold one
+        # chunk's buffers, not a batch-sized z2 or sigmoid temporaries (evaluate hands forward a list of the
+        # images, which it stacks one chunk at a time: TestEvaluate's guard)
         net = TinyNet.init(seed=9)
         imgs = np.random.default_rng(7).uniform(size=(48, 128, 128))
         tracemalloc.start()
@@ -333,6 +336,7 @@ class TestBackward:
         imgs = rng.uniform(size=shape)
         ups = rng.normal(size=shape)
         p = forward(net, imgs)
+        _same_bytes(forward(net, list(imgs)), p)  # a list of the images, stacked one chunk at a time
         for b in range(shape[0]):
             np.testing.assert_array_equal(p[b], forward(net, imgs[b]))
         total = {k: np.zeros_like(v) for k, v in net.params.items()}
@@ -514,6 +518,22 @@ class TestEvaluate:
         n = 2 * per_chunk + 3 if per_chunk > 1 else 3
         assert (per_chunk > 1) == (side == 48)
         self._same_as_per_image(TinyNet.init(seed=13), _random_samples(np.random.default_rng(8), [(side, side)] * n))
+
+    def test_peak_memory_near_output_size(self):
+        # eval-large's shape, 48 samples of 128x128: evaluate reads the images from the samples one chunk at a time,
+        # so beside its (48, 128, 128) output it holds one chunk's buffers (a stacked image, its 10 taps and ones and
+        # 8 hidden maps) and the stacked masks with the bool arrays of one confusion count, not a stack of the images
+        rng, pixels = np.random.default_rng(17), 48 * 128 * 128
+        samples = [Sample(rng.uniform(size=(128, 128)), (rng.uniform(size=(128, 128)) < 0.3).astype(np.uint8))
+                   for _ in range(48)]  # uint8 masks, as load_dataset makes them
+        net = TinyNet.init(seed=9)
+        tracemalloc.start()
+        try:
+            evaluate(net, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * pixels + 8 * 19 * 128 * 128 + 4 * pixels
 
     def test_mixed_image_shapes(self):
         # load_dataset reads PGMs of any size, so one validation set can mix shapes
@@ -801,20 +821,20 @@ class TestTrain:
         # a step's buffers: the input taps and their row of ones, then per run the taps of w2ᵀ @ h and dz2, and the
         # hidden maps and dz1
         ws = []
-        model._chunk_buffers(np.zeros((1, 48, 48)), 1, True, ws)  # a chunk of one image
+        model._chunk_buffers((1, 48, 48), 1, True, ws)  # a chunk of one image
         small = list(ws)
-        model._chunk_buffers(np.zeros((5, 48, 48)), 1, True, ws)  # a chunk of two: larger buffers
+        model._chunk_buffers((5, 48, 48), 1, True, ws)  # a chunk of two: larger buffers
         assert ws[0].shape == (2, 10, 48, 48) and ws[0] is not small[0]
         large = list(ws)
-        model._chunk_buffers(np.zeros((1, 48, 48)), 1, True, ws)
+        model._chunk_buffers((1, 48, 48), 1, True, ws)
         assert all(a is b for a, b in zip(ws, large))
-        model._chunk_buffers(np.zeros((1, 40, 50)), 1, True, ws)  # another image shape
+        model._chunk_buffers((1, 40, 50), 1, True, ws)  # another image shape
         assert [a.shape for a in ws] == [(1, 10, 40, 50), (1, 1, 9, 40, 50), (1, 1, 8, 40 * 50)]
-        model._chunk_buffers(np.zeros((5, 48, 48)), 2, True, ws)  # two runs: larger buffers
+        model._chunk_buffers((5, 48, 48), 2, True, ws)  # two runs: larger buffers
         assert [a.shape for a in ws] == [(2, 10, 48, 48), (2, 2, 9, 48, 48), (2, 2, 8, 48 * 48)]
         large = list(ws)
         for runs in (5, 1):  # blocks of two runs; then the group's other runs have left it
-            model._chunk_buffers(np.zeros((5, 48, 48)), runs, True, ws)
+            model._chunk_buffers((5, 48, 48), runs, True, ws)
             assert all(a is b for a, b in zip(ws, large))
 
     def test_divergence_in_a_later_chunk(self):
@@ -988,6 +1008,21 @@ class TestSideBySide:
         assert solo[1].what == "network output"
         for got, want in zip(group, solo):
             _same_record(got, want)
+
+    def test_a_seed_that_leaves_mid_epoch_leaves_the_others_alone(self, monkeypatch):
+        # lr 1e300 sends both of seed 7's runs to nan at epoch 0, batch 1 of 3: from batch 2 on, the steps build
+        # seed 8's taps only, without a seed axis, and seed 8's runs keep the bits they have alone
+        train_set, val_set = tiny_dataset(seed=12)
+        configs = [TrainConfig(lr=lr, batch_size=4, max_epochs=2, seed=seed, **v)
+                   for seed, lr in ((7, 1e300), (8, 0.01)) for v in COMPARE_VARIANTS[:2]]
+        solo = [train([c], train_set, val_set)[0] for c in configs]
+        assert [(r.epoch, r.batch) for r in solo[:2]] == [(0, 1)] * 2
+        seen, real = [], model._input_taps
+        monkeypatch.setattr(model, "_input_taps", lambda t, images: seen.append(images.shape) or real(t, images))
+        for got, want in zip(train(configs, train_set, val_set), solo):
+            _same_record(got, want)
+        assert seen[:3] == [(2, 4, 16, 16), (2, 4, 16, 16), (4, 16, 16)]
+        assert all(len(shape) == 3 for shape in seen[2:])
 
     def test_mixed_image_shapes(self):
         # batches of one image of any shape: the group's buffers follow the shape, as one run's do
