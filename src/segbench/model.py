@@ -219,23 +219,35 @@ def _output(w2t: np.ndarray, b2: np.ndarray, hb: np.ndarray, u: np.ndarray, out:
     return _sigmoid(out, out=out)  # chunk by chunk, so its temporaries stay chunk-sized
 
 
+def _hidden_maps(net: TinyNet, x, shape: tuple, step: bool, ws: list, seed_of=None):
+    """The chunk loop of :func:`forward` and :func:`_step`: per chunk of images x of ``shape`` (..., B, H, W), a list
+    stacked one chunk at a time, and block of the net's runs, ``(at, runs, tk, hb, u, w2t, b2, w2f)``: ``at`` indexes
+    the block's runs and the chunk's images, ``runs`` is the runs' range, tk and hb the input taps and hidden maps, u
+    the buffer for w2ᵀ @ h, and the rest :func:`_weights`'. Of (seeds, B, H, W) images, a run reads its seed index
+    ``seed_of[run]``'s taps. ``ws`` holds the buffers."""
+    b, rc, (t, u, h) = _chunk_buffers(shape, net.runs, step, ws)
+    blocks = [(_seed_taps(seed_of[sel]) if len(shape) == 4 else ..., sel, *rest)
+              for sel, *rest in _weights(net.params, rc, step)]
+    for s in range(0, shape[-3], b):
+        rows = slice(s, s + b)
+        xs = np.asarray(x[rows], dtype=np.float64) if isinstance(x, list) else x[..., rows, :, :]
+        size = xs.shape[-3]
+        tb = _input_taps(t[..., :size, :, :, :], xs)
+        for pick, sel, runs, w1b, w2t, b2, w2f in blocks:
+            lim, tk = (slice(len(runs)), slice(size)), tb[pick]  # the chunk's buffers; the block's taps
+            yield (sel, rows), runs, tk, _hidden(w1b, tk, h[lim]), u[lim], w2t, b2, w2f
+
+
 def forward(net: TinyNet, image: np.ndarray) -> np.ndarray:
     """Predicted probability map for one (H, W) image, a (B, H, W) batch or a list of B same-shaped (H, W) arrays,
     which it stacks one chunk at a time; per run on a leading axis for a net with a run axis. A net without one
     runs as a one-run stack, whose axis the map drops."""
     stack = _one_run(net)
-    n = stack.runs
     x, shape = _as_batch(image)
-    b, rc, (t, u, h) = _chunk_buffers((len(x), *shape[-2:]), n, False, [])
-    p = np.empty((n, len(x), *shape[-2:]))
-    blocks = _weights(stack.params, rc, False)
-    for s in range(0, len(x), b):
-        rows, xs = slice(s, s + b), np.asarray(x[s : s + b], dtype=np.float64)  # stacks a list's chunk
-        tb = _input_taps(t[: len(xs)], xs)
-        for sel, runs, w1b, w2t, b2, _ in blocks:
-            lim = (slice(len(runs)), slice(len(xs)))  # the chunk's buffers
-            _output(w2t, b2, _hidden(w1b, tb, h[lim]), u[lim], p[sel, rows])
-    p = p.reshape(n, *shape)
+    p = np.empty((stack.runs, len(x), *shape[-2:]))
+    for at, _, _, hb, u, w2t, b2, _ in _hidden_maps(stack, x, (len(x), *shape[-2:]), False, []):
+        _output(w2t, b2, hb, u, p[at])
+    p = p.reshape(stack.runs, *shape)
     return p if net.runs is not None else p[0]
 
 
@@ -258,39 +270,28 @@ def _seed_taps(seeds: list[int]):
 
 
 def _step(net: TinyNet, x: np.ndarray, upstream, ws: list, seed_of=None) -> dict[str, np.ndarray]:
-    """Weight gradients of (B, H, W) images x per run, summed over the images, from one pass per chunk on the same
-    taps and hidden maps; for (seeds, B, H, W) images x, each run takes those of its seed index ``seed_of[run]``.
-    ``upstream(runs, rows, p)`` is d(loss)/d(p) of the images ``rows`` for a block of the net's runs, the range
-    ``runs``, given their outputs p (runs, images, H, W): one call per chunk and block. The rows of a run that has
-    stopped may hold anything: its gradients are then left undefined. ``ws`` holds the buffers."""
-    n, count = net.runs, x.shape[-3]
-    b, rc, (t, d, h) = _chunk_buffers(x.shape, n, True, ws)
+    """Weight gradients of (B, H, W) images x per run, summed over the images, from one pass per chunk and block of
+    :func:`_hidden_maps` on its taps and hidden maps; for (seeds, B, H, W) images x, each run takes those of its seed
+    index ``seed_of[run]``. ``upstream(runs, rows, p)`` is d(loss)/d(p) of the images ``rows`` for a block of the
+    net's runs, the range ``runs``, given their outputs p (runs, images, H, W): one call per chunk and block. The rows
+    of a run that has stopped may hold anything: its gradients are then left undefined. ``ws`` holds the buffers."""
     # per-image gradients: the 153 of a run and image in one row of `flat`, summed in image order at the end
     shapes = {"w1": (HIDDEN_CHANNELS, TAPS), "b1": (HIDDEN_CHANNELS,), "w2": (HIDDEN_CHANNELS, TAPS), "b2": ()}
-    flat = np.empty((n, count, sum(math.prod(s) for s in shapes.values())))
+    flat = np.empty((net.runs, x.shape[-3], sum(math.prod(s) for s in shapes.values())))
     g = _by_weight(flat, shapes)
-    blocks = [(_seed_taps(seed_of[sel]) if x.ndim == 4 else ..., sel, *rest)
-              for sel, *rest in _weights(net.params, rc, True)]
-    for s in range(0, count, b):
-        rows, xs = slice(s, s + b), x[..., s : s + b, :, :]
-        size = xs.shape[-3]
-        tb = _input_taps(t[..., :size, :, :, :], xs)
-        for pick, sel, runs, w1b, w2t, b2, w2f in blocks:
-            at, lim = (sel, rows), (slice(len(runs)), slice(size))  # the chunk's gradients and buffers
-            tk = tb[pick]  # the block's taps
-            hb = _hidden(w1b, tk, h[lim])
-            p = _output(w2t, b2, hb, d[lim], np.empty(hb.shape[:-2] + xs.shape[-2:]))  # T is still needed
-            dz2 = upstream(runs, rows, p) * p
-            dz2 *= 1.0 - p
-            db = _stacked_taps(d[lim], dz2)
-            # Each image's products are its own matmul, so a batch sums what per-image calls return.
-            np.matmul(hb, db.swapaxes(-1, -2), out=g["w2"][at])
-            relu = hb > 0.0
-            zb = np.matmul(w2f, db, out=hb)  # dz1 over the hidden maps, which only the ReLU mask still needs
-            zb *= relu
-            np.matmul(zb, tk[..., :TAPS, :].swapaxes(-1, -2), out=g["w1"][at])
-            zb.sum(axis=-1, out=g["b1"][at])  # not the product's ones column: that would sum in another order
-            dz2.sum(axis=(-2, -1), out=g["b2"][at])
+    for at, runs, tk, hb, d, w2t, b2, w2f in _hidden_maps(net, x, x.shape, True, ws, seed_of):
+        p = _output(w2t, b2, hb, d, np.empty(hb.shape[:-2] + x.shape[-2:]))  # T is still needed
+        dz2 = upstream(runs, at[1], p) * p
+        dz2 *= 1.0 - p
+        db = _stacked_taps(d, dz2)
+        # Each image's products are its own matmul, so a batch sums what per-image calls return.
+        np.matmul(hb, db.swapaxes(-1, -2), out=g["w2"][at])
+        relu = hb > 0.0
+        zb = np.matmul(w2f, db, out=hb)  # dz1 over the hidden maps, which only the ReLU mask still needs
+        zb *= relu
+        np.matmul(zb, tk[..., :TAPS, :].swapaxes(-1, -2), out=g["w1"][at])
+        zb.sum(axis=-1, out=g["b1"][at])  # not the product's ones column: that would sum in another order
+        dz2.sum(axis=(-2, -1), out=g["b2"][at])
     out = _by_weight(_sum_images(flat, 1), shapes)
     out["w2"] = out["w2"][..., ::-1]  # tap k of dz2 pairs with w2's tap 8 - k
     return {k: v.reshape(net.params[k].shape) for k, v in out.items()}
@@ -313,7 +314,7 @@ def backward(net: TinyNet, image: np.ndarray, upstream_grad: np.ndarray) -> dict
 class AdamState:
     lr: float | np.ndarray = 1e-4  # stacked weights may take one rate per run, shape (R,)
     step: int = 0
-    m: np.ndarray | None = None  # flat, as :func:`adam_step` makes them at the first step
+    m: np.ndarray | None = None  # flat (per run for a per-run rate); None is zeros of the first step's shape
     v: np.ndarray | None = None
 
 
@@ -401,23 +402,20 @@ def evaluate(net: TinyNet, val_set, runs=None):
     return results if net.runs is not None else results[0]
 
 
-def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g) -> tuple:
-    """The loss of runs that share a base loss, on the outputs p (rows, images, H, W) of their stack rows: per run,
-    in row order, its ``(base, params)`` of :func:`split_wrapped` and its row of p. One call of the base (on ``p[0]``
-    for one row, as a run alone makes it) and one composition give each wrapped run its values and slopes, and each
-    plain run the identity's (slope 1). Returns the runs' values (runs, images), or a scalar that stands for each;
-    p's upstream gradient, each row's through the slope of its first run; by run, each wrapped run whose base value
-    left [0, 1], with its first such value, which leaves the other runs; and by row, when its runs' slopes differ,
-    its runs of each slope in turn: the row's gradient is then left undefined. Masks g of p's shape give each row
-    its own: the base then scores rows x images as the images of one call."""
+def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g: Masks) -> tuple:
+    """The loss of runs that share a base loss, on the outputs p (rows, images, H, W) of their stack rows and each
+    row's masks g of p's shape: per run, in row order, its ``(base, params)`` of :func:`split_wrapped` and its row of
+    p. One call of the base on rows x images as the images of one :class:`Masks` stack (for one row, the call its run
+    makes alone) and one composition give each wrapped run its values and slopes, and each plain run the identity's
+    (slope 1). Returns the runs' values (runs, images), or a scalar that stands for each; p's upstream gradient, each
+    row's through the slope of its first run; by run, each wrapped run whose base value left [0, 1], with its first
+    such value, which leaves the other runs; and by row, when its runs' slopes differ, its runs of each slope in
+    turn: the row's gradient is then left undefined."""
     base, params = split[0][0], tuple(q for _, q in split)
-    if g.ndim == p.ndim:
-        per_image = base(p.reshape(-1, *p.shape[2:]), g.reshape(-1, *g.shape[2:]))
-        ev = LossEval(per_image.value if np.ndim(per_image.value) == 0 else per_image.value.reshape(p.shape[:2]),
-                      lambda: per_image.grad.reshape(p.shape))
-    else:
-        ev = base(p[0], g) if len(p) == 1 else base(p, g)
-    value = ev.value if len(p) == 1 or np.ndim(ev.value) == 0 else ev.value[rows]
+    per_image = base(p.reshape(-1, *p.shape[2:]), g.reshape(-1, *g.shape[2:]))
+    ev = LossEval(per_image.value if np.ndim(per_image.value) == 0 else per_image.value.reshape(p.shape[:2]),
+                  lambda: per_image.grad.reshape(p.shape))
+    value = ev.value if np.ndim(ev.value) == 0 else ev.value[rows]
     if all(q is None for q in params):
         return value, ev.grad, {}, {}
     scored = LossEval(value, None)  # whose gradient, one per run, is never read
@@ -431,8 +429,8 @@ def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g) -> tuple
         if i not in outside:
             slopes.setdefault(j, {}).setdefault(runs.slope[i].tobytes(), []).append(i)
     first = tuple(params[next(iter(slopes[j].values()))[0]] if j in slopes else None for j in range(len(p)))
-    if any(q is not None for q in first):  # one row's value has no row axis, so it takes its run's parameters
-        ev = _compose(ev, first[0] if len(p) == 1 else RowParams.of(first))
+    if any(q is not None for q in first):
+        ev = _compose(ev, RowParams.of(first))
     return runs.value, ev.grad, outside, {j: list(c.values()) for j, c in slopes.items() if len(c) > 1}
 
 
@@ -447,7 +445,8 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of the stack, which trains their one
     trajectory while their upstream gradients are equal, that is while their wrapper slopes are equal on every
     image (a plain run's slope is 1, as is the linear branch's). A step where they differ is rerun with the row
-    copied once per slope. Each chunk builds each seed's input taps once. Each chunk and block of rows takes one
+    copied once per slope. The seeds that still have a row are read from the rows at each batch: each chunk builds
+    their input taps once, as a one-seed call does when one seed is left. Each chunk and block of rows takes one
     finiteness check and one loss call per shared base loss, on each row's own masks, and the wrapper's composition
     gives each wrapped run its own parameters. Validation, the final AUC and Adam take one call for every row.
     """
@@ -456,7 +455,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
         raise ValueError("train and validation sets must be non-empty")
     if len({(c.batch_size, c.max_epochs) for c in configs}) != 1:
         raise ValueError("train takes one or more configs that share batch_size and max_epochs")
-    seeds = list(dict.fromkeys(c.seed for c in configs))  # a row's seed is its index here
+    seeds = list(dict.fromkeys(c.seed for c in configs))
     if len(seeds) > 1 and len({np.shape(s.image) for s in train_set}) > 1:
         raise ValueError("configs of different seeds need training images of one shape")
     batch_size, max_epochs = configs[0].batch_size, configs[0].max_epochs
@@ -468,22 +467,18 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     for c, (config, key) in enumerate(zip(configs, keys)):
         members.setdefault((config.seed, config.lr, key), []).append(c)
     members = list(members.values())
-    seed_of = [seeds.index(configs[ms[0]].seed) for ms in members]  # each row's seed index
-    weights = [TinyNet.init(seed).params for seed in seeds]
-    net = TinyNet({k: np.stack([weights[i][k] for i in seed_of]) for k in weights[0]})
-    opt = AdamState(lr=np.array([configs[ms[0]].lr for ms in members]))
+    weights = {seed: TinyNet.init(seed).params for seed in seeds}
+    net = TinyNet({k: np.stack([weights[configs[ms[0]].seed][k] for ms in members]) for k in weights[seeds[0]]})
+    moments = (len(members), sum(v[0].size for v in net.params.values()))  # Adam's flat m and v, zero per row
+    opt = AdamState(lr=np.array([configs[ms[0]].lr for ms in members]), m=np.zeros(moments), v=np.zeros(moments))
     out: list = [None] * len(configs)
     epoch_rows = [[] for _ in configs]
 
     def restack(rows: list[tuple[int, list[int]]]) -> list[int]:
-        """Stack, per ``(row, configs)`` of ``rows``, a copy of that row with those configs; returns the rows. A seed
-        left without a row leaves ``seeds`` and the epoch's orders."""
+        """Stack, per ``(row, configs)`` of ``rows``, a copy of that row with those configs; returns the rows."""
         index = [r for r, _ in rows]
-        live = sorted({seed_of[r] for r in index})  # seed indices, so the seeds keep their order
-        members[:], seed_of[:] = [ms for _, ms in rows], [live.index(seed_of[r]) for r in index]
-        seeds[:], orders[:] = [seeds[i] for i in live], [orders[i] for i in live]
-        net.params, opt.lr = {k: v[index] for k, v in net.params.items()}, opt.lr[index]
-        opt.m, opt.v = (None, None) if opt.m is None else (opt.m[index], opt.v[index])
+        members[:], net.params = [ms for _, ms in rows], {k: v[index] for k, v in net.params.items()}
+        opt.lr, opt.m, opt.v = opt.lr[index], opt.m[index], opt.v[index]
         return index
 
     def drop(failed: dict[int, TrainingDiverged]) -> list[int]:
@@ -509,9 +504,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
         for idx in shared.values():
             at = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx  # a view if it can
             cs, at_rows = zip(*((c, j) for j, i in enumerate(idx) for c in members[runs[i]] if c not in failed))
-            seed_at = [seed_of[runs[i]] for i in idx]
-            # the chunk's masks of the rows' one seed, or each row's own where the rows span seeds
-            g = masks[seed_at[0], chunk] if len(set(seed_at)) == 1 else masks[:, chunk][seed_at]
+            g = masks[:, chunk][[seed_of[runs[i]] for i in idx]]  # each row's masks of the chunk
             value, grad, outside, slopes = _shared_loss([split[c] for c in cs], list(at_rows), p[at], g)
             for k, v in outside.items():  # a wrapped base loss that is not confined to [0, 1]
                 failed[cs[k]] = _OutsideWrapper(epoch, b_idx, f"base loss value {v}")
@@ -526,21 +519,24 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     n = len(train_set)
     ws = []  # the step's chunk buffers: allocated at the first (largest) batch, reused by every step of this call
     for epoch in range(max_epochs):
-        orders = [np.random.default_rng([seed, 11, epoch]).permutation(n) for seed in seeds]
+        orders = {seed: np.random.default_rng([seed, 11, epoch]).permutation(n)  # per seed that has a row
+                  for seed in {configs[ms[0]].seed for ms in members}}
         epoch_losses = [[] for _ in configs]
         # a divergence is reported by the isfinite checks, not by numpy's overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for b_idx, start in enumerate(range(0, n, batch_size)):
-                batch = [train_set[i] for order in orders for i in order[start : start + batch_size]]
-                m = len(batch) // len(seeds)  # images per seed
-                shape = (len(seeds), m, *np.shape(batch[0].image))  # per seed, its batch
+                live = sorted({configs[ms[0]].seed for ms in members}, key=seeds.index)  # the seeds with a row
+                batch = [train_set[i] for seed in live for i in orders[seed][start : start + batch_size]]
+                m = len(batch) // len(live)  # images per seed
+                shape = (len(live), m, *np.shape(batch[0].image))  # per seed, its batch
                 images = np.stack([s.image for s in batch]).reshape(shape)
                 masks = np.stack([s.mask for s in batch]).reshape(shape).view(_CheckedMasks)
                 while True:  # a step where a row's configs part is rerun, with one row more at least
                     values = np.zeros((len(configs), 1 + m))  # per config: 0.0, then the batch's loss values
                     failed, splits = {}, {}  # by config; by row, its configs of each slope
+                    seed_of = [live.index(configs[ms[0]].seed) for ms in members]  # each row's seed index
                     # one seed's images without the seed axis, so every block reads its taps as they are
-                    grads = _step(net, images if len(seeds) > 1 else images[0], upstream, ws, seed_of)
+                    grads = _step(net, images if len(live) > 1 else images[0], upstream, ws, seed_of)
                     if not splits:
                         break
                     restack([(r, part) for r, ms in enumerate(members) for part in splits.get(r, [ms])])

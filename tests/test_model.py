@@ -1024,6 +1024,24 @@ class TestSideBySide:
         assert seen[:3] == [(2, 4, 16, 16), (2, 4, 16, 16), (4, 16, 16)]
         assert all(len(shape) == 3 for shape in seen[2:])
 
+    def test_rows_that_split_and_leave_across_seeds_train_like_their_runs_alone(self, monkeypatch):
+        # at lr 1 each seed's row of plain and wrapped bce splits at the first step (2 -> 4 rows); at epoch 0, batch 1
+        # seed 1's split-off row and both seeds' gamma 0.3 and 0.05 configs leave, whose base values left [0, 1]
+        # (3 rows: seed 1's, then seed 2's two, a block that reads gathered taps); at epoch 1, batch 2 seed 2's
+        # split-off row leaves too
+        train_set, val_set = train_val_split(generate(SynthSpec(16, 16, 0.2, 16, 0.05, seed=3)), 0.8, seed=3)
+        variants = [built("bce"), *(built("bce", AdaptiveLogParams(gamma=g)) for g in (0.99, 0.3, 0.05))]
+        configs = [TrainConfig(lr=1.0, batch_size=4, max_epochs=4, seed=seed, loss_fn=fn)
+                   for seed in (1, 2) for fn in variants]
+        solo = [train([c], train_set, val_set)[0] for c in configs]
+        assert [(r.epoch, r.batch) if isinstance(r, TrainingDiverged) else None for r in solo] == [
+            None, (0, 1), (0, 1), (0, 1), None, (1, 2), (0, 1), (0, 1)]
+        seen, real = [], model._step
+        monkeypatch.setattr(model, "_step", lambda net, *args: seen.append(net.runs) or real(net, *args))
+        for got, want in zip(train(configs, train_set, val_set), solo):
+            _same_record(got, want)
+        assert seen == [2, 4, 4] + [3] * 4 + [2] * 6  # three batches per epoch, the first step rerun
+
     def test_mixed_image_shapes(self):
         # batches of one image of any shape: the group's buffers follow the shape, as one run's do
         shapes = [(16, 16), (12, 20), (16, 16), (20, 12), (12, 20), (16, 16)]
@@ -1137,9 +1155,9 @@ class TestSideBySide:
         ([{"loss_fn": built("dice")}, {"loss_fn": built("focal")}],
          {"soft_dice_loss": [(8, 16, 16), (4, 16, 16)] * 3, "focal_loss": [(8, 16, 16), (4, 16, 16)] * 3}),
         # at gamma 0.99 the wrapped run's slope exceeds 1 on the first chunk: the row's call, then the rerun's
-        # stacked call on the two rows it split into
+        # stacked call on the two rows it split into, rows x images as the images of one call
         ([{"loss_fn": built("dice")}, _wrapped("dice", gamma=0.99)],
-         {"soft_dice_loss": [(8, 16, 16), (2, 8, 16, 16), (2, 4, 16, 16)] + [(2, 8, 16, 16), (2, 4, 16, 16)] * 2}),
+         {"soft_dice_loss": [(8, 16, 16), (16, 16, 16), (8, 16, 16)] + [(16, 16, 16), (8, 16, 16)] * 2}),
         # grid-sweep's runs of three seeds train on one row per seed, and their block's one call scores each row on
         # its own masks: rows x images, as the images of one call
         ([{**v, "seed": seed} for seed in (0, 1, 2) for v in GRID_VARIANTS],
