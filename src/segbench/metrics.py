@@ -68,55 +68,42 @@ def confusion(p, g, threshold: float = 0.5) -> ConfusionCounts:
 _RATIO = "%s has zero denominator; reporting 1.0 by convention"  # 1.0: nothing to get wrong
 
 
-def _divide(num, denom, fill: float, events: list | None, *message) -> float | np.ndarray:
+def _divide(num, denom, fill: float, *message) -> float | np.ndarray:
     """``num / denom`` of one image's counts or, elementwise, of arrays of them, and ``fill`` by convention where
-    ``denom`` is 0: there a score logs ``message`` once per element or, given ``events``, adds it there."""
+    ``denom`` is 0: there a score logs ``message`` once per element, as one call per element would."""
     zero = np.equal(denom, 0)
-    if events is None:
-        for _ in range(np.count_nonzero(zero)):
-            log.warning(*message)
-    else:
-        events.append((zero, message))
+    for _ in range(np.count_nonzero(zero)):
+        log.warning(*message)
     out = np.divide(num, denom, out=np.full(zero.shape, fill), where=~zero)
     return float(out) if out.ndim == 0 else out
 
 
-def jaccard_index(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
-    return _divide(c.tp, c.tp + c.fp + c.fn, 1.0, events, _RATIO, "jaccard")
+def jaccard_index(c: ConfusionCounts) -> float | np.ndarray:
+    return _divide(c.tp, c.tp + c.fp + c.fn, 1.0, _RATIO, "jaccard")
 
 
-def dice_index(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
-    return _divide(2 * c.tp, 2 * c.tp + c.fp + c.fn, 1.0, events, _RATIO, "dice")
+def dice_index(c: ConfusionCounts) -> float | np.ndarray:
+    return _divide(2 * c.tp, 2 * c.tp + c.fp + c.fn, 1.0, _RATIO, "dice")
 
 
-def recall(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
-    return _divide(c.tp, c.tp + c.fn, 1.0, events, _RATIO, "recall")
+def recall(c: ConfusionCounts) -> float | np.ndarray:
+    return _divide(c.tp, c.tp + c.fn, 1.0, _RATIO, "recall")
 
 
-def specificity(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
-    return _divide(c.tn, c.tn + c.fp, 1.0, events, _RATIO, "specificity")
+def specificity(c: ConfusionCounts) -> float | np.ndarray:
+    return _divide(c.tn, c.tn + c.fp, 1.0, _RATIO, "specificity")
 
 
-def precision(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
-    return _divide(c.tp, c.tp + c.fp, 1.0, events, _RATIO, "precision")
+def precision(c: ConfusionCounts) -> float | np.ndarray:
+    return _divide(c.tp, c.tp + c.fp, 1.0, _RATIO, "precision")
 
 
-def f_measure(c: ConfusionCounts, events: list | None = None) -> float | np.ndarray:
-    pr, rc = precision(c, events), recall(c, events)
-    return _divide(2.0 * pr * rc, pr + rc, 0.0, events, "f-measure has zero denominator; reporting 0.0")
+def f_measure(c: ConfusionCounts) -> float | np.ndarray:
+    pr, rc = precision(c), recall(c)
+    return _divide(2.0 * pr * rc, pr + rc, 0.0, "f-measure has zero denominator; reporting 0.0")
 
 
 SCORES = {"jaccard": jaccard_index, "dice": dice_index, "recall": recall, "specificity": specificity, "f1": f_measure}
-
-
-def scores(c: ConfusionCounts) -> dict[str, float | np.ndarray]:
-    """Every score of :data:`SCORES`, with their warnings logged element by element, as one call per element would."""
-    events = []
-    values = {name: score(c, events) for name, score in SCORES.items()}
-    held = np.stack(np.broadcast_arrays(*(zero for zero, _ in events)), axis=-1)
-    for k in np.nonzero(held)[-1].tolist():  # row-major, so the last axis orders each element's events
-        log.warning(*events[k][1])
-    return values
 
 
 def roc_auc(preds, masks, n_thresholds: int = 256) -> RocCurve:

@@ -384,7 +384,8 @@ def evaluate(net: TinyNet, val_set, runs=None):
     inputs. For a net with a run axis, a list of them, one per item of ``runs`` (by default each run once, in order),
     each scoring that run of the stack: each run of same-shaped images takes one forward pass, which stacks one chunk
     of their images at a time, and one confusion count for every run, and each run's counts are scored once per item
-    that names it. A net without one runs as a one-run stack and gets its one item."""
+    that names it, one score at a time for every item and image, so the warnings come score by score. A net without
+    one runs as a one-run stack and gets its one item."""
     if not val_set:
         raise ValueError("validation set must be non-empty")
     bad = next((s for s in val_set if np.shape(s.mask) != np.shape(s.image)), None)
@@ -397,7 +398,7 @@ def evaluate(net: TinyNet, val_set, runs=None):
     counts = [metrics.confusion(m, np.stack([s.mask for s in group]).view(Masks)) for m, group in zip(maps, groups)]
     per_image = metrics.ConfusionCounts(*(np.concatenate(f, axis=-1)[runs]
                                           for f in zip(*(vars(k).values() for k in counts))))
-    means = {k: np.mean(v, axis=-1).tolist() for k, v in metrics.scores(per_image).items()}  # per item
+    means = {k: np.mean(score(per_image), axis=-1).tolist() for k, score in metrics.SCORES.items()}  # per item
     results = [({k: v[i] for k, v in means.items()}, [p for m in maps for p in m[r]]) for i, r in enumerate(runs)]
     return results if net.runs is not None else results[0]
 
@@ -438,11 +439,11 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     """Mini-batch Adam training; per-epoch validation at threshold 0.5.
 
     ``configs`` share a batch size and an epoch count, and train side by side on one net with a run axis (one
-    config on a stack of one run); configs of different seeds need training images of one shape. Each stack row
-    carries its seed: it starts from that seed's weights, and each epoch and step takes that seed's batch. Returns,
-    per config, its record or the :class:`TrainingDiverged` it would raise if trained alone: a run that diverges
-    leaves the stack, and the others go on with the bits they would have alone. Configs that share a seed, an
-    ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of the stack, which trains their one
+    config on a stack of one run); configs of different seeds, or a batch size above 1, need training images of one
+    shape. Each stack row carries its seed: it starts from that seed's weights, and each epoch and step takes that
+    seed's batch. Returns, per config, its record or the :class:`TrainingDiverged` it would raise if trained alone: a
+    run that diverges leaves the stack, and the others go on with the bits they would have alone. Configs that share
+    a seed, an ``lr`` and a base loss (:func:`losses.loss_key`) start on one row of the stack, which trains their one
     trajectory while their upstream gradients are equal, that is while their wrapper slopes are equal on every
     image (a plain run's slope is 1, as is the linear branch's). A step where they differ is rerun with the row
     copied once per slope. The seeds that still have a row are read from the rows at each batch: each chunk builds
@@ -456,9 +457,9 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     if len({(c.batch_size, c.max_epochs) for c in configs}) != 1:
         raise ValueError("train takes one or more configs that share batch_size and max_epochs")
     seeds = list(dict.fromkeys(c.seed for c in configs))
-    if len(seeds) > 1 and len({np.shape(s.image) for s in train_set}) > 1:
-        raise ValueError("configs of different seeds need training images of one shape")
     batch_size, max_epochs = configs[0].batch_size, configs[0].max_epochs
+    if len({np.shape(s.image) for s in train_set}) > 1 and (len(seeds) > 1 or batch_size > 1):
+        raise ValueError("configs of different seeds need training images of one shape, as does a batch size above 1")
     # once: every loss call on a chunk's masks then skips the scan, and the final AUC takes masks of 0 and 1 only
     _check_masks(s.mask for s in (*train_set, *val_set))
     split = [split_wrapped(c.loss_fn) for c in configs]  # each config's base loss and wrapper parameters

@@ -6,6 +6,7 @@ import inspect
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -603,6 +604,21 @@ def test_perfbench_traced_names_exist():
         for name in names:
             assert callable(getattr(importlib.import_module(f"segbench.{mod}"), name, None)), f"segbench.{mod}.{name}"
     assert {"losses", "report"} <= set(inspect.signature(run_gradcheck).parameters)
+
+
+def test_readme_tags_name_collected_tests():
+    # a README promise is tagged <!-- tested: path::node ... --> with the tests that check it; a renamed or deleted
+    # test leaves a tag that no longer resolves, which pytest reports as "not found" when asked to collect it
+    root = Path(__file__).resolve().parents[1]
+    ids = [i for tag in re.findall(r"<!-- tested: (.+?) -->", (root / "README.md").read_text()) for i in tag.split()]
+    assert ids
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    collected = done.stdout.splitlines()
+    for i in ids:  # each id collects a test of its own: a node of a file, class or parametrized function
+        assert any(c == i or c.startswith((f"{i}::", f"{i}[")) for c in collected), i
 
 
 class TestGradcheckCommand:

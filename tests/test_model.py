@@ -546,8 +546,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("runs", [1, 2, 3])
     def test_stacked_scoring_equals_per_image_scoring(self, caplog, runs):
-        # every run and image of a same-shaped group is scored by one confusion call; each run's means, maps and
-        # zero-denominator warnings must be those of one call per image, run after run
+        # every run and image of a same-shaped group is scored by one confusion call; each run's means and maps must
+        # be those of one call per image, and the zero-denominator warnings those of one call per run and image
         rng = np.random.default_rng([21, runs])
         shapes = [(16, 16)] * 4 + [(12, 20)] * 2 + [(16, 16)] * 3 + [(20, 12)] + [(16, 16)] * 3  # 13: mean unrolls
         val_set = _random_samples(rng, shapes)
@@ -561,7 +561,7 @@ class TestEvaluate:
         caplog.clear()
         want = [_per_image_evaluate(TinyNet({k: v[r] for k, v in stack.params.items()}), val_set)
                 for r in range(runs)]
-        assert got_log == [r.getMessage() for r in caplog.records]
+        assert sorted(got_log) == sorted(r.getMessage() for r in caplog.records)
         assert {"precision has zero denominator; reporting 1.0 by convention",
                 "recall has zero denominator; reporting 1.0 by convention"} <= set(got_log)
         assert len(got) == runs
@@ -907,6 +907,18 @@ class TestTrain:
             train([TrainConfig(lr=0.01, batch_size=4, max_epochs=2, seed=0)], *halves)
         assert (got.type, str(got.value)) == (want.type, str(want.value))
         assert str(got.value) == "mask values must be exactly 0 or 1" and not steps
+
+    def test_mixed_shapes_in_batches_above_one_are_rejected_before_the_first_step(self, monkeypatch):
+        # a step stacks its batch, so a batch of two shapes cannot be trained; the order of the images decides at
+        # which step one comes, so train refuses mixed shapes up front rather than partway through an epoch
+        samples = _random_samples(np.random.default_rng(0), [(16, 16)] * 10 + [(24, 16)])
+        steps, real = [], model._step
+        monkeypatch.setattr(model, "_step", lambda *a: steps.append(1) or real(*a))
+        with pytest.raises(ValueError, match="one shape, as does a batch size above 1"):
+            train([TrainConfig(lr=0.01, batch_size=4, max_epochs=1, seed=0)], samples, samples[:2])
+        assert not steps
+        train([TrainConfig(lr=0.01, batch_size=1, max_epochs=1, seed=0)], samples, samples[:2])  # a batch of one
+        assert len(steps) == len(samples)
 
     def test_adaptive_wrapped_training_runs(self):
         train_set, val_set = tiny_dataset(seed=6)
