@@ -70,14 +70,13 @@ class BaseValueOutOfRange(ValueError):
 
 class RowParams(NamedTuple):
     """Wrapper parameters per row of a (rows, images) stack of base values, as (rows, 1) columns.  A plain run's
-    row composes with the identity: the linear branch (gamma -inf) with c = 0 and slope 1, so ``x - 0.0`` gives
-    back every value, those above 1 and NaN too, and ``wrapped`` leaves it out of the range check."""
+    row composes with the identity: the linear branch (gamma -inf, which also leaves it out of the range check)
+    with c = 0 and slope 1, so ``x - 0.0`` gives back every value, those above 1 and NaN too."""
 
     gamma: np.ndarray
     omega: np.ndarray
     epsilon: np.ndarray
     c: np.ndarray
-    wrapped: np.ndarray
 
     @classmethod
     @functools.lru_cache(maxsize=256)  # training asks for the same rows on every chunk
@@ -85,22 +84,19 @@ class RowParams(NamedTuple):
         """One row per item of ``params``: its parameters, or None for a plain run. Cached, so read-only."""
         table = np.array([(-math.inf, 1.0, 1.0, 0.0) if q is None else (q.gamma, q.omega, q.epsilon, q.c)
                           for q in params])
-        wrapped = np.array([[q is not None] for q in params])
-        table.flags.writeable = wrapped.flags.writeable = False
-        return cls(*table.T[..., None], wrapped)
+        table.flags.writeable = False
+        return cls(*table.T[..., None])
 
 
 def _branches(x, params: AdaptiveLogParams | RowParams) -> tuple:
-    """(wrapped value, slope) of a base value or an array of them; a float gives floats."""
+    """(wrapped value, slope) of a base value or an array of them, as arrays; a float gives floats.  Raises
+    :class:`BaseValueOutOfRange` for a base value outside [0, 1], except on a :class:`RowParams` identity row."""
     x = np.asarray(x, dtype=np.float64)
-    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN is outside too
-    per_row = isinstance(params, RowParams)
-    if per_row:
-        outside = outside & params.wrapped
+    outside = ~((x >= 0.0) & (x <= 1.0)) & (params.gamma > -math.inf)  # NaN is outside too
     if outside.any():
-        xs, rows = np.broadcast_to(x, outside.shape), None
-        if per_row:
-            rows = {i: float(xs[i][outside[i]][0]) for i in np.flatnonzero(outside.any(axis=-1)).tolist()}
+        xs = np.broadcast_to(x, outside.shape)
+        rows = ({i: float(xs[i][outside[i]][0]) for i in np.flatnonzero(outside.any(axis=-1)).tolist()}
+                if isinstance(params, RowParams) else None)
         raise BaseValueOutOfRange(float(xs[outside][0]), rows)
     below = x < params.gamma
     value = np.where(below, params.omega * np.log(1.0 + x / params.epsilon), x - params.c)
@@ -125,7 +121,7 @@ def derivative_jump(params: AdaptiveLogParams = DEFAULT_PARAMS) -> float:
 
 def _compose(base: LossEval, params: AdaptiveLogParams | RowParams) -> LossEval:
     value, slope = _branches(base.value, params)
-    return LossEval(value, lambda: copy_axes(slope, base.grad) * base.grad, slope)
+    return LossEval(value, lambda: copy_axes(slope, base.grad) * base.grad)
 
 
 def adaptive_log_wrap(base: LossEval, params: AdaptiveLogParams = DEFAULT_PARAMS) -> LossEval:

@@ -50,12 +50,11 @@ class LossEval:
     a function, which runs on the first read of ``.grad``; that read keeps the
     array, so later reads return the same object.  The function works on the
     arrays passed to the call, so a caller must not modify ``p`` or ``g`` in
-    place before reading ``.grad``.  A wrapped loss also carries its ``slope``,
-    d(value)/d(base value) per value (see :func:`adaptive._compose`); None elsewhere.
+    place before reading ``.grad``.
     """
 
-    def __init__(self, value: float | np.ndarray, grad, slope=None):
-        self.value, self._grad, self.slope = value, grad, slope
+    def __init__(self, value: float | np.ndarray, grad):
+        self.value, self._grad = value, grad
 
     @property
     def grad(self) -> np.ndarray:
@@ -279,7 +278,8 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     ``loss_fn`` must score the copies it is given: one buffer, rewritten in
     place, holds every block.  The first block holds every pixel of ``p``,
     unperturbed or with both sides in [0, 1], and gets ``g`` as given, so it
-    raises what ``loss_fn(p, g)`` would.  Later copies differ from ``p`` only
+    raises what ``loss_fn(p, g)`` would; a ``p`` without pixels, which has no
+    block, is scored by that call itself.  Later copies differ from ``p`` only
     by perturbations that stay in [0, 1], so they get ``g`` marked as checked.
     """
     if not (0 < step <= 0.5):
@@ -291,6 +291,8 @@ def finite_difference_grad(loss_fn, p, g, step: float = 1e-6) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
     n = flat.size
+    if n == 0:  # no block to score: one call raises what the loss raises on input without pixels
+        loss_fn(p, g)
     up, down = flat + step <= 1.0, flat - step >= 0.0
     sides = np.stack([np.where(up, flat + step, flat), np.where(down, flat - step, flat)])
     width = np.where(up & down, 2.0 * step, step)

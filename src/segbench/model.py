@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .adaptive import BaseValueOutOfRange, RowParams, _compose, split_wrapped
-from .losses import LossEval, Masks, _check_masks, _CheckedMasks, copy_axes, loss_key, make_loss
+from .adaptive import BaseValueOutOfRange, RowParams, _branches, split_wrapped
+from .losses import Masks, _check_masks, _CheckedMasks, copy_axes, loss_key, make_loss
 from .synthdata import _check_integers
 
 HIDDEN_CHANNELS = 8
@@ -407,32 +407,31 @@ def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g: Masks) -
     """The loss of runs that share a base loss, on the outputs p (rows, images, H, W) of their stack rows and each
     row's masks g of p's shape: per run, in row order, its ``(base, params)`` of :func:`split_wrapped` and its row of
     p. One call of the base on rows x images as the images of one :class:`Masks` stack (for one row, the call its run
-    makes alone) and one composition give each wrapped run its values and slopes, and each plain run the identity's
-    (slope 1). Returns the runs' values (runs, images), or a scalar that stands for each; p's upstream gradient, each
-    row's through the slope of its first run; by run, each wrapped run whose base value left [0, 1], with its first
-    such value, which leaves the other runs; and by row, when its runs' slopes differ, its runs of each slope in
-    turn: the row's gradient is then left undefined."""
+    makes alone), then, if a run is wrapped, one :func:`adaptive._branches` through :class:`RowParams` (a plain run
+    gets the identity's), and one more if a wrapped run left [0, 1]. Returns the runs' values (runs, images), or a
+    scalar that stands for each; p's upstream gradient, each row's scaled by the slope of its first run in range; by
+    run, each wrapped run that left [0, 1], with its first such value; and by row, when its runs' slopes differ, its
+    runs of each slope in turn: the row's gradient is then left undefined."""
     base, params = split[0][0], tuple(q for _, q in split)
     per_image = base(p.reshape(-1, *p.shape[2:]), g.reshape(-1, *g.shape[2:]))
-    ev = LossEval(per_image.value if np.ndim(per_image.value) == 0 else per_image.value.reshape(p.shape[:2]),
-                  lambda: per_image.grad.reshape(p.shape))
-    value = ev.value if np.ndim(ev.value) == 0 else ev.value[rows]
+    value, grad = per_image.value, per_image.grad.reshape(p.shape)
+    if np.ndim(value):
+        value = value.reshape(p.shape[:2])[rows]
     if all(q is None for q in params):
-        return value, ev.grad, {}, {}
-    scored = LossEval(value, None)  # whose gradient, one per run, is never read
+        return value, grad, {}, {}
     try:
-        outside, runs = {}, _compose(scored, RowParams.of(params))
+        outside, (value, slope) = {}, _branches(value, RowParams.of(params))
     except BaseValueOutOfRange as exc:  # those runs compose with the identity instead
         outside = exc.rows
-        runs = _compose(scored, RowParams.of(tuple(q if i not in outside else None for i, q in enumerate(params))))
+        value, slope = _branches(value, RowParams.of(tuple(None if i in outside else q for i, q in enumerate(params))))
     slopes = {}  # row -> slope bytes -> the runs in range with that slope
     for i, j in enumerate(rows):
         if i not in outside:
-            slopes.setdefault(j, {}).setdefault(runs.slope[i].tobytes(), []).append(i)
-    first = tuple(params[next(iter(slopes[j].values()))[0]] if j in slopes else None for j in range(len(p)))
-    if any(q is not None for q in first):
-        ev = _compose(ev, RowParams.of(first))
-    return runs.value, ev.grad, outside, {j: list(c.values()) for j, c in slopes.items() if len(c) > 1}
+            slopes.setdefault(j, {}).setdefault(slope[i].tobytes(), []).append(i)
+    # a row with no run in range is leaving the stack: any of its runs' slopes will do
+    first = [next(iter(slopes[j].values()))[0] if j in slopes else rows.index(j) for j in range(len(p))]
+    return (value, copy_axes(slope[first], grad) * grad, outside,
+            {j: list(c.values()) for j, c in slopes.items() if len(c) > 1})
 
 
 def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:

@@ -307,6 +307,14 @@ class TestFiniteDifference:
                     p[at] = bad
                 assert error_of(lambda: finite_difference_grad(fn, p, g)) == error_of(lambda: fn(p, g))
 
+    # a p without pixels has no block to score: the oracle still calls the loss once, which rejects it
+    @pytest.mark.parametrize("name, p, g", [("dice", np.array([]), np.array([1, 0, 1])),
+                                            ("focal", np.zeros((0, 4)), np.full((0, 4), 7))],
+                             ids=["shape-mismatch", "empty"])
+    def test_input_without_pixels_raises_what_the_loss_raises(self, name, p, g):
+        fn = make_loss(name)
+        assert error_of(lambda: finite_difference_grad(fn, p, g)) == error_of(lambda: fn(p, g))
+
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_scans_its_input_on_the_first_block_only(self, name, monkeypatch):
         fn = wrap_loss_fn(make_loss(name))

@@ -87,7 +87,7 @@ class TestStackedConfusion:
             for score in self.SCORES:
                 assert score(c)[idx].hex() == score(one).hex()
 
-    def test_warnings_are_logged_per_element_in_table_order(self, caplog):
+    def test_warnings_are_the_per_element_lines_in_any_order(self, caplog):
         rng = np.random.default_rng(19)
         c = ConfusionCounts(*(np.where(rng.uniform(size=(4, 6)) < 0.5, 0, rng.integers(1, 9, size=(4, 6)))
                               for _ in range(4)))

@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import segbench.adaptive as adaptive
 import segbench.losses as losses
 import segbench.metrics as metrics
 import segbench.model as model
@@ -1188,6 +1189,31 @@ class TestSideBySide:
         assert all(isinstance(r, RunRecord) for r in train(configs, train_set, val_set))
         assert {k: v for k, v in calls.items() if v} == want
 
+    @pytest.mark.parametrize("base, lr, want", [("dice", 0.01, (7, 0)), ("bce", 0.3, (8, 1))], ids=["dice", "bce"])
+    def test_one_composition_per_shared_base_call(self, monkeypatch, base, lr, want):
+        # plain, and wrapped at gamma 0.5 and 0.9, at two seeds: a shared-base call composes its wrapped runs once,
+        # and once more when a wrapped run's base value leaves [0, 1], as one bce run at lr 0.3 does
+        calls, real_branches, real_shared = [], adaptive._branches, model._shared_loss
+
+        def branches(*args):
+            calls[-1][0] += 1
+            return real_branches(*args)
+
+        def shared(split, *args):
+            calls.append([0, any(q is not None for _, q in split), False])
+            out = real_shared(split, *args)
+            calls[-1][2] = bool(out[2])
+            return out
+
+        for owner in (adaptive, model):
+            monkeypatch.setattr(owner, "_branches", branches)
+        monkeypatch.setattr(model, "_shared_loss", shared)
+        train_set, val_set = train_val_split(generate(SynthSpec(16, 16, 0.2, 16, 0.05, seed=3)), 0.8, seed=3)
+        variants = [built(base), *(built(base, AdaptiveLogParams(gamma=g)) for g in (0.5, 0.9))]
+        train([TrainConfig(lr=lr, batch_size=4, max_epochs=2, seed=seed, loss_fn=fn)
+               for seed in (1, 2) for fn in variants], train_set, val_set)
+        assert [n for n, _, _ in calls] == [wrapped + left for _, wrapped, left in calls]
+        assert (len(calls), sum(left for _, _, left in calls)) == want
 
     @staticmethod
     def _rows_per_step(monkeypatch, variants):
