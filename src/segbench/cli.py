@@ -121,6 +121,7 @@ _NOT_OPTIONS = ("command", "config", "handler")  # what a parsed namespace holds
 CURVE_MAX_POINTS = 1_000_000
 
 RUN_COLS = ("recall", "specificity", "jaccard", "dice", "f1", "auc", "epochs_run")
+GRID_RUN_COLS = ("jaccard", "dice", "epochs_run")  # the run columns a grid writes: it works out no AUC
 GRID_COLS = ("gamma", "omega", "epsilon", "seed", "status", "val_jaccard", "val_dice", "epochs_run")
 COMPARE_COLS = ("loss", "seed", "status", "recall", "specificity", "jaccard", "dice", "f1", "auc")
 EPOCH_COLS = tuple(f.name for f in dataclasses.fields(model.EpochRow))
@@ -261,33 +262,34 @@ def cmd_train(o: dict) -> int:
     return EXIT_OK
 
 
-def _diverged(seed: str) -> dict:
-    return {"seed": seed, "status": "diverged", **dict.fromkeys(RUN_COLS, float("nan")), "epochs_run": 0, "trace": []}
+def _diverged(seed: str, cols: tuple) -> dict:
+    return {"seed": seed, "status": "diverged", **dict.fromkeys(cols, float("nan")), "epochs_run": 0, "trace": []}
 
 
-def _run_row(run_idx: int, rec: model.RunRecord | model.TrainingDiverged) -> dict:
+def _run_row(run_idx: int, rec: model.RunRecord | model.TrainingDiverged, cols: tuple) -> dict:
+    """A run's row: its seed index, status, epoch trace and its values of ``cols`` (some of :data:`RUN_COLS`)."""
     if isinstance(rec, model.TrainingDiverged):
-        return _diverged(str(run_idx))
+        return _diverged(str(run_idx), cols)
     last = rec.epochs[-1]
-    return {
-        "seed": str(run_idx), "status": "ok",
-        "recall": last.val_recall, "specificity": last.val_specificity,
-        "jaccard": last.val_jaccard, "dice": last.val_dice, "f1": last.val_f1,
-        "auc": rec.final_auc, "epochs_run": len(rec.epochs),
-        "trace": [(r.epoch, r.val_jaccard) for r in rec.epochs],
-    }
+    scores = {"recall": last.val_recall, "specificity": last.val_specificity, "jaccard": last.val_jaccard,
+              "dice": last.val_dice, "f1": last.val_f1, "epochs_run": len(rec.epochs)}
+    if "auc" in cols:  # the record works out its AUC when read
+        scores["auc"] = rec.final_auc
+    return {"seed": str(run_idx), "status": "ok", **{c: scores[c] for c in cols},
+            "trace": [(r.epoch, r.val_jaccard) for r in rec.epochs]}
 
 
 def _matrix_worker(args) -> list[dict]:
-    pairs, configs, halves = args
+    pairs, configs, halves, cols = args
     for s in (*halves[0], *halves[1]):  # every run shares them; a pool worker's unpickled copy is writable
         s.image.setflags(write=False)
         s.mask.setflags(write=False)
-    return [_run_row(run_idx, rec) for (run_idx, _), rec in zip(pairs, model.train(configs, *halves))]
+    return [_run_row(run_idx, rec, cols) for (run_idx, _), rec in zip(pairs, model.train(configs, *halves))]
 
 
-def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int) -> list[list[dict]]:
-    """Train every (variant, seed index) pair; per variant, its run records then a mean record.
+def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int, cols: tuple) -> list[list[dict]]:
+    """Train every (variant, seed index) pair; per variant, its run records then a mean record, each with the
+    columns ``cols`` (some of :data:`RUN_COLS`).
 
     Each task's runs train side by side in one ``model.train`` call. A diverged run is recorded with status
     "diverged" and nan metrics; the mean record averages the variant's "ok" runs.
@@ -306,7 +308,7 @@ def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int) -> lis
         groups[i : i + 1] = [groups[i][: len(groups[i]) // 2], groups[i][len(groups[i]) // 2 :]]
     # the groups dealt to one task per worker
     tasks = [[pair for group in groups[k::workers] for pair in group] for k in range(workers)]
-    args = [(pairs, [seeded[ri][vi] for ri, vi in pairs], halves) for pairs in tasks]
+    args = [(pairs, [seeded[ri][vi] for ri, vi in pairs], halves, cols) for pairs in tasks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_matrix_worker, args))
@@ -317,9 +319,9 @@ def _run_matrix(o: dict, variants: list[model.TrainConfig], n_seeds: int) -> lis
     for vi in range(len(variants)):
         runs = [records[ri, vi] for ri in range(n_seeds)]
         ok = [r for r in runs if r["status"] == "ok"]
-        mean = _diverged("mean")
+        mean = _diverged("mean", cols)
         if ok:
-            mean.update(status="ok", **{c: float(np.mean([r[c] for r in ok])) for c in RUN_COLS})
+            mean.update(status="ok", **{c: float(np.mean([r[c] for r in ok])) for c in cols})
         out.append(runs + [mean])
     return out
 
@@ -334,7 +336,11 @@ def run_grid(o: dict) -> list[dict]:
     if not gammas or not omegas or not epsilons or o["seeds"] < 1:
         raise UsageError("grid needs at least one cell and seeds >= 1")
     cells = [{"gamma": g, "omega": w, "epsilon": e} for g in gammas for w in omegas for e in epsilons]
-    results = _run_matrix(o, [_train_config({**o, **cell}, o["loss"], True) for cell in cells], o["seeds"])
+    # one loss for every cell, built and checked with the first cell's parameters, so its errors come first
+    base = _train_config({**o, **cells[0]}, o["loss"], False)
+    variants = [dataclasses.replace(base, loss_fn=wrap_loss_fn(base.loss_fn, _adaptive_params({**o, **cell})))
+                for cell in cells]
+    results = _run_matrix(o, variants, o["seeds"], GRID_RUN_COLS)
     return [
         {**cell, "seed": r["seed"], "status": r["status"],
          "val_jaccard": r["jaccard"], "val_dice": r["dice"], "epochs_run": r["epochs_run"]}
@@ -365,7 +371,7 @@ def run_compare(o: dict) -> list[dict]:
     toks = [t.strip() for t in o["losses"].split(",") if t.strip()]
     if not toks or o["seeds"] < 1:
         raise UsageError("compare needs at least one loss in --losses and seeds >= 1")
-    results = _run_matrix(o, [_train_config(o, *parse_loss_token(t)) for t in toks], o["seeds"])
+    results = _run_matrix(o, [_train_config(o, *parse_loss_token(t)) for t in toks], o["seeds"], RUN_COLS)
     return [{"loss": tok, **r} for tok, runs in zip(toks, results) for r in runs]
 
 

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,9 +374,17 @@ class EpochRow:
 @dataclass
 class RunRecord:
     epochs: list[EpochRow]
-    final_auc: float
-    val_preds: list[np.ndarray] = field(default_factory=list)  # from the final epoch
-    val_masks: list[np.ndarray] = field(default_factory=list)
+    val_preds: list[np.ndarray]  # from the final epoch
+    val_masks: list[np.ndarray]
+
+    @functools.cached_property
+    def final_auc(self) -> float:
+        """The pooled-pixel ROC-AUC of the final epoch's validation output, worked out when first read: nan when
+        the validation masks hold one class only."""
+        try:
+            return metrics.roc_auc(self.val_preds, self.val_masks).auc
+        except metrics.UndefinedAUC:
+            return float("nan")
 
 
 def evaluate(net: TinyNet, val_set, runs=None):
@@ -448,7 +456,8 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     copied once per slope. The seeds that still have a row are read from the rows at each batch: each chunk builds
     their input taps once, as a one-seed call does when one seed is left. Each chunk and block of rows takes one
     finiteness check and one loss call per shared base loss, on each row's own masks, and the wrapper's composition
-    gives each wrapped run its own parameters. Validation, the final AUC and Adam take one call for every row.
+    gives each wrapped run its own parameters. Validation and Adam take one call for every row. No AUC is worked
+    out here: a record works out its final AUC when it is first read (:attr:`RunRecord.final_auc`).
     """
     configs = list(configs)
     if not train_set or not val_set:
@@ -459,7 +468,7 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
     batch_size, max_epochs = configs[0].batch_size, configs[0].max_epochs
     if len({np.shape(s.image) for s in train_set}) > 1 and (len(seeds) > 1 or batch_size > 1):
         raise ValueError("configs of different seeds need training images of one shape, as does a batch size above 1")
-    # once: every loss call on a chunk's masks then skips the scan, and the final AUC takes masks of 0 and 1 only
+    # once: every loss call on a chunk's masks then skips the scan, and a record's final AUC reads masks of 0 and 1
     _check_masks(s.mask for s in (*train_set, *val_set))
     split = [split_wrapped(c.loss_fn) for c in configs]  # each config's base loss and wrapper parameters
     keys = [loss_key(base) for base, _ in split]
@@ -564,11 +573,6 @@ def train(configs, train_set, val_set) -> list[RunRecord | TrainingDiverged]:
             means = {f"val_{k}": v for k, v in results[c][0].items()}
             epoch_rows[c].append(EpochRow(epoch, float(np.mean(epoch_losses[c])), **means))
     masks = [s.mask for s in val_set]
-    for ms in members:
-        try:  # once per row: its configs have the same predictions
-            auc = metrics.roc_auc(results[ms[0]][1], masks).auc
-        except metrics.UndefinedAUC:
-            auc = float("nan")
-        for c in ms:
-            out[c] = RunRecord(epochs=epoch_rows[c], final_auc=auc, val_preds=results[c][1], val_masks=masks)
+    for c in itertools.chain(*members):
+        out[c] = RunRecord(epochs=epoch_rows[c], val_preds=results[c][1], val_masks=masks)
     return out

@@ -15,6 +15,7 @@ parallelism.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import os
 import re
@@ -73,8 +74,8 @@ class SynthSpec:
             raise ValueError("fg_fraction_target must be in (0, 0.5]")
         if self.n_images < 1:
             raise ValueError("n_images must be >= 1")
-        if not self.noise_sigma >= 0:  # written so that a NaN fails it
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # written so that a NaN fails it
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         lo, hi = self.blob_count_range
         if lo < 1 or hi < lo:
             raise ValueError(f"bad blob_count_range {self.blob_count_range}")
@@ -89,7 +90,7 @@ class Sample:
 
     @property
     def fg_fraction(self) -> float:
-        return float(np.mean(self.mask))
+        return np.count_nonzero(self.mask) / self.mask.size
 
 
 def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
@@ -111,7 +112,7 @@ def _draw_mask(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
             y0, y1 = max(0, int(cy - rb) - 1), min(h, int(cy + rb) + 2)
             xx, yy = np.arange(x0, x1)[None, :], np.arange(y0, y1)[:, None]
             mask[y0:y1, x0:x1] |= ((xx - cx) / ra) ** 2 + ((yy - cy) / rb) ** 2 <= 1.0
-        frac = mask.mean()
+        frac = np.count_nonzero(mask) / mask.size  # the quotient mask.mean() rounds to, without a float sum
         if frac == 0.0 or frac == 1.0:
             continue
         if abs(frac - spec.fg_fraction_target) <= 0.2 * spec.fg_fraction_target:

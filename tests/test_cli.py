@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import segbench
-from segbench import cli, losses, model
+from segbench import cli, losses, metrics, model
 from segbench.adaptive import AdaptiveLogParams, wrap_loss_fn
 from segbench.cli import (
     CURVE_MAX_POINTS,
@@ -325,6 +325,8 @@ class TestJobs:
         # dice and all share a row until its second step, where a base value falls below gamma 0.68; two workers
         # split the group, so nothing is shared there
         ["compare", "--losses", "dice,all", "--seeds", "1", "--gamma", "0.68"],
+        # the cells' one loss goes to both workers; the cells at gamma 0.1 share a row, and those at 0.68 split off
+        ["grid", "--gammas", "0.1,0.68", "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "1"],
     ])
     def test_jobs_do_not_change_results(self, tmp_path, args):
         outputs = []
@@ -556,9 +558,50 @@ class TestRoc:
         assert capsys.readouterr().out.split()[1] == train_auc
 
 
+class TestAucOnlyWhereWritten:
+    """A run's AUC is worked out only where a command writes one: once per "ok" run of compare, once for train's
+    line, once for roc's curve, and never in a grid."""
+
+    @pytest.fixture
+    def aucs(self, monkeypatch):
+        thresholds, real = [], metrics.roc_auc
+
+        def spy(preds, masks, n_thresholds=256):
+            thresholds.append(n_thresholds)
+            return real(preds, masks, n_thresholds)
+
+        _rebind(monkeypatch, real, spy)  # every name that binds roc_auc
+        return thresholds
+
+    @pytest.mark.parametrize("lr", [[], DIVERGING_LR], ids=["ok", "diverging"])
+    def test_grid_works_out_none(self, tmp_path, aucs, lr):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", *FAST, *lr, "--omegas", "8,10", "--epsilons", "0.5", "--seeds", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)) == 6 and aucs == []
+
+    @pytest.mark.parametrize("lr", [[], DIVERGING_LR], ids=["ok", "diverging"])
+    def test_compare_works_out_one_per_ok_run(self, tmp_path, aucs, lr):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", *FAST, *lr, "--losses", "dice,all,focal", "--seeds", "2",
+                     "--out", str(out)]) == EXIT_OK
+        runs = [r for r in read_rows(out) if r["seed"] != "mean"]
+        ok = [r for r in runs if r["status"] == "ok"]
+        assert len(runs) == 6 and len(aucs) == len(ok) > 0
+        assert (len(ok) < len(runs)) == bool(lr)
+
+    def test_train_works_out_one(self, tmp_path, aucs):
+        assert main(["train", *FAST, "--out", str(tmp_path / "run.csv")]) == EXIT_OK
+        assert aucs == [256]
+
+    def test_roc_works_out_its_curve_only(self, tmp_path, aucs):
+        assert main(["roc", *FAST, "--n-thresholds", "64", "--out", str(tmp_path / "roc.csv")]) == EXIT_OK
+        assert aucs == [64]
+
+
 class TestLossBuilds:
-    """Each variant's loss is checked and built once: ``make_loss`` runs once per grid cell or compare token, and
-    neither re-seeding a config nor training it builds one."""
+    """Each loss is checked and built once: ``make_loss`` runs once per grid, whose cells all wrap that one loss,
+    and once per compare token, and neither re-seeding a config nor training it builds one."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -571,10 +614,10 @@ class TestLossBuilds:
         _rebind(monkeypatch, real, spy)  # every name that binds make_loss
         return names
 
-    def test_grid_builds_one_loss_per_cell(self, tmp_path, builds):
+    def test_grid_builds_one_loss(self, tmp_path, builds):
         # the default grid: 6 omegas x 4 epsilons, 3 seeds
         assert main(["grid", *FAST, "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
-        assert builds == ["dice"] * 24
+        assert builds == ["dice"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_compare_builds_one_loss_per_token(self, tmp_path, builds, jobs):
@@ -967,6 +1010,12 @@ class TestDegenerateInputs:
         *[([command, *FAST, *flags, "--omega", "1e308", "--epsilon", "1e-308"], "max(1, omega) / epsilon must be")
           for command, flags in (("train", ["--all-wrap"]), ("roc", []), ("compare", ["--losses", "dice,all"]))],
         (["grid", *FAST, "--omegas", "1e308", "--epsilons", "1e-308"], "max(1, omega) / epsilon must be finite"),
+        # a grid's first cell is checked as a run, wrapper parameters before the loss, then each later cell's
+        *[(["grid", *FAST, f"--omegas={omegas}", *loss], message) for omegas, loss, message in (
+            ("8,-1", [], "omega must be > 0, got -1.0"),
+            ("8,-1", ["--loss", "tversky", "--tversky-alpha", "-1"], "invalid Tversky weights tversky_alpha=-1.0"),
+            ("-1,8", ["--loss", "tversky", "--tversky-alpha", "-1"], "omega must be > 0, got -1.0"),
+        )],
     ])
     def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -155,12 +156,7 @@ def _reference_train(config, train_set, val_set):
                 losses.append(loss)
             means, preds = _per_image_evaluate(net, val_set, lambda net, image: _clipped_forward(net, image[None])[0])
             rows.append(EpochRow(epoch, float(np.mean(losses)), **{f"val_{k}": v for k, v in means.items()}))
-    masks = [s.mask for s in val_set]
-    try:
-        auc = metrics.roc_auc(preds, masks).auc
-    except metrics.UndefinedAUC:
-        auc = float("nan")
-    return RunRecord(epochs=rows, final_auc=auc, val_preds=preds, val_masks=masks)
+    return RunRecord(epochs=rows, val_preds=preds, val_masks=[s.mask for s in val_set])
 
 
 def _loss_upstream(masks, loss_fn, values):
@@ -760,6 +756,27 @@ class TestTrain:
         b = train_alone(cfg, train_set, val_set)
         assert a.epochs == b.epochs
         assert a.final_auc == b.final_auc
+
+    def test_final_auc_is_worked_out_when_read(self, monkeypatch):
+        train_set, val_set = tiny_dataset(seed=2)
+        cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=1, loss_fn=built("dice"), seed=5)
+        calls, real = [], metrics.roc_auc
+        monkeypatch.setattr(metrics, "roc_auc", lambda *a, **k: calls.append(a) or real(*a, **k))
+        rec = train_alone(cfg, train_set, val_set)
+        assert calls == []
+        auc = rec.final_auc
+        assert auc == real(rec.val_preds, rec.val_masks).auc and len(calls) == 1
+        assert rec.final_auc == auc and len(calls) == 1  # read once, then kept
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy.final_auc == auc and len(calls) == 1  # the pickled record carries it
+        assert pickle.loads(pickle.dumps(train_alone(cfg, train_set, val_set))).final_auc == auc
+
+    def test_final_auc_of_one_class_is_nan(self):
+        train_set, val_set = tiny_dataset(seed=2)
+        background = [Sample(s.image, np.zeros_like(s.mask)) for s in val_set]
+        rec = train_alone(TrainConfig(lr=1e-2, batch_size=8, max_epochs=1, seed=5), train_set, background)
+        assert math.isnan(rec.final_auc)
+        assert math.isnan(pickle.loads(pickle.dumps(rec)).final_auc)
 
     def test_learns_easy_data(self):
         # easy synthetic blobs: final validation Jaccard > 0.8

@@ -42,6 +42,7 @@ class TestSpecValidation:
             {"noise_sigma": -0.1},
             {"blob_count_range": (0, 2)},
             {"blob_count_range": (3, 1)},
+            {"noise_sigma": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
