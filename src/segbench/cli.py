@@ -104,13 +104,7 @@ def _config_flags(path, ns: argparse.Namespace) -> list[str]:
                 key, value = key.strip().replace("-", "_"), value.strip()
                 if key in _NOT_OPTIONS or key not in vars(ns):
                     raise UsageError(f"unknown config key {key!r}")
-                flag = "--" + key.replace("_", "-")
-                if not isinstance(getattr(ns, key), bool):
-                    flags.append(f"{flag}={value}")  # one token: a value starting with "-" stays a value
-                elif value.lower() in ("1", "true", "yes", "on"):
-                    flags.append(flag)
-                elif value.lower() not in ("0", "false", "no", "off"):
-                    raise UsageError(f"config key {key!r}: expected boolean, got {value!r}")
+                flags.append(f"--{key.replace('_', '-')}={value}")  # one token: a leading "-" stays a value
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     return flags
@@ -139,18 +133,15 @@ DATASET_DEFAULTS = {
 
 WRAP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(AdaptiveLogParams)}
 LOSS_OPTION_DEFAULTS = {k: v for name in LOSSES for k, v in loss_options(name).items()}
-LOSS_DEFAULTS = {"loss": "dice", "all_wrap": False, **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS}
+LOSS_DEFAULTS = {"loss": "dice", **WRAP_DEFAULTS, **LOSS_OPTION_DEFAULTS}
 
 TRAIN_DEFAULTS = {"lr": 1e-4, "batch_size": 16, "epochs": 30, "split_ratio": 0.8}
 
 
 def _add_opts(sp, defaults: dict):
     for key, dv in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(dv, bool):
-            sp.add_argument(flag, action="store_true")
-        else:
-            sp.add_argument(flag, type=_finite_float if isinstance(dv, float) else type(dv), default=dv)
+        sp.add_argument("--" + key.replace("_", "-"),
+                        type=_finite_float if isinstance(dv, float) else type(dv), default=dv)
 
 
 def _dataset_spec(o: dict) -> synthdata.SynthSpec:
@@ -246,8 +237,8 @@ def _split_dataset(o: dict) -> tuple[list, list]:
 
 
 def _train_one(o: dict) -> model.RunRecord:
-    """The one run ``o`` describes, trained alone: a divergence is raised."""
-    (rec,) = model.train([_train_config(o, o["loss"], o["all_wrap"])], *_split_dataset(o))
+    """The one run ``o`` describes (``--loss`` is a token, as in ``compare``), trained alone: a divergence is raised."""
+    (rec,) = model.train([_train_config(o, *parse_loss_token(o["loss"]))], *_split_dataset(o))
     if isinstance(rec, model.TrainingDiverged):
         raise rec
     return rec
@@ -483,7 +474,7 @@ def cmd_gradcheck(o: dict) -> int:
 
 def build_parser(command: str | None = None):
     """The parser of every subcommand; given a known ``command``, one where only that subcommand takes options."""
-    # grid cells set gamma/omega/epsilon and always wrap; compare's --losses tokens choose loss and wrapping
+    # train/roc --loss and compare --losses take loss tokens; grid's --loss names the base that its cells wrap
     commands = (
         ("curve", cmd_curve, "emit the wrapper's value/derivative curve as CSV",
          {"out": "", **WRAP_DEFAULTS, "n_points": 101}),

@@ -415,18 +415,16 @@ def _shared_loss(split: list[tuple], rows: list[int], p: np.ndarray, g: Masks) -
     """The loss of runs that share a base loss, on the outputs p (rows, images, H, W) of their stack rows and each
     row's masks g of p's shape: per run, in row order, its ``(base, params)`` of :func:`split_wrapped` and its row of
     p. One call of the base on rows x images as the images of one :class:`Masks` stack (for one row, the call its run
-    makes alone), then, if a run is wrapped, one :func:`adaptive._branches` through :class:`RowParams` (a plain run
-    gets the identity's), and one more if a wrapped run left [0, 1]. Returns the runs' values (runs, images), or a
-    scalar that stands for each; p's upstream gradient, each row's scaled by the slope of its first run in range; by
-    run, each wrapped run that left [0, 1], with its first such value; and by row, when its runs' slopes differ, its
-    runs of each slope in turn: the row's gradient is then left undefined."""
+    makes alone), then one :func:`adaptive._branches` through :class:`RowParams` (a plain run gets the identity's,
+    whose ``x - 0.0`` and slope 1.0 are exact), and one more if a wrapped run left [0, 1]. Returns the runs' values
+    (runs, images), or (runs, 1) from a base that gives one value per call; p's upstream gradient, each row's scaled
+    by the slope of its first run in range; by run, each wrapped run that left [0, 1], with its first such value; and
+    by row, when its runs' slopes differ, its runs of each slope in turn: the row's gradient is then left undefined."""
     base, params = split[0][0], tuple(q for _, q in split)
     per_image = base(p.reshape(-1, *p.shape[2:]), g.reshape(-1, *g.shape[2:]))
     value, grad = per_image.value, per_image.grad.reshape(p.shape)
     if np.ndim(value):
         value = value.reshape(p.shape[:2])[rows]
-    if all(q is None for q in params):
-        return value, grad, {}, {}
     try:
         outside, (value, slope) = {}, _branches(value, RowParams.of(params))
     except BaseValueOutOfRange as exc:  # those runs compose with the identity instead

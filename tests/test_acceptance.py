@@ -235,7 +235,7 @@ def test_grid_cell_means_exact():
     o = {
         "width": 16, "height": 16, "fg_fraction": 0.2, "n_images": 12, "noise_sigma": 0.05,
         "blob_min": 1, "blob_max": 3, "data_seed": 0, "split_ratio": 0.8,
-        "lr": 0.01, "batch_size": 8, "epochs": 2, "loss": "dice", "all_wrap": False,
+        "lr": 0.01, "batch_size": 8, "epochs": 2, "loss": "dice",
         "smooth": 1e-6, "tversky_alpha": 0.7, "tversky_beta": 0.3, "focal_alpha": 1.0,
         "focal_gamma": 2.0, "mix": 0.5, "ft_gamma": 4 / 3, "gamma": 0.1, "omega": 10.0,
         "epsilon": 0.5, "gammas": "0.1", "omegas": "10,12", "epsilons": "0.5", "seeds": 3,

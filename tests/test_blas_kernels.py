@@ -26,7 +26,7 @@ CORETYPES = {
 FLAGS = ["--width", "16", "--height", "16", "--n-images", "12", "--fg-fraction", "0.2", "--noise-sigma", "0.05",
          "--epochs", "2", "--batch-size", "8", "--lr", "0.01", "--seed", "5", "--data-seed", "5"]
 COMMANDS = {
-    "train.csv": ["train", *FLAGS, "--loss", "tversky", "--all-wrap"],
+    "train.csv": ["train", *FLAGS, "--loss", "tversky+all"],
     "compare.csv": ["compare", *FLAGS, "--seeds", "2",
                     "--losses", "jaccard,dice,tversky,focal,combo,focal-tversky,all"],
     "grid.csv": ["grid", *FLAGS, "--seeds", "2", "--omegas", "6,14", "--epsilons", "0.3,1.0"],

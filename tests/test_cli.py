@@ -171,12 +171,15 @@ class TestTrain:
         main(["train", *FAST, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_all_wrap_flag(self, tmp_path):
-        out = tmp_path / "run.csv"
-        assert main(["train", *FAST, "--all-wrap", "--out", str(out)]) == EXIT_OK
+    def test_wrapped_loss_token(self, tmp_path):
+        # the loss tokens of compare's --losses: bare "all" is wrapped Dice, "<base>+all" wraps any base
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["train", *FAST, "--loss", "all", "--out", str(a)]) == EXIT_OK
+        assert main(["train", *FAST, "--loss", "dice+all", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "roc"])
-    @pytest.mark.parametrize("wrap", [[], ["--all-wrap"]])
+    @pytest.mark.parametrize("wrap", [[], ["--loss", "all"]])
     def test_diverged_run_is_check_failure(self, tmp_path, capsys, command, wrap):
         with warnings.catch_warnings():  # the isfinite checks report it, not numpy's overflow warnings
             warnings.simplefilter("error", RuntimeWarning)
@@ -229,7 +232,7 @@ class TestBaseValueOutsideWrapper:
 
     def test_train_is_check_failure(self, tmp_path, capsys):
         out = str(tmp_path / "o.csv")
-        assert main(["train", *self.FLAGS, "--loss", "bce", "--all-wrap", "--out", out]) == EXIT_CHECK
+        assert main(["train", *self.FLAGS, "--loss", "bce+all", "--out", out]) == EXIT_CHECK
         err = capsys.readouterr().err
         assert err.startswith("check failed: base loss value ") and "outside [0, 1] at epoch 0, batch " in err
         assert "Traceback" not in err
@@ -251,7 +254,7 @@ class TestGrid:
         o = {
             "width": 16, "height": 16, "fg_fraction": 0.2, "n_images": 12, "noise_sigma": 0.05,
             "blob_min": 1, "blob_max": 3, "data_seed": 0, "split_ratio": 0.8,
-            "lr": 0.01, "batch_size": 8, "epochs": 2, "loss": "dice", "all_wrap": False,
+            "lr": 0.01, "batch_size": 8, "epochs": 2, "loss": "dice",
             "smooth": 1e-6, "tversky_alpha": 0.7, "tversky_beta": 0.3, "focal_alpha": 1.0,
             "focal_gamma": 2.0, "mix": 0.5, "ft_gamma": 4 / 3, "gamma": 0.1, "omega": 10.0,
             "epsilon": 0.5, "gammas": "0.1", "omegas": "8,10", "epsilons": "0.5", "seeds": 2,
@@ -551,7 +554,7 @@ class TestRoc:
         assert 0.0 <= float(aucs.pop()) <= 1.0
 
     def test_auc_matches_train(self, tmp_path, capsys):
-        flags = [*FAST, "--loss", "tversky", "--all-wrap"]
+        flags = [*FAST, "--loss", "tversky+all"]
         assert main(["train", *flags, "--out", str(tmp_path / "run.csv")]) == EXIT_OK
         train_auc = capsys.readouterr().out.split("auc ")[-1].strip()
         assert main(["roc", *flags, "--n-thresholds", "256", "--out", str(tmp_path / "roc.csv")]) == EXIT_OK
@@ -662,6 +665,20 @@ def test_readme_tags_name_collected_tests():
     collected = done.stdout.splitlines()
     for i in ids:  # each id collects a test of its own: a node of a file, class or parametrized function
         assert any(c == i or c.startswith((f"{i}::", f"{i}[")) for c in collected), i
+
+
+def test_readme_usage_lines_name_their_commands_flags():
+    # each "segbench <command> ..." line of the README's CLI block names only options of that command's parser
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", text, re.S | re.M).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("segbench ")]
+    assert [line.split()[1] for line in lines] == list(SUBCOMMANDS)
+    for line in lines:
+        command = line.split()[1]
+        options = {"--config"} | {"--" + k.replace("_", "-") for k in vars(build_parser(command).parse_args([command]))
+                                   if k not in cli._NOT_OPTIONS}
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            assert flag in options, f"{command} {flag}"
 
 
 class TestGradcheckCommand:
@@ -780,11 +797,15 @@ class TestGradcheckCommand:
 
 
 SUBCOMMANDS = ("curve", "gendata", "train", "grid", "compare", "roc", "gradcheck")
-TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on", "TRUE", "On"), ("0", "false", "no", "off", "FALSE", "Off")
+# the lines, true words then false ones, of --all-wrap: a boolean option train and roc took, right after --loss, where
+# a --loss token now spells a wrapped run. An old config file that holds one exits 1 rather than train a plain loss
+RETIRED_WORDS = (("1", "true", "yes", "on", "TRUE", "On"), ("0", "false", "no", "off", "FALSE", "Off"))
+RETIRED_LINES = [f"{k}={w}" for words in RETIRED_WORDS for k in ("all-wrap", "all_wrap") for w in words]
 
 
 def _config_line_cases():
-    """(command, config line, the flags it stands for) for every option of every command."""
+    """(command, config line, the flags it stands for) for every option of every command, and the retired
+    ``--all-wrap``'s lines where that option stood."""
     cases = []
     for command in SUBCOMMANDS:
         for key, default in vars(build_parser().parse_args([command])).items():
@@ -792,12 +813,10 @@ def _config_line_cases():
                 continue
             flag = "--" + key.replace("_", "-")
             spellings = sorted({key, flag[2:]})  # underscores and dashes
-            if isinstance(default, bool):
-                cases += [(command, f"{k}={w}", [flag]) for k in spellings for w in TRUE_WORDS]
-                cases += [(command, f"{k}={w}", []) for k in spellings for w in FALSE_WORDS]
-            else:
-                value = "x" if isinstance(default, str) else repr(default + 1)  # an int stays an int
-                cases += [(command, f"{k} = {value}", [f"{flag}={value}"]) for k in spellings]
+            value = "x" if isinstance(default, str) else repr(default + 1)  # an int stays an int
+            cases += [(command, f"{k} = {value}", [f"{flag}={value}"]) for k in spellings]
+            if key == "loss" and command in ("train", "roc"):
+                cases += [(command, line, ["--all-wrap"]) for line in RETIRED_LINES]
     return cases + [
         ("train", "out=-x.csv", ["--out=-x.csv"]),
         ("compare", "losses=dice=all", ["--losses=dice=all"]),
@@ -812,12 +831,16 @@ class TestFlagsAndConfig:
         monkeypatch.setattr(cli, f"cmd_{command}", lambda o: seen.append(o) or EXIT_OK)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(line + "\n")
+        if line in RETIRED_LINES:  # the line and its flag are usage errors alike
+            assert main([command, "--config", str(cfg)]) == main([command, *flags]) == EXIT_USAGE
+            assert seen == []
+            return
         assert main([command, "--config", str(cfg)]) == EXIT_OK
         assert main([command, *flags]) == EXIT_OK
         assert main([command]) == EXIT_OK
         from_config, from_flags, defaults = seen
         assert from_config == from_flags
-        assert (from_flags != defaults) == bool(flags)  # the line set something, unless it is a false boolean
+        assert from_flags != defaults  # the line set something
 
     def test_config_file_with_byte_order_mark(self, tmp_path, monkeypatch):
         # a UTF-8 byte-order mark (EF BB BF) before the first key, as some editors write it
@@ -879,19 +902,25 @@ class TestFlagsAndConfig:
         ("compare", ["--loss", "hinge"]),
         ("compare", ["--loss", "dice"]),
         ("compare", ["--all-wrap"]),
+        ("train", ["--all-wrap"]),  # a wrapped loss is a --loss token: "all" or "<base>+all"
+        ("roc", ["--all-wrap"]),
     ])
-    def test_flags_a_command_would_ignore_are_usage_errors(self, tmp_path, command, flags):
-        assert main([command, *FAST, *flags, "--seeds", "1", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+    def test_flags_a_command_would_ignore_are_usage_errors(self, tmp_path, capsys, command, flags):
+        seeds = ["--seeds", "1"] if command in ("grid", "compare") else []
+        assert main([command, *FAST, *flags, *seeds, "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        assert f"usage error: unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,line", [
         ("grid", "gamma=0.2"), ("grid", "omega=12"), ("grid", "epsilon=1"), ("grid", "all-wrap=1"),
-        ("compare", "loss=dice"), ("compare", "all_wrap=yes"),
+        ("compare", "loss=dice"), ("compare", "all_wrap=yes"), ("train", "all_wrap=1"), ("roc", "all-wrap=true"),
     ])
-    def test_config_keys_a_command_would_ignore_are_usage_errors(self, tmp_path, command, line):
+    def test_config_keys_a_command_would_ignore_are_usage_errors(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(line + "\n")
-        assert main([command, *FAST, "--config", str(cfg), "--seeds", "1",
-                     "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        seeds = ["--seeds", "1"] if command in ("grid", "compare") else []
+        assert main([command, *FAST, "--config", str(cfg), *seeds, "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        key = line.split("=")[0].replace("-", "_")
+        assert capsys.readouterr().err == f"usage error: unknown config key {key!r}\n"
 
     @pytest.mark.parametrize("command,flag,value", [
         ("gendata", "--out", "x.csv"), ("gendata", "--seed", "1"), ("gendata", "--jobs", "2"),
@@ -981,8 +1010,8 @@ class TestDegenerateInputs:
               (["--smooth", "nan"], "argument --smooth: expected a finite number, got 'nan'"),
           )],
         (["train", *FAST, "--loss", "tversky", "--tversky-alpha", "nan"], "argument --tversky-alpha: "),
-        (["train", *FAST, "--all-wrap", "--omega", "nan"], "argument --omega: expected a finite number"),
-        (["train", *FAST, "--all-wrap", "--epsilon", "inf"], "argument --epsilon: expected a finite number"),
+        (["train", *FAST, "--loss", "all", "--omega", "nan"], "argument --omega: expected a finite number"),
+        (["train", *FAST, "--loss", "all", "--epsilon", "inf"], "argument --epsilon: expected a finite number"),
         (["compare", *FAST, "--epsilon=-inf"], "argument --epsilon: expected a finite number"),
         (["grid", *FAST, "--omegas", "8,inf"], "bad numeric list '8,inf' for --omegas: expected a finite number"),
         (["grid", *FAST, "--gammas", "nan"], "bad numeric list 'nan' for --gammas: expected a finite number"),
@@ -1008,13 +1037,20 @@ class TestDegenerateInputs:
         # a wrapper whose omega / epsilon overflows float64, in every subcommand that takes the wrapper's parameters
         (["curve", "--epsilon", "1e-320"], "max(1, omega) / epsilon must be finite, got omega=10.0, epsilon=1e-320"),
         *[([command, *FAST, *flags, "--omega", "1e308", "--epsilon", "1e-308"], "max(1, omega) / epsilon must be")
-          for command, flags in (("train", ["--all-wrap"]), ("roc", []), ("compare", ["--losses", "dice,all"]))],
+          for command, flags in (("train", ["--loss", "all"]), ("roc", []), ("compare", ["--losses", "dice,all"]))],
         (["grid", *FAST, "--omegas", "1e308", "--epsilons", "1e-308"], "max(1, omega) / epsilon must be finite"),
         # a grid's first cell is checked as a run, wrapper parameters before the loss, then each later cell's
         *[(["grid", *FAST, f"--omegas={omegas}", *loss], message) for omegas, loss, message in (
             ("8,-1", [], "omega must be > 0, got -1.0"),
             ("8,-1", ["--loss", "tversky", "--tversky-alpha", "-1"], "invalid Tversky weights tversky_alpha=-1.0"),
             ("-1,8", ["--loss", "tversky", "--tversky-alpha", "-1"], "omega must be > 0, got -1.0"),
+        )],
+        # train, roc and compare read a run's loss token before they build the run; grid names its base in --loss
+        *[([command, *FAST, "--split-ratio", "1", loss_flag, "nope"], message) for command, loss_flag, message in (
+            ("train", "--loss", "unknown loss selector 'nope'"),
+            ("roc", "--loss", "unknown loss selector 'nope'"),
+            ("compare", "--losses", "unknown loss selector 'nope'"),
+            ("grid", "--loss", "split ratio 1.0 leaves an empty partition"),
         )],
     ])
     def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):

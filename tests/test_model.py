@@ -616,6 +616,15 @@ class TestOneRunStack:
         assert means == want_means
         assert [p.tobytes() for p in preds] == [p.tobytes() for p in want_preds]
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_init_stacks_the_seeds_weights_on_a_run_axis(self, runs):
+        stack, alone = TinyNet.init(seed=5, runs=runs), TinyNet.init(seed=5)
+        assert {k: v.shape for k, v in stack.params.items()} == {
+            "w1": (runs, 8, 3, 3), "b1": (runs, 8), "w2": (runs, 8, 3, 3), "b2": (runs,)}
+        assert (stack.runs, alone.runs) == (runs, None)
+        for k, v in alone.params.items():
+            for r in range(runs):
+                _same_bytes(stack.params[k][r], v)
 
     def test_a_public_call_is_counted_once(self, monkeypatch):
         # an unstacked net runs as a one-run stack inside the call, without calling the public function again
@@ -1248,6 +1257,15 @@ class TestSideBySide:
     def test_grid_cells_at_one_lr_train_on_one_row(self, monkeypatch):
         # every base value stays above gamma, so each cell's slope is 1, as a plain run's: one trajectory
         assert self._rows_per_step(monkeypatch, GRID_VARIANTS) == [1] * 6  # batches of 8 and 4, three epochs
+
+    def test_configs_of_one_row_get_views_of_one_output(self):
+        # two grid cells on one row, as in the test above, and the first cell again at another lr, on a row of its own
+        train_set, val_set = tiny_dataset(seed=11)
+        configs = [TrainConfig(lr=lr, batch_size=8, max_epochs=3, seed=0, **v)
+                   for lr, v in ((0.01, GRID_VARIANTS[0]), (0.01, GRID_VARIANTS[1]), (0.02, GRID_VARIANTS[0]))]
+        a, b, other = train(configs, train_set, val_set)
+        for p, q, r in zip(a.val_preds, b.val_preds, other.val_preds, strict=True):
+            assert np.shares_memory(p, q) and not np.shares_memory(p, r)
 
     @pytest.mark.parametrize("base", [make_loss("dice"), _scalar_dice], ids=["dice", "scalar"])
     def test_a_row_splits_where_the_slopes_differ(self, monkeypatch, base):
